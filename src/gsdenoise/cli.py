@@ -170,7 +170,7 @@ def _cmd_sanitize(args):
     noisy, sigma = sanitize(f, sigma, seed=args.seed)
     header["sigma"] = repr(sigma)
     write_signal(args.output, noisy, header=header)
-    print(f"sigma={sigma:g}")
+    print(f"sigma={sigma!r}")
     return 0
 
 

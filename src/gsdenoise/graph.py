@@ -384,18 +384,27 @@ def estimate_spectral_bound(L, tol=1e-6, max_iter=5000, seed=0,
     op = L
     if L.variant == "random_walk":
         op = LaplacianOperator(L.graph, "normalized")
+    # Dot products go through einsum's own loops, not BLAS, whose rounding
+    # depends on the BLAS thread count: the bound enters the weight-cache
+    # fingerprint by repr.
+    def dot(u, x):
+        return float(np.einsum("i,i->", u, x))
+
+    def norm(u):
+        return dot(u, u) ** 0.5
+
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.n)
-    v /= np.linalg.norm(v)
+    v /= norm(v)
     ray_prev = -np.inf
     for _ in range(max_iter):
         w = op.matvec(v)
-        ray = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0:
+        ray = dot(v, w)
+        w_norm = norm(w)
+        if w_norm == 0:
             # v is in the kernel; restart from a fresh direction
             v = rng.standard_normal(op.n)
-            v /= np.linalg.norm(v)
+            v /= norm(v)
             continue
         if abs(ray - ray_prev) <= tol * max(abs(ray), 1e-300):
             bound = ray * (1.0 + margin)
@@ -403,7 +412,7 @@ def estimate_spectral_bound(L, tol=1e-6, max_iter=5000, seed=0,
                 bound = min(bound, 2.0)
             return bound
         ray_prev = ray
-        v = w / norm
+        v = w / w_norm
     raise ConvergenceError(
         f"power iteration did not converge in {max_iter} iterations "
         f"(last Rayleigh quotient {ray_prev})", ray_prev)

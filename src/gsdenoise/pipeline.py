@@ -72,8 +72,8 @@ class PipelineConfig:
             raise ValueError(f"beta must lie in [1, {BETA_MAX}]")
         if self.P < 1:
             raise ValueError("P must be at least 1")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive when given")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite when given")
 
 
 def weight_fingerprint(graph, pou, config):
@@ -102,6 +102,10 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     if noisy.shape != (graph.n,):
         raise ValueError(f"signal length {noisy.size} does not match "
                          f"graph with {graph.n} nodes")
+    if not np.isfinite(noisy).all():
+        i = int(np.argmin(np.isfinite(noisy)))
+        raise ValueError(f"signal sample {i} is {noisy[i]!r}; every sample "
+                         "must be finite")
     report = {"warnings": []}
     timings = {}
 

@@ -128,8 +128,8 @@ def sanitize(f, sigma, seed=0):
     sigma is returned alongside because post-processing (the denoiser) is
     allowed to use it: privacy is already paid for by the noise.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     f = np.asarray(f, dtype=np.float64)
     rng = np.random.default_rng(seed)
     return f + sigma * rng.standard_normal(f.shape), float(sigma)

@@ -68,6 +68,13 @@ class WeightEstimate:
         self.diag = np.ascontiguousarray(self.diag, dtype=np.float64)
         if self.diag.shape != (self.n * (self.J + 1),):
             raise ValueError("weight vector length does not match n(J+1)")
+        # reductions, not elementwise masks, on the accepting path: a NaN
+        # makes min() NaN, which fails the comparison
+        if self.diag.size and not (self.diag.min() >= 0
+                                   and self.diag.max() < np.inf):
+            i = int(np.argmax(~((self.diag >= 0) & (self.diag < np.inf))))
+            raise ValueError("weight entries must be finite and nonnegative; "
+                             f"entry {i} is {self.diag[i]!r}")
 
     def fingerprint(self):
         return (f"graph={self.graph_hash},variant={self.variant},"
@@ -139,8 +146,8 @@ def sure_value(coeffs, thresholded, derivs, sigma, weights_diag):
     -n sigma^2 + ||h(F) - F||^2 + 2 sigma^2 sum_i gamma2_ii d_i h_i(F),
     where n is the node count (not the coefficient count).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
     vals = coeffs.values
     thr = thresholded.values if isinstance(thresholded, frame.FrameCoefficients) \
         else np.asarray(thresholded, dtype=np.float64)

@@ -6,6 +6,11 @@ beta is capped at 100. Thresholds are chosen per scale by minimizing the
 scale's additive SURE contribution over a percentile grid of the absolute
 coefficients, which matches brute-force minimization because SURE restricted
 to this family is piecewise monotone between observed magnitudes.
+
+Selection costs one sort per scale plus O(P log n) lookups: with the block
+sorted by magnitude, prefix and suffix sums give the objective at every
+candidate from two binary searches each, instead of a pass over the block
+per candidate.
 """
 
 from dataclasses import dataclass
@@ -105,12 +110,51 @@ class ThresholdPolicy:
             raise ValueError("thresholds must be nonnegative")
 
 
-def _scale_objective(x, wdiag, sigma, t, beta):
-    """SURE contribution of one scale at threshold t, up to the -n sigma^2."""
-    h = js_threshold(x, t, beta)
-    d = js_derivative(x, t, beta)
-    r = h - x
-    return float(r @ r) + 2.0 * sigma ** 2 * float(wdiag @ d)
+def _suffix_logsumexp(v):
+    """log sum_{i >= k} exp(v_i) for k = 0..len(v), the empty sum as -inf."""
+    return np.append(np.logaddexp.accumulate(v[::-1])[::-1], -np.inf)
+
+
+def _scale_objectives(x, w, sigma, t, beta):
+    """SURE contribution of one scale at each sorted threshold t, up to the
+    -n sigma^2, from one sort of the block by magnitude.
+
+    Entries with |x| < t are dead and contribute x^2. Entries at the kink
+    |x| = t > 0 are dead too and add the slope beta: x^2 + 2 sigma^2 beta w.
+    Entries with |x| > t contribute
+    t^(2 beta) |x|^(2 - 2 beta) + 2 sigma^2 w (1 + (beta - 1) t^beta |x|^-beta),
+    and exact zeros contribute nothing. The two power sums over the live
+    entries are suffix sums taken in the log domain, so that beta up to
+    BETA_MAX cannot overflow.
+    """
+    a = np.abs(x)
+    order = np.argsort(a)
+    a = a[order]
+    w = w[order]
+    del order  # freed early so that the pass peaks below apply_policy
+    dead_sq = np.append(0.0, np.cumsum(a * a))       # sum over entries [0, k)
+    live_w = np.append(np.cumsum(w[::-1])[::-1], 0.0)  # sum over entries [k, n)
+    lo = np.searchsorted(a, t, side="left")
+    hi = np.searchsorted(a, t, side="right")
+    s2 = 2.0 * sigma ** 2
+    obj = dead_sq[hi] + s2 * live_w[hi]
+    obj += np.where(t > 0, s2 * beta * (live_w[lo] - live_w[hi]), 0.0)
+    del dead_sq, live_w
+
+    # every live entry is nonzero, so the power sums skip the zeros
+    zeros = int(np.searchsorted(a, 0.0, side="right"))
+    loga = np.log(a[zeros:])
+    with np.errstate(divide="ignore"):  # log 0 = -inf for t = 0 and w = 0
+        logw = np.log(w[zeros:])
+        logt = np.log(t)
+    sum_sq = _suffix_logsumexp((2.0 - 2.0 * beta) * loga)
+    sum_w = _suffix_logsumexp(logw - beta * loga)
+    k = hi - zeros
+    live = k < loga.size  # t = inf, or t at the top magnitude, has none
+    k, logt = k[live], logt[live]
+    obj[live] += (np.exp(2.0 * beta * logt + sum_sq[k])
+                  + s2 * (beta - 1.0) * np.exp(beta * logt + sum_w[k]))
+    return obj
 
 
 def select_thresholds_sure(coeffs, weights, sigma, beta=2.0, P=100):
@@ -121,17 +165,20 @@ def select_thresholds_sure(coeffs, weights, sigma, beta=2.0, P=100):
     toward the smallest candidate.
     """
     _check_beta(beta)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    wdiag = weights.diag if hasattr(weights, "diag") else np.asarray(weights)
+    if not 0 < sigma < np.inf:
+        raise ValueError("sigma must be positive and finite")
+    wdiag = weights.diag if hasattr(weights, "diag") else np.asarray(
+        weights, dtype=np.float64)
     if wdiag.shape != coeffs.values.shape:
         raise ValueError("weights length does not match coefficients")
+    if not np.all(wdiag >= 0):
+        raise ValueError("weights must be nonnegative")
     thresholds = np.empty(coeffs.J + 1)
     for j in range(coeffs.J + 1):
         x = coeffs.block(j)
         wj = wdiag[j * coeffs.n:(j + 1) * coeffs.n]
         grid = candidate_grid(x, P=P)
-        objs = [_scale_objective(x, wj, sigma, t, beta) for t in grid]
+        objs = _scale_objectives(x, wj, sigma, grid, beta)
         thresholds[j] = grid[int(np.argmin(objs))]
     return ThresholdPolicy(beta, thresholds, grid_percentiles=P)
 

@@ -1,10 +1,16 @@
 """Graph container, Laplacian operators, and the spectral bound."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsdenoise
 from gsdenoise.frame import exact_eigendecomposition
 from gsdenoise.graph import (
     ConvergenceError,
@@ -162,6 +168,25 @@ def test_spectral_bound_dominates_exact_spectrum(variant):
         L = laplacian(g, variant)
         lam_max = exact_eigendecomposition(L).eigenvalues.max()
         assert estimate_spectral_bound(L, seed=seed) >= lam_max
+
+
+def test_spectral_bound_repr_independent_of_blas_threads():
+    # lambda_ub enters the weight-cache fingerprint by repr, so a cache
+    # written under one BLAS thread count must still match under another
+    code = ("from gsdenoise.graph import laplacian, random_connected_graph\n"
+            "g = random_connected_graph(10 ** 5, seed=0)\n"
+            "print([repr(laplacian(g, v).lambda_ub)\n"
+            "       for v in ('unnormalized', 'normalized')])\n")
+    src = str(Path(gsdenoise.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True, timeout=300).stdout)
+    assert outs[0] == outs[1]
 
 
 def test_bound_convergence_error_carries_last_estimate():

@@ -38,6 +38,7 @@ def test_config_validation_covers_every_field():
         dict(beta=0.5),
         dict(P=0),
         dict(sigma=-1.0),
+        dict(sigma=np.inf),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -49,6 +50,15 @@ def test_sigma_is_required():
     g, f = _graph_and_signal(40)
     with pytest.raises(ValueError, match="sigma"):
         denoise_pipeline(g, f, PipelineConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_sample_is_rejected_with_its_index(bad):
+    g, f = _graph_and_signal(40)
+    f = f.copy()
+    f[[7, 21]] = bad
+    with pytest.raises(ValueError, match="sample 7 "):
+        denoise_pipeline(g, f, PipelineConfig(sigma=1.0))
 
 
 def test_noiseless_input_with_tiny_sigma_passes_through():
@@ -159,6 +169,8 @@ def test_cli_synth_sanitize_denoise_eval(workspace, capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("sigma=4.22")
     noisy, nheader = read_signal(npath)
+    # the printed sigma is the exact one added, so it can go to --sigma as is
+    assert printed.strip() == f"sigma={nheader['sigma']}"
     sigma = float(nheader["sigma"])
     assert sigma == pytest.approx(4.2247, abs=5e-4)
     assert nheader["mechanism"] == "analytic"

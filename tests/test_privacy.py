@@ -99,3 +99,8 @@ def test_sanitize_moments_and_determinism():
 def test_sanitize_rejects_nonpositive_scale():
     with pytest.raises(ValueError):
         sanitize(np.ones(3), 0.0)
+
+
+def test_sanitize_rejects_infinite_scale():
+    with pytest.raises(ValueError, match="finite"):
+        sanitize(np.ones(3), math.inf)

@@ -186,6 +186,8 @@ def test_sure_value_validates_inputs():
         sure_value(c, np.ones(6), np.ones(5), 1.0, np.ones(6))
     with pytest.raises(ValueError):
         sure_value(c, np.ones(6), np.ones(6), 0.0, np.ones(6))
+    with pytest.raises(ValueError, match="finite"):
+        sure_value(c, np.ones(6), np.ones(6), np.inf, np.ones(6))
 
 
 @pytest.mark.parametrize("dist", ["rademacher", "gaussian"])
@@ -245,3 +247,19 @@ def test_weight_cache_missing_field(tmp_path):
 def test_weight_estimate_length_validation():
     with pytest.raises(ValueError, match="n\\(J\\+1\\)"):
         WeightEstimate(np.ones(5), 2, 2, 1, "rademacher", 0, 10, True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
+def test_weight_estimate_rejects_nan_negative_and_infinite_entries(bad):
+    diag = np.ones(6)
+    diag[3] = bad
+    with pytest.raises(ValueError, match="entry 3"):
+        WeightEstimate(diag, 2, 2, 1, "rademacher", 0, 10, True)
+
+
+def test_weight_cache_with_nan_entry_is_rejected(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("# n = 2\n# J = 0\n# K = 10\n# jackson = 1\n# N = 1\n"
+                    "# distribution = rademacher\n# seed = 0\n1.0\nnan\n")
+    with pytest.raises(ValueError, match="entry 1"):
+        load_weights(path)

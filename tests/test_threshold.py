@@ -1,5 +1,7 @@
 """Shrinkage rule, its derivative, and SURE-driven threshold selection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from gsdenoise.frame import FrameCoefficients
 from gsdenoise.threshold import (
     ThresholdPolicy,
+    _scale_objectives,
     apply_policy,
     candidate_grid,
     js_derivative,
@@ -116,6 +119,97 @@ def test_selection_matches_bruteforce_over_all_magnitudes():
         best = min(cands, key=lambda t: objective(x, w, t))
         assert objective(x, w, policy.thresholds[j]) == pytest.approx(
             objective(x, w, best), rel=1e-12)
+
+
+def _objective_reference(x, w, sigma, t, beta):
+    """One scale's SURE contribution at threshold t, up to the -n sigma^2,
+    from a pass over the whole block per candidate."""
+    r = js_threshold(x, t, beta) - x
+    return float(r @ r) + 2 * sigma ** 2 * float(w @ js_derivative(x, t, beta))
+
+
+@st.composite
+def _blocks_with_ties(draw):
+    """A coefficient block drawn from a few magnitudes, so that ties and
+    exact zeros are common, and its weights, zeros included.
+
+    Magnitudes stay within [1/8, 8]: over a much wider range the
+    reference's h - x cancels for beta near 1, and the reference would be
+    the less accurate side of the comparison.
+    """
+    pool = np.array([0.0] + draw(st.lists(st.floats(0.125, 8.0),
+                                          min_size=1, max_size=6)))
+    n = draw(st.integers(1, 40))
+    which = draw(hnp.arrays(np.int64, n,
+                            elements=st.integers(0, pool.size - 1)))
+    signs = draw(hnp.arrays(np.float64, n,
+                            elements=st.sampled_from([-1.0, 1.0])))
+    w = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 2.0))))
+    return pool[which] * signs, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks_with_ties(), st.sampled_from([1.0, 1.5, 2.0, 5.0, 100.0]),
+       st.floats(0.1, 3.0), st.integers(1, 60))
+def test_one_pass_objectives_match_per_candidate_reference(block, beta,
+                                                           sigma, P):
+    # P runs both above and below the block length n <= 40
+    x, w = block
+    grid = candidate_grid(x, P=P)
+    want = [_objective_reference(x, w, sigma, t, beta) for t in grid]
+    np.testing.assert_allclose(_scale_objectives(x, w, sigma, grid, beta),
+                               want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 5.0, 100.0])
+@pytest.mark.parametrize("P", [7, 100, 500])
+def test_selected_thresholds_are_the_bruteforce_argmin_over_the_grid(beta, P):
+    rng = np.random.default_rng(11)
+    n, J = 300, 3
+    vals = rng.standard_normal(n * (J + 1)) * rng.choice([0.3, 3.0],
+                                                         n * (J + 1))
+    vals[::17] = 0.0
+    coeffs = FrameCoefficients(vals, n, J)
+    wdiag = rng.uniform(0.0, 1.5, n * (J + 1))
+    sigma = 0.9
+    policy = select_thresholds_sure(coeffs, wdiag, sigma, beta=beta, P=P)
+    for j in range(J + 1):
+        x, w = coeffs.block(j), wdiag[j * n:(j + 1) * n]
+        grid = candidate_grid(x, P=P)
+        objs = [_objective_reference(x, w, sigma, t, beta) for t in grid]
+        assert policy.thresholds[j] == grid[int(np.argmin(objs))]
+
+
+def test_selection_peak_memory_stays_below_apply():
+    rng = np.random.default_rng(4)
+    n, J = 10 ** 5, 5
+    coeffs = FrameCoefficients(rng.standard_normal(n * (J + 1)), n, J)
+    wdiag = rng.uniform(0.5, 1.5, n * (J + 1))
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    select_peak, policy = peak(
+        lambda: select_thresholds_sure(coeffs, wdiag, 1.0))
+    apply_peak, _ = peak(lambda: apply_policy(coeffs, policy))
+    assert select_peak <= apply_peak
+
+
+def test_selection_rejects_infinite_sigma_and_bad_weights():
+    coeffs = FrameCoefficients(np.arange(6.0), 3, 1)
+    with pytest.raises(ValueError, match="finite"):
+        select_thresholds_sure(coeffs, np.ones(6), np.inf)
+    for bad in (-1.0, np.nan):
+        w = np.ones(6)
+        w[4] = bad
+        with pytest.raises(ValueError, match="nonnegative"):
+            select_thresholds_sure(coeffs, w, 1.0)
 
 
 def test_selected_threshold_beats_sentinels():
