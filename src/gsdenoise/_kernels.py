@@ -1,56 +1,18 @@
-"""CSR matrix-vector kernels with optional numba acceleration.
+"""The one sparse kernel: scipy's compiled CSR matrix-vector product.
 
-The jit path is taken when numba imports cleanly and the environment variable
-``GSDENOISE_DISABLE_NUMBA`` is not set to ``1``. The fallback computes the same
-product with ``np.bincount``, which handles empty rows correctly (``reduceat``
-does not).
+Every adjacency and Laplacian application ends here, so a trace of this
+function times the kernel alone.
 """
-
-import os
-
-import numpy as np
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:
-    numba = None
-    HAS_NUMBA = False
 
 
 def numba_enabled():
-    """True when the jit kernels are active for this process."""
-    return HAS_NUMBA and os.environ.get("GSDENOISE_DISABLE_NUMBA", "") != "1"
+    """Always False: there is no jit kernel, only scipy's CSR product.
 
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _csr_matvec_jit(offsets, indices, data, x, out):
-        for i in range(out.shape[0]):
-            acc = 0.0
-            for k in range(offsets[i], offsets[i + 1]):
-                acc += data[k] * x[indices[k]]
-            out[i] = acc
-
-
-def _csr_matvec_np(entry_rows, indices, data, x, out):
-    out[:] = np.bincount(entry_rows, weights=data * x[indices],
-                         minlength=out.shape[0])
-
-
-def csr_matvec(offsets, indices, data, x, out, entry_rows=None):
-    """out <- A @ x for a CSR matrix A given by (offsets, indices, data).
-
-    entry_rows maps each stored entry to its row; it is only needed by the
-    numpy path and is derived from offsets when not supplied.
+    Kept so that run reports can keep recording which kernel ran.
     """
-    if numba_enabled():
-        _csr_matvec_jit(offsets, indices, data, x, out)
-    else:
-        if entry_rows is None:
-            entry_rows = np.repeat(np.arange(out.shape[0]),
-                                   np.diff(offsets))
-        _csr_matvec_np(entry_rows, indices, data, x, out)
-    return out
+    return False
+
+
+def csr_matvec(A, x):
+    """A @ x for a scipy CSR array A, into a new array."""
+    return A @ x

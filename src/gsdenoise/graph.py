@@ -2,8 +2,10 @@
 
 Graphs are stored in compressed adjacency form (CSR of the symmetric weighted
 adjacency matrix). Laplacians are never materialized; they act matrix-free
-through ``LaplacianOperator.matvec`` in O(m + n) per application, and carry a
-certified upper bound on their largest eigenvalue obtained by power iteration.
+through ``LaplacianOperator.matvec`` in O(m + n) per application, with one
+sparse kernel, scipy's CSR product over the graph's own arrays. Each carries
+an estimate of its largest eigenvalue from power iteration: a Rayleigh
+quotient times 1.01, which is not a proven upper bound.
 """
 
 import hashlib
@@ -61,26 +63,29 @@ class SparseGraph:
         return self.indices.size // 2
 
     @cached_property
-    def entry_rows(self):
-        # row index of each stored adjacency entry, for the numpy kernel
-        return np.repeat(np.arange(self.n), np.diff(self.offsets))
+    def adjacency(self):
+        """The adjacency as a scipy CSR array over this graph's own arrays.
+
+        No entry is copied: sparse arrays keep int64 index arrays as given.
+        scipy.sparse is imported here, not with the module, because the
+        import costs about 0.3 s, which commands that never multiply (such
+        as ``sanitize`` and ``--version``) should not pay.
+        """
+        from scipy.sparse import csr_array
+        return csr_array((self.weights, self.indices, self.offsets),
+                         shape=(self.n, self.n), copy=False)
 
     @cached_property
     def degrees(self):
-        return np.bincount(self.entry_rows, weights=self.weights,
-                           minlength=self.n)
+        return self.adj_matvec(np.ones(self.n))
 
-    def adj_matvec(self, x, out=None):
-        """Weighted adjacency product W @ x."""
+    def adj_matvec(self, x):
+        """Weighted adjacency product W @ x, into a new array."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected signal of length {self.n}, "
                              f"got shape {x.shape}")
-        if out is None:
-            out = np.empty(self.n)
-        csr_matvec(self.offsets, self.indices, self.weights, x, out,
-                   entry_rows=self.__dict__.get("entry_rows"))
-        return out
+        return csr_matvec(self.adjacency, x)
 
     def label_index(self):
         """Mapping from node label to dense index."""
@@ -101,8 +106,13 @@ class SparseGraph:
         if self.n > cap:
             raise ValueError(f"dense adjacency refused for n={self.n} > {cap}")
         W = np.zeros((self.n, self.n))
-        W[self.entry_rows, self.indices] = self.weights
+        W[_entry_rows(self), self.indices] = self.weights
         return W
+
+
+def _entry_rows(g):
+    """Row index of each stored adjacency entry."""
+    return np.repeat(np.arange(g.n), np.diff(g.offsets))
 
 
 def _assemble(rows, cols, w, n, labels):
@@ -168,7 +178,7 @@ def from_csr(n, offsets, indices, weights, labels=None, validate=True):
     if validate:
         if np.any(g.weights <= 0):
             raise ValueError("non-positive weight in adjacency")
-        rows = g.entry_rows
+        rows = _entry_rows(g)
         if np.any(rows == g.indices):
             raise ValueError("self-loop in adjacency")
         fwd = np.lexsort((g.indices, rows))
@@ -211,7 +221,7 @@ def read_edgelist(path):
 
 def write_edgelist(g, path):
     labels = g.labels if g.labels is not None else list(range(g.n))
-    rows = g.entry_rows
+    rows = _entry_rows(g)
     with open(path, "w") as fh:
         fh.write(f"# n={g.n} m={g.m}\n")
         keep = rows < g.indices  # each undirected edge once
@@ -239,17 +249,13 @@ def grid_graph(rows, cols):
 
 
 def is_connected(g):
-    """Depth-first reachability from node 0 over the whole graph."""
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in g.indices[g.offsets[i]:g.offsets[i + 1]]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return bool(seen.all())
+    """True when every node is reachable from every other."""
+    from scipy.sparse.csgraph import connected_components
+    # The adjacency is symmetric, so its strong components are the graph's
+    # components, and the strong search needs no transposed copy.
+    count = connected_components(g.adjacency, directed=True,
+                                 connection="strong", return_labels=False)
+    return count == 1
 
 
 def random_geometric_graph(n, radius=None, seed=0):
@@ -309,9 +315,13 @@ class LaplacianOperator:
     """Matrix-free graph Laplacian of a given variant.
 
     Applications go through :meth:`matvec`, which also counts calls so tests
-    can verify the advertised operation counts. ``lambda_ub`` is a certified
-    upper bound on the largest eigenvalue; for the normalized and random-walk
-    variants it never exceeds 2.
+    can verify the advertised operation counts. ``lambda_ub`` estimates the
+    largest eigenvalue from above (see :func:`estimate_spectral_bound`); for
+    the normalized and random-walk variants it never exceeds 2.
+
+    Every variant is held in one form, L x = diag x - post (W (pre x)), with
+    diag, post and pre scalars or n-vectors (post and pre None for 1), so
+    one code path applies all three.
     """
 
     graph: SparseGraph
@@ -329,10 +339,14 @@ class LaplacianOperator:
             name = self.graph.labels[bad] if self.graph.labels else bad
             raise ValueError(f"zero-degree node {name!r} has no Laplacian")
         self.degrees = deg
-        if self.variant == "normalized":
-            self._isd = 1.0 / np.sqrt(deg)
-        elif self.variant == "random_walk":
-            self._inv_deg = 1.0 / deg
+        if self.variant == "unnormalized":
+            self._terms = (deg, None, None)
+        elif self.variant == "normalized":
+            isd = 1.0 / np.sqrt(deg)
+            self._terms = (1.0, isd, isd)
+        else:
+            self._terms = (1.0, 1.0 / deg, None)
+        self._step = (None, None)  # (interval, terms) of the last step
 
     @property
     def n(self):
@@ -341,20 +355,41 @@ class LaplacianOperator:
     def reset_matvec_count(self):
         self.matvec_count = 0
 
-    def matvec(self, x):
-        """Apply the Laplacian to x, O(m + n)."""
+    def _step_terms(self, interval):
+        """Terms of 2 ((2 / interval) L - I), the doubled shifted operator of
+        a Chebyshev step, cached for the last interval asked for."""
+        if self._step[0] != interval:
+            diag, post, pre = self._terms
+            c = 4.0 / interval
+            self._step = (interval, (c * diag - 2.0,
+                                     c if post is None else c * post, pre))
+        return self._step[1]
+
+    def matvec(self, x, out=None, interval=None, prev=None):
+        """Apply the Laplacian to x, O(m + n); one application counted.
+
+        With interval=ub it applies instead one step of the Chebyshev
+        recurrence on [0, ub], 2 ((2 / ub) L - I) x - prev, with the shift
+        and the variant's scalings folded into n-vectors kept per operator;
+        prev=None reads as 0. The result goes to out when given, which may
+        be x or prev itself.
+        """
         self.matvec_count += 1
-        g = self.graph
-        if self.variant == "unnormalized":
-            return self.degrees * x - g.adj_matvec(x)
-        if self.variant == "normalized":
-            return x - self._isd * g.adj_matvec(self._isd * x)
-        return x - self._inv_deg * g.adj_matvec(x)
+        diag, post, pre = (self._terms if interval is None
+                           else self._step_terms(interval))
+        wx = self.graph.adj_matvec(x if pre is None else pre * x)
+        if post is not None:
+            wx *= post
+        if prev is not None:
+            wx += prev
+        out = np.multiply(diag, x, out=out)
+        out -= wx
+        return out
 
 
 def laplacian(g, variant="unnormalized", lambda_ub=None, tol=1e-6,
               max_iter=5000, seed=0):
-    """Construct the Laplacian operator and certify its spectral bound.
+    """Construct the Laplacian operator with its spectral bound.
 
     When lambda_ub is not supplied it is estimated by power iteration via
     :func:`estimate_spectral_bound`.
@@ -370,14 +405,17 @@ def laplacian(g, variant="unnormalized", lambda_ub=None, tol=1e-6,
 
 def estimate_spectral_bound(L, tol=1e-6, max_iter=5000, seed=0,
                             margin=0.01):
-    """Upper bound on the largest Laplacian eigenvalue by power iteration.
+    """Estimate of the largest Laplacian eigenvalue, from above, by power
+    iteration.
 
     Iterates until the Rayleigh quotient's relative change drops below tol,
-    then multiplies by (1 + margin); the margin absorbs the truncation of a
-    slowly separating top cluster. For the normalized and random-walk
-    variants the result is clamped to 2; the random-walk case iterates on the
-    symmetric similar form, which is exactly the normalized Laplacian of the
-    same graph.
+    then multiplies by (1 + margin). The Rayleigh quotient is a lower bound,
+    so the result is an upper bound only when the margin covers the
+    quotient's shortfall, which nothing here proves; the margin is meant to
+    absorb the truncation of a slowly separating top cluster. For the
+    normalized and random-walk variants the result is clamped to 2; the
+    random-walk case iterates on the symmetric similar form, which is
+    exactly the normalized Laplacian of the same graph.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -107,7 +107,8 @@ def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=10,
     acc = np.zeros(L.n * (pou.J + 1))
     for k in range(N):
         w = fwd(draw_probe(L.n, dist, seed, k))
-        acc += w * w
+        acc += np.square(w, out=w)
+        del w  # not held while the next probe is transformed
     return WeightEstimate(acc / N, L.n, pou.J, N, dist, seed, K, jackson,
                           pou=pou.fingerprint(), variant=L.variant,
                           graph_hash=graph_hash)

@@ -8,9 +8,9 @@ coefficients, which matches brute-force minimization because SURE restricted
 to this family is piecewise monotone between observed magnitudes.
 
 Selection costs one sort per scale plus O(P log n) lookups: with the block
-sorted by magnitude, prefix and suffix sums give the objective at every
-candidate from two binary searches each, instead of a pass over the block
-per candidate.
+sorted by magnitude, the percentile candidates are read off at their ranks,
+and prefix and suffix sums give the objective at every candidate from two
+binary searches each, instead of a pass over the block per candidate.
 """
 
 from dataclasses import dataclass
@@ -86,12 +86,23 @@ def candidate_grid(scale_coeffs, P=100):
     coefficients (taken as order statistics, so every percentile is an
     observed magnitude), deduplicated, with 0 and +inf sentinels.
     """
-    a = np.abs(np.asarray(scale_coeffs, dtype=np.float64))
+    return _grid(np.sort(np.abs(np.asarray(scale_coeffs, dtype=np.float64))),
+                 P)
+
+
+def _grid(a, P):
+    """candidate_grid of a block from its magnitudes a, sorted ascending.
+
+    The percentile q is the order statistic at rank floor((n - 1) q / 100),
+    with q / 100 rounded first: the rank np.percentile(method="lower")
+    takes, so the grid is the same without a second selection pass.
+    """
     if a.size == 0:
         raise ValueError("empty coefficient block")
     if P < 1:
         raise ValueError("P must be at least 1")
-    qs = np.percentile(a, np.linspace(0.0, 100.0, P + 1), method="lower")
+    q = np.linspace(0.0, 100.0, P + 1) / 100
+    qs = a[np.floor((a.size - 1) * q).astype(np.intp)]
     return np.unique(np.concatenate([[0.0], qs, [np.inf]]))
 
 
@@ -115,9 +126,18 @@ def _suffix_logsumexp(v):
     return np.append(np.logaddexp.accumulate(v[::-1])[::-1], -np.inf)
 
 
-def _scale_objectives(x, w, sigma, t, beta):
+def _by_magnitude(x, w):
+    """|x| sorted ascending, and the weights in the same order."""
+    a = np.abs(x)
+    order = np.argsort(a)
+    a = a[order]  # the unsorted copy is freed before the weights are sorted
+    return a, w[order]
+
+
+def _scale_objectives(a, w, sigma, t, beta):
     """SURE contribution of one scale at each sorted threshold t, up to the
-    -n sigma^2, from one sort of the block by magnitude.
+    -n sigma^2, from the block's magnitudes a sorted ascending with their
+    weights w (see _by_magnitude).
 
     Entries with |x| < t are dead and contribute x^2. Entries at the kink
     |x| = t > 0 are dead too and add the slope beta: x^2 + 2 sigma^2 beta w.
@@ -127,11 +147,6 @@ def _scale_objectives(x, w, sigma, t, beta):
     entries are suffix sums taken in the log domain, so that beta up to
     BETA_MAX cannot overflow.
     """
-    a = np.abs(x)
-    order = np.argsort(a)
-    a = a[order]
-    w = w[order]
-    del order  # freed early so that the pass peaks below apply_policy
     dead_sq = np.append(0.0, np.cumsum(a * a))       # sum over entries [0, k)
     live_w = np.append(np.cumsum(w[::-1])[::-1], 0.0)  # sum over entries [k, n)
     lo = np.searchsorted(a, t, side="left")
@@ -175,10 +190,10 @@ def select_thresholds_sure(coeffs, weights, sigma, beta=2.0, P=100):
         raise ValueError("weights must be nonnegative")
     thresholds = np.empty(coeffs.J + 1)
     for j in range(coeffs.J + 1):
-        x = coeffs.block(j)
-        wj = wdiag[j * coeffs.n:(j + 1) * coeffs.n]
-        grid = candidate_grid(x, P=P)
-        objs = _scale_objectives(x, wj, sigma, grid, beta)
+        a, wj = _by_magnitude(coeffs.block(j),
+                              wdiag[j * coeffs.n:(j + 1) * coeffs.n])
+        grid = _grid(a, P)
+        objs = _scale_objectives(a, wj, sigma, grid, beta)
         thresholds[j] = grid[int(np.argmin(objs))]
     return ThresholdPolicy(beta, thresholds, grid_percentiles=P)
 

@@ -1,5 +1,7 @@
 """Chebyshev filter expansions and the fast transforms built on them."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from gsdenoise.frame import (
     sgwt_forward_exact,
     sgwt_inverse_exact,
 )
-from gsdenoise.graph import laplacian, random_connected_graph, \
+from gsdenoise.graph import grid_graph, laplacian, random_connected_graph, \
     random_geometric_graph
 
 
@@ -185,3 +187,30 @@ def test_expansion_cache_reuses_band_coefficients():
     assert all(a.theta is b.theta for a, b in zip(first, second))
     other = band_expansions(L, pou, K=11)
     assert all(a.theta is not b.theta for a, b in zip(first, other))
+
+
+def test_transforms_peak_memory_in_signal_vectors():
+    # the analysis holds J + 1 outputs, a ring of 4 Chebyshev vectors, a
+    # step's product and the step's cached vector (12 measured); the
+    # synthesis three buffers and a step's product (4 measured)
+    g = grid_graph(300, 300)
+    L = laplacian(g, lambda_ub=8.1)  # a fresh operator, no step cached
+    pou = PartitionOfUnity.for_operator(L)
+    assert pou.J == 5
+    band_expansions(L, pou, K=100)
+    small = laplacian(grid_graph(3, 3))  # imports scipy.sparse
+    sgwt_forward_fast(small, np.ones(9), PartitionOfUnity.for_operator(small))
+    f = np.random.default_rng(0).standard_normal(g.n)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return tracemalloc.get_traced_memory()[1] / (8 * g.n), result
+        finally:
+            tracemalloc.stop()
+
+    forward_peak, coeffs = peak(lambda: sgwt_forward_fast(L, f, pou))
+    inverse_peak, _ = peak(lambda: sgwt_inverse_fast(L, coeffs, pou))
+    assert forward_peak <= 13
+    assert inverse_peak <= 6

@@ -103,6 +103,49 @@ def test_generators_produce_connected_graphs():
         assert is_connected(random_geometric_graph(60, seed=seed))
 
 
+def _reaches_every_node(g):
+    """Reference connectivity: breadth-first search from node 0."""
+    seen = np.zeros(g.n, dtype=bool)
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in g.indices[g.offsets[i]:g.offsets[i + 1]]:
+                if not seen[j]:
+                    seen[j] = True
+                    nxt.append(j)
+        frontier = nxt
+    return bool(seen.all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 14)),
+                min_size=1, max_size=20))
+def test_is_connected_matches_breadth_first_search(pairs):
+    records = [(u, v) for u, v in pairs if u != v]
+    if not records:
+        return
+    g = build_graph(records)
+    assert is_connected(g) == _reaches_every_node(g)
+
+
+def test_isolated_node_disconnects():
+    offsets = np.array([0, 1, 2, 2], dtype=np.int64)
+    g = from_csr(3, offsets, np.array([1, 0]), np.array([1.0, 1.0]))
+    assert not is_connected(g) and not _reaches_every_node(g)
+
+
+def test_geometric_graph_same_under_reference_connectivity(monkeypatch):
+    # the generator grows its radius until the graph is connected, so a
+    # different connectivity answer would return a different graph
+    got = [random_geometric_graph(200, seed=s).content_hash()
+           for s in range(5)]
+    monkeypatch.setattr(gsdenoise.graph, "is_connected", _reaches_every_node)
+    assert got == [random_geometric_graph(200, seed=s).content_hash()
+                   for s in range(5)]
+
+
 def test_random_graph_weights_bounded_below():
     # merged parallel draws sum, so only the lower end is a hard bound
     g = random_connected_graph(50, seed=2)

@@ -1,52 +1,118 @@
-"""The compiled CSR matvec and its numpy fallback must agree exactly."""
+"""The Laplacian operator and its one kernel, scipy's CSR product."""
+
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gsdenoise import _kernels
-from gsdenoise.graph import random_connected_graph
+import gsdenoise
+from gsdenoise.chebyshev import chebyshev_interval
+from gsdenoise.graph import (
+    VARIANTS,
+    from_csr,
+    grid_graph,
+    laplacian,
+    random_connected_graph,
+)
 
 
-def _csr_of(g):
-    return g.offsets, g.indices, g.weights
+def _dense_laplacian(g, variant):
+    W = g.to_dense_adjacency()
+    d = W.sum(axis=1)
+    if variant == "unnormalized":
+        return np.diag(d) - W
+    if variant == "normalized":
+        isd = 1.0 / np.sqrt(d)
+        return np.eye(g.n) - isd[:, None] * W * isd[None, :]
+    return np.eye(g.n) - W / d[:, None]
 
 
-def test_paths_agree_on_random_graph():
+def _close(got, want, rel=1e-12):
+    return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_matvec_matches_dense_laplacian(variant):
     g = random_connected_graph(73, seed=1)
+    L = laplacian(g, variant)
     x = np.random.default_rng(0).standard_normal(g.n)
-    out_np = np.empty(g.n)
-    _kernels._csr_matvec_np(g.entry_rows, g.indices, g.weights, x, out_np)
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    out_jit = np.empty(g.n)
-    _kernels._csr_matvec_jit(g.offsets, g.indices, g.weights, x, out_jit)
-    # both accumulate per row in column order, so bitwise equality holds
-    assert np.array_equal(out_np, out_jit)
+    assert _close(L.matvec(x), _dense_laplacian(g, variant) @ x)
 
 
-def test_env_flag_selects_fallback(monkeypatch):
-    monkeypatch.setenv("GSDENOISE_DISABLE_NUMBA", "1")
-    assert not _kernels.numba_enabled()
-    monkeypatch.setenv("GSDENOISE_DISABLE_NUMBA", "0")
-    assert _kernels.numba_enabled() == _kernels.HAS_NUMBA
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_chebyshev_step_matches_dense_shifted_operator(variant):
+    g = random_connected_graph(73, seed=1)
+    L = laplacian(g, variant)
+    ub = chebyshev_interval(L)
+    step = 2.0 * ((2.0 / ub) * _dense_laplacian(g, variant) - np.eye(g.n))
+    rng = np.random.default_rng(2)
+    x, prev = rng.standard_normal(g.n), rng.standard_normal(g.n)
+    want = step @ x - prev
+    assert _close(L.matvec(x, interval=ub, prev=prev), want)
+    assert _close(L.matvec(x, interval=ub), step @ x)
+    # the recurrences write the step over its own inputs
+    for alias in ("x", "prev"):
+        xa, pa = x.copy(), prev.copy()
+        out = xa if alias == "x" else pa
+        assert L.matvec(xa, out=out, interval=ub, prev=pa) is out
+        assert _close(out, want)
 
 
-def test_dispatcher_result_independent_of_path(monkeypatch):
-    g = random_connected_graph(50, seed=3)
-    x = np.random.default_rng(1).standard_normal(g.n)
-    monkeypatch.setenv("GSDENOISE_DISABLE_NUMBA", "1")
-    base = g.adj_matvec(x)
-    monkeypatch.delenv("GSDENOISE_DISABLE_NUMBA")
-    assert np.array_equal(g.adj_matvec(x), base)
+def test_matvec_counts_plain_and_step_applications_alike():
+    L = laplacian(grid_graph(4, 4), "unnormalized")
+    L.reset_matvec_count()
+    x = np.ones(L.n)
+    L.matvec(x)
+    L.matvec(x, interval=L.lambda_ub, prev=x)
+    assert L.matvec_count == 2
 
 
 def test_empty_rows_contribute_zero():
-    # node 2 is isolated: bincount path must still emit a full-length output
+    # node 2 is isolated: the product must still emit a full-length output
     offsets = np.array([0, 1, 2, 2], dtype=np.int64)
     indices = np.array([1, 0], dtype=np.int64)
     weights = np.array([2.0, 2.0])
+    g = from_csr(3, offsets, indices, weights)
     x = np.array([1.0, 10.0, 100.0])
-    out = np.empty(3)
-    entry_rows = np.repeat(np.arange(3), np.diff(offsets))
-    _kernels._csr_matvec_np(entry_rows, indices, weights, x, out)
-    assert np.array_equal(out, [20.0, 2.0, 0.0])
+    assert np.array_equal(g.adj_matvec(x), [20.0, 2.0, 0.0])
+
+
+def test_adjacency_shares_the_graph_arrays():
+    # a copy would hold one more index and one more weight per stored entry
+    g = random_connected_graph(50, seed=4)
+    A = g.adjacency
+    assert np.shares_memory(A.data, g.weights)
+    assert np.shares_memory(A.indices, g.indices)
+    assert np.shares_memory(A.indptr, g.offsets)
+
+
+def test_laplacian_holds_at_most_two_vectors():
+    laplacian(grid_graph(3, 3))  # imports scipy.sparse outside the trace
+    g = grid_graph(300, 300)
+    tracemalloc.start()
+    try:
+        L = laplacian(g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert L.n == g.n
+    assert held <= 2 * 8 * g.n
+
+
+@pytest.mark.parametrize("args", [["-c", "import gsdenoise"],
+                                  ["-m", "gsdenoise", "--version"]])
+def test_scipy_is_not_imported_until_a_product_needs_it(args):
+    src = str(Path(gsdenoise.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in run.stderr.splitlines() if "|" in line}
+    assert "gsdenoise" in imported
+    assert not any(m.split(".")[0] == "scipy" for m in imported)

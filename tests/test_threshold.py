@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from gsdenoise.frame import FrameCoefficients
 from gsdenoise.threshold import (
     ThresholdPolicy,
+    _by_magnitude,
     _scale_objectives,
     apply_policy,
     candidate_grid,
@@ -158,8 +159,23 @@ def test_one_pass_objectives_match_per_candidate_reference(block, beta,
     x, w = block
     grid = candidate_grid(x, P=P)
     want = [_objective_reference(x, w, sigma, t, beta) for t in grid]
-    np.testing.assert_allclose(_scale_objectives(x, w, sigma, grid, beta),
+    a, ws = _by_magnitude(x, w)
+    np.testing.assert_allclose(_scale_objectives(a, ws, sigma, grid, beta),
                                want, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 1000), st.integers(1, 50),
+       st.integers(0, 2 ** 32 - 1))
+def test_candidates_are_numpys_lower_percentiles(n, P, distinct, seed):
+    # the ranks are read off the sorted block, where numpy selects its own;
+    # a block drawn from few distinct values, zero among them, has ties
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.append(0.0, rng.standard_normal(distinct)), n)
+    qs = np.percentile(np.abs(x), np.linspace(0.0, 100.0, P + 1),
+                       method="lower")
+    assert np.array_equal(candidate_grid(x, P=P),
+                          np.unique(np.concatenate([[0.0], qs, [np.inf]])))
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 5.0, 100.0])
