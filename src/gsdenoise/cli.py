@@ -140,7 +140,7 @@ def _build_parser():
 def _cmd_graph_info(args):
     g = read_edgelist(args.graph)
     L = laplacian(g, args.variant)
-    print(f"n={g.n} m={g.m} lambda_ub={L.lambda_ub:g}")
+    print(f"n={g.n} m={g.m} lambda_ub={L.lambda_ub!r}")
     return 0
 
 
@@ -198,6 +198,7 @@ def _cmd_denoise(args):
     for w in report["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     print(f"cache={report['cache']}")
+    print(f"bound_source={report['bound']['source']}")
     print(f"sure={report['sure']!r}")
     print("thresholds=" + ",".join(repr(t) for t in report["thresholds"]))
     for stage, ms in report["timings_ms"].items():

@@ -10,6 +10,7 @@ quotient times 1.01, which is not a proven upper bound.
 
 import hashlib
 import math
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -318,6 +319,8 @@ class LaplacianOperator:
     can verify the advertised operation counts. ``lambda_ub`` estimates the
     largest eigenvalue from above (see :func:`estimate_spectral_bound`); for
     the normalized and random-walk variants it never exceeds 2.
+    ``bound_matvecs`` and ``bound_ms`` record what :func:`laplacian` paid
+    to estimate it, 0 when the bound was supplied.
 
     Every variant is held in one form, L x = diag x - post (W (pre x)), with
     diag, post and pre scalars or n-vectors (post and pre None for 1), so
@@ -328,6 +331,8 @@ class LaplacianOperator:
     variant: str
     lambda_ub: float = None
     matvec_count: int = field(default=0, compare=False)
+    bound_matvecs: int = field(default=0, compare=False)
+    bound_ms: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -392,12 +397,16 @@ def laplacian(g, variant="unnormalized", lambda_ub=None, tol=1e-6,
     """Construct the Laplacian operator with its spectral bound.
 
     When lambda_ub is not supplied it is estimated by power iteration via
-    :func:`estimate_spectral_bound`.
+    :func:`estimate_spectral_bound`, whose matvecs and wall time are kept in
+    ``bound_matvecs`` and ``bound_ms``; the matvec counter then restarts.
     """
     L = LaplacianOperator(g, variant)
     if lambda_ub is None:
+        t0 = time.perf_counter()
         lambda_ub = estimate_spectral_bound(L, tol=tol, max_iter=max_iter,
                                             seed=seed)
+        L.bound_ms = 1e3 * (time.perf_counter() - t0)
+        L.bound_matvecs = L.matvec_count
         L.reset_matvec_count()
     L.lambda_ub = float(lambda_ub)
     return L
@@ -415,7 +424,8 @@ def estimate_spectral_bound(L, tol=1e-6, max_iter=5000, seed=0,
     absorb the truncation of a slowly separating top cluster. For the
     normalized and random-walk variants the result is clamped to 2; the
     random-walk case iterates on the symmetric similar form, which is
-    exactly the normalized Laplacian of the same graph.
+    exactly the normalized Laplacian of the same graph; its matvecs are
+    counted on L.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -445,6 +455,8 @@ def estimate_spectral_bound(L, tol=1e-6, max_iter=5000, seed=0,
             v /= norm(v)
             continue
         if abs(ray - ray_prev) <= tol * max(abs(ray), 1e-300):
+            if op is not L:
+                L.matvec_count += op.matvec_count
             bound = ray * (1.0 + margin)
             if L.variant in ("normalized", "random_walk"):
                 bound = min(bound, 2.0)

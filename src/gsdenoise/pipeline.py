@@ -10,7 +10,9 @@ estimate it.
 Weight reuse is guarded by a fingerprint of everything the estimate
 depends on (graph content hash, Laplacian variant, frame parameters, K,
 damping, N, probe distribution, seed); a mismatched cache is recomputed
-with a warning in the report rather than trusted.
+with a warning in the report rather than trusted. A weight estimate also
+carries the spectral bound it was made with, which depends on the graph
+and variant alone; it replaces power iteration when those match.
 """
 
 import time
@@ -76,23 +78,58 @@ class PipelineConfig:
             raise ValueError("sigma must be positive and finite when given")
 
 
-def weight_fingerprint(graph, pou, config):
+def weight_fingerprint(graph_hash, pou, config):
     """Provenance string a cached weight estimate must match exactly."""
-    return (f"graph={graph.content_hash()},variant={config.variant},"
+    return (f"graph={graph_hash},variant={config.variant},"
             f"pou={pou.fingerprint()},K={config.K},"
             f"jackson={int(config.jackson)},N={config.N},"
             f"dist={config.distribution},seed={config.seed}")
+
+
+def _cached_bound(weights, graph, graph_hash, variant, warnings):
+    """The spectral bound carried by a weight estimate, when it was made
+    on this graph and variant and is plausible; None otherwise.
+
+    Plausible means at least the largest diagonal entry of L, a Rayleigh
+    quotient and so a lower bound on lambda_max, and at most 2 for the
+    normalized and random-walk variants. An implausible bound is reported
+    in warnings, because the Chebyshev expansions diverge outside their
+    interval.
+    """
+    if (weights is None or weights.lambda_ub is None
+            or weights.graph_hash != graph_hash
+            or weights.variant != variant):
+        return None
+    ub = weights.lambda_ub
+    if variant == "unnormalized":
+        low, high = float(graph.degrees.max()), np.inf
+    else:
+        low, high = 1.0, 2.0
+    if low <= ub <= high:
+        return ub
+    warnings.append(f"cached lambda_ub={ub!r} lies outside [{low!r}, "
+                    f"{high!r}] for the {variant} Laplacian; recomputed by "
+                    "power iteration")
+    return None
 
 
 def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     """Denoise a signal; returns (estimate, report).
 
     The report carries the per-scale thresholds, the attained SURE value,
-    per-stage wall times in ms, and the cache disposition (`hit`, `miss`,
-    or `mismatch-recomputed` with a warning). Everything except the
-    timings is deterministic in (config, seeds). An already-built
-    LaplacianOperator for the same graph and variant may be passed to skip
-    the spectral-bound estimation.
+    per-stage wall times in ms, the cache disposition (`hit`, `miss`, or
+    `mismatch-recomputed` with a warning), and where the spectral bound
+    came from with what it cost (`bound`: `source`, `matvecs`, `ms`).
+    Everything except the timings is deterministic in (config, seeds).
+
+    The bound comes from, in order: `operator`, an already-built
+    LaplacianOperator for the same graph and variant (`source` is
+    `operator`, with the cost paid when it was built); `weights`, whose
+    `lambda_ub` is reused when it was made on the same graph and variant
+    and is plausible (`weights`, no matvecs); otherwise power iteration
+    (`power-iteration`). A reused bound is the one power iteration gives,
+    which is deterministic in (graph, variant), so the result does not
+    depend on where it came from.
     """
     config.validate()
     if config.sigma is None:
@@ -110,12 +147,19 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     timings = {}
 
     t0 = time.perf_counter()
+    graph_hash = graph.content_hash()
     if operator is None:
-        L = laplacian(graph, config.variant)
+        lambda_ub = _cached_bound(weights, graph, graph_hash, config.variant,
+                                  report["warnings"])
+        source = "power-iteration" if lambda_ub is None else "weights"
+        L = laplacian(graph, config.variant, lambda_ub=lambda_ub)
     else:
         if operator.graph is not graph or operator.variant != config.variant:
             raise ValueError("operator does not match the graph and variant")
         L = operator
+        source = "operator"
+    report["bound"] = {"source": source, "matvecs": L.bound_matvecs,
+                       "ms": L.bound_ms}
     pou = PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
                                         c=config.c)
     timings["setup"] = 1e3 * (time.perf_counter() - t0)
@@ -126,7 +170,7 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     timings["forward"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    expected = weight_fingerprint(graph, pou, config)
+    expected = weight_fingerprint(graph_hash, pou, config)
     if weights is not None and weights.fingerprint() == expected:
         report["cache"] = "hit"
     else:
@@ -141,7 +185,7 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
         weights = estimate_diagonal_weights(
             L, pou, K=config.K, jackson=config.jackson, N=config.N,
             dist=config.distribution, seed=config.seed,
-            graph_hash=graph.content_hash())
+            graph_hash=graph_hash)
     timings["weights"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()

@@ -50,6 +50,8 @@ class WeightEstimate:
     transform on a symmetric Laplacian variant the entries sum to n in
     expectation (the tight-frame trace identity; the random-walk variant
     satisfies it in the degree-weighted inner product instead).
+    ``lambda_ub`` is the spectral bound the estimate was made with, None
+    when unknown (a cache written before it was recorded).
     """
 
     diag: np.ndarray
@@ -63,8 +65,14 @@ class WeightEstimate:
     pou: str = ""
     variant: str = ""
     graph_hash: str = ""
+    lambda_ub: float = None
 
     def __post_init__(self):
+        if self.lambda_ub is not None:
+            self.lambda_ub = float(self.lambda_ub)
+            if not 0 < self.lambda_ub < np.inf:
+                raise ValueError("lambda_ub must be finite and positive, got "
+                                 f"{self.lambda_ub!r}")
         self.diag = np.ascontiguousarray(self.diag, dtype=np.float64)
         if self.diag.shape != (self.n * (self.J + 1),):
             raise ValueError("weight vector length does not match n(J+1)")
@@ -111,7 +119,7 @@ def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=10,
         del w  # not held while the next probe is transformed
     return WeightEstimate(acc / N, L.n, pou.J, N, dist, seed, K, jackson,
                           pou=pou.fingerprint(), variant=L.variant,
-                          graph_hash=graph_hash)
+                          graph_hash=graph_hash, lambda_ub=L.lambda_ub)
 
 
 def estimate_full_weights(L, pou, K=100, jackson=True, N=10,
@@ -210,41 +218,55 @@ def sure_variance_exact(frame_matrix, derivs, sigma, dist, N, cap=150):
 
 def save_weights(path, est):
     """Write the weight estimate with its provenance header."""
+    header = [("n", est.n), ("J", est.J), ("K", est.K),
+              ("jackson", int(est.jackson)), ("N", est.N),
+              ("distribution", est.distribution), ("seed", est.seed),
+              ("pou", est.pou), ("variant", est.variant),
+              ("graph_hash", est.graph_hash)]
+    if est.lambda_ub is not None:
+        header.append(("lambda_ub", repr(est.lambda_ub)))
     with open(path, "w") as fh:
-        fh.write(f"# n = {est.n}\n")
-        fh.write(f"# J = {est.J}\n")
-        fh.write(f"# K = {est.K}\n")
-        fh.write(f"# jackson = {int(est.jackson)}\n")
-        fh.write(f"# N = {est.N}\n")
-        fh.write(f"# distribution = {est.distribution}\n")
-        fh.write(f"# seed = {est.seed}\n")
-        fh.write(f"# pou = {est.pou}\n")
-        fh.write(f"# variant = {est.variant}\n")
-        fh.write(f"# graph_hash = {est.graph_hash}\n")
-        for v in est.diag:
-            fh.write(f"{float(v)!r}\n")
+        fh.writelines(f"# {key} = {val}\n" for key, val in header)
+        fh.write("\n".join(map(repr, est.diag.tolist())))
+        fh.write("\n")
 
 
 def load_weights(path):
-    meta = {}
-    values = []
+    """Read a weight cache written by :func:`save_weights`.
+
+    The ``# key = value`` header comes first, then one value per line. A
+    cache without a ``lambda_ub`` line loads with ``lambda_ub=None``.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-            else:
-                values.append(float(line))
+        lines = fh.read().rstrip().splitlines()
+    meta = {}
+    body = 0
+    for line in lines:
+        if line.startswith("#"):
+            key, _, val = line[1:].partition("=")
+            meta[key.strip()] = val.strip()
+        elif line.strip():
+            break
+        body += 1
+    try:
+        values = np.array(lines[body:], dtype=np.float64)
+    except ValueError:
+        for i, line in enumerate(lines[body:], body + 1):
+            try:
+                float(line)
+            except ValueError:
+                raise ValueError(f"weight cache {path} line {i}: {line!r} "
+                                 "is not a number") from None
+        raise
+    lambda_ub = meta.get("lambda_ub")
     try:
         return WeightEstimate(
-            np.asarray(values), int(meta["n"]), int(meta["J"]),
+            values, int(meta["n"]), int(meta["J"]),
             int(meta["N"]), meta["distribution"], int(meta["seed"]),
             int(meta["K"]), bool(int(meta["jackson"])),
             pou=meta.get("pou", ""), variant=meta.get("variant", ""),
-            graph_hash=meta.get("graph_hash", ""))
+            graph_hash=meta.get("graph_hash", ""),
+            lambda_ub=None if lambda_ub is None else float(lambda_ub))
     except KeyError as exc:
         raise ValueError(f"weight cache {path} missing header field "
                          f"{exc.args[0]!r}") from None

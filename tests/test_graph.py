@@ -202,6 +202,17 @@ def test_matvec_counter():
     assert L.matvec_count == 2
 
 
+def test_laplacian_records_what_its_bound_cost():
+    g = random_connected_graph(40, seed=3)
+    Ln = laplacian(g, "normalized")
+    assert Ln.bound_matvecs > 0 and Ln.bound_ms > 0
+    assert Ln.matvec_count == 0
+    # the random-walk bound iterates on the normalized form, counted on L
+    assert laplacian(g, "random_walk").bound_matvecs == Ln.bound_matvecs
+    given = laplacian(g, lambda_ub=5.0)
+    assert (given.bound_matvecs, given.bound_ms) == (0, 0.0)
+
+
 @pytest.mark.parametrize("variant", ["unnormalized", "normalized", "random_walk"])
 def test_spectral_bound_dominates_exact_spectrum(variant):
     rng = np.random.default_rng(17)

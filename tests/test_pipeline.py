@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior and the command-line interface."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from gsdenoise.graph import (
     grid_graph,
     laplacian,
     random_geometric_graph,
+    read_edgelist,
     write_edgelist,
 )
 from gsdenoise.pipeline import PipelineConfig, denoise_pipeline
 from gsdenoise.signals import SignalSpec, read_signal, snr, synth_signal, \
     write_signal
-from gsdenoise.sure import estimate_diagonal_weights
+from gsdenoise.sure import estimate_diagonal_weights, load_weights, \
+    save_weights
 
 
 def _graph_and_signal(n=120, seed=3):
@@ -112,6 +115,82 @@ def test_weight_cache_hit_miss_and_mismatch():
     assert np.array_equal(fhat_stale, fhat_miss)  # stale cache never used
 
 
+def _weights_for(g, cfg, variant=None, graph_hash=None):
+    L = laplacian(g, variant or cfg.variant)
+    pou = PartitionOfUnity.for_operator(L)
+    return estimate_diagonal_weights(
+        L, pou, K=cfg.K, N=cfg.N, seed=cfg.seed,
+        graph_hash=g.content_hash() if graph_hash is None else graph_hash)
+
+
+@pytest.mark.parametrize("variant",
+                         ["unnormalized", "normalized", "random_walk"])
+def test_bound_from_weights_matches_passed_operator(variant):
+    g, f = _graph_and_signal(70)
+    noisy = f + np.random.default_rng(1).standard_normal(g.n)
+    cfg = PipelineConfig(variant=variant, sigma=1.0)
+    est = _weights_for(g, cfg)
+    a, ra = denoise_pipeline(g, noisy, cfg, weights=est)
+    b, rb = denoise_pipeline(g, noisy, cfg, weights=est,
+                             operator=laplacian(g, variant))
+    assert np.array_equal(a, b)
+    assert ra["thresholds"] == rb["thresholds"]
+    assert ra["sure"] == rb["sure"]
+    assert ra["fingerprint"] == rb["fingerprint"]
+    assert ra["cache"] == rb["cache"] == "hit"
+    assert ra["bound"]["source"] == "weights"
+    assert ra["bound"]["matvecs"] == 0
+    # an operator reports what its own bound cost when it was built
+    assert rb["bound"]["source"] == "operator"
+    assert rb["bound"]["matvecs"] > 0
+
+
+def _without_bound_line(est, tmp_path):
+    path = tmp_path / "w.txt"
+    save_weights(path, est)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(x for x in lines
+                            if not x.startswith("# lambda_ub")))
+    return load_weights(path)
+
+
+@pytest.mark.parametrize("case, variant, cache, warned", [
+    ("other-graph", "unnormalized", "mismatch-recomputed", False),
+    ("other-variant", "unnormalized", "mismatch-recomputed", False),
+    ("no-bound-line", "normalized", "hit", False),
+    ("below-diagonal", "unnormalized", "hit", True),
+    ("above-two", "normalized", "hit", True),
+])
+def test_bound_falls_back_to_power_iteration(case, variant, cache, warned,
+                                             tmp_path):
+    g, f = _graph_and_signal(60)
+    noisy = f + np.random.default_rng(2).standard_normal(g.n)
+    cfg = PipelineConfig(variant=variant, sigma=1.0)
+    if case == "other-graph":
+        est = _weights_for(g, cfg, graph_hash="0" * 16)
+    elif case == "other-variant":
+        est = _weights_for(g, cfg, variant="normalized")
+    elif case == "no-bound-line":
+        est = _without_bound_line(_weights_for(g, cfg), tmp_path)
+        assert est.lambda_ub is None
+    elif case == "below-diagonal":
+        est = dataclasses.replace(_weights_for(g, cfg),
+                                  lambda_ub=0.9 * g.degrees.max())
+    else:
+        est = dataclasses.replace(_weights_for(g, cfg), lambda_ub=2.5)
+    fhat, report = denoise_pipeline(g, noisy, cfg, weights=est)
+    assert report["bound"]["source"] == "power-iteration"
+    assert report["bound"]["matvecs"] > 0
+    assert report["cache"] == cache
+    assert any("by power iteration" in w
+               for w in report["warnings"]) == warned
+    # the bound power iteration gives, so the same answer as with none
+    ref, ref_report = denoise_pipeline(g, noisy, cfg, weights=est,
+                                       operator=laplacian(g, variant))
+    assert np.array_equal(fhat, ref)
+    assert report["lambda_ub"] == ref_report["lambda_ub"]
+
+
 def test_denoising_gains_at_matched_noise():
     g = random_geometric_graph(300, seed=2)
     f = synth_signal(g, SignalSpec(0.02, 4, seed=4))
@@ -152,7 +231,9 @@ def test_cli_graph_info(workspace, capsys):
     tmp, g, gpath = workspace
     assert main(["graph-info", gpath]) == 0
     out = capsys.readouterr().out
-    assert out.startswith(f"n={g.n} m={g.m} lambda_ub=")
+    # printed by repr, so it can be matched against a weight cache header
+    ub = laplacian(read_edgelist(gpath)).lambda_ub
+    assert out == f"n={g.n} m={g.m} lambda_ub={ub!r}\n"
 
 
 def test_cli_synth_sanitize_denoise_eval(workspace, capsys):
@@ -204,12 +285,21 @@ def test_cli_weights_then_denoise_hits_cache(workspace, capsys):
     capsys.readouterr()
     assert main(["denoise", gpath, fpath, "-o", opath, "--sigma", "1.0",
                  "--weights", wpath]) == 0
-    assert "cache=hit" in capsys.readouterr().out
-    # a cache built under different settings is refused and recomputed
+    out = capsys.readouterr().out
+    assert "cache=hit" in out and "bound_source=weights" in out
+    # the cached weights and bound give the file a cold run writes
+    cold = str(tmp / "cold.txt")
+    assert main(["denoise", gpath, fpath, "-o", cold, "--sigma", "1.0"]) == 0
+    assert "bound_source=power-iteration" in capsys.readouterr().out
+    with open(opath) as a, open(cold) as b:
+        assert a.read() == b.read()
+    # a cache built under different settings is refused and recomputed;
+    # its bound, which depends on the graph and variant alone, is reused
     assert main(["denoise", gpath, fpath, "-o", opath, "--sigma", "1.0",
                  "--weights", wpath, "--N", "5"]) == 0
     captured = capsys.readouterr()
     assert "cache=mismatch-recomputed" in captured.out
+    assert "bound_source=weights" in captured.out
     assert "warning" in captured.err
 
 

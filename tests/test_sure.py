@@ -235,6 +235,29 @@ def test_weight_cache_round_trip(tmp_path):
     back = load_weights(path)
     assert np.array_equal(back.diag, est.diag)
     assert back.fingerprint() == est.fingerprint()
+    # the bound the estimate was made with, kept by repr
+    assert est.lambda_ub == L.lambda_ub
+    assert f"# lambda_ub = {L.lambda_ub!r}\n" in path.read_text()
+    assert back.lambda_ub == est.lambda_ub
+
+
+_HEADER = ("# n = 2\n# J = 0\n# K = 10\n# jackson = 1\n# N = 1\n"
+           "# distribution = rademacher\n# seed = 0\n")
+
+
+def test_weight_cache_malformed_value_names_its_line(tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text(_HEADER + "1.0\n0.5x\n")
+    with pytest.raises(ValueError, match=r"w\.txt line 9: '0\.5x'"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "0.0", "-1.5"])
+def test_weight_cache_with_implausible_bound_is_rejected(tmp_path, bad):
+    path = tmp_path / "w.txt"
+    path.write_text(_HEADER + f"# lambda_ub = {bad}\n1.0\n0.5\n")
+    with pytest.raises(ValueError, match="lambda_ub"):
+        load_weights(path)
 
 
 def test_weight_cache_missing_field(tmp_path):
@@ -259,7 +282,6 @@ def test_weight_estimate_rejects_nan_negative_and_infinite_entries(bad):
 
 def test_weight_cache_with_nan_entry_is_rejected(tmp_path):
     path = tmp_path / "w.txt"
-    path.write_text("# n = 2\n# J = 0\n# K = 10\n# jackson = 1\n# N = 1\n"
-                    "# distribution = rademacher\n# seed = 0\n1.0\nnan\n")
+    path.write_text(_HEADER + "1.0\nnan\n")
     with pytest.raises(ValueError, match="entry 1"):
         load_weights(path)
