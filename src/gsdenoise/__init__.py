@@ -8,7 +8,6 @@ the calibrated noise source.
 """
 
 from .graph import (
-    ConvergenceError,
     LaplacianOperator,
     SparseGraph,
     build_graph,

@@ -12,7 +12,8 @@ depends on (graph content hash, Laplacian variant, frame parameters, K,
 damping, N, probe distribution, seed); a mismatched cache is recomputed
 with a warning in the report rather than trusted. A weight estimate also
 carries the spectral bound it was made with, which depends on the graph
-and variant alone; it replaces power iteration when those match.
+and variant alone; it replaces the Lanczos run when those match and the
+bound agrees with the weights' own partition and lies under the proven cap.
 """
 
 import time
@@ -22,7 +23,7 @@ import numpy as np
 
 from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
 from .frame import PartitionOfUnity
-from .graph import VARIANTS, laplacian
+from .graph import VARIANTS, laplacian, spectral_cap
 from .sure import (DISTRIBUTIONS, estimate_diagonal_weights, sure_value)
 from .threshold import BETA_MAX, apply_policy, select_thresholds_sure
 
@@ -88,28 +89,32 @@ def weight_fingerprint(graph_hash, pou, config):
 
 def _cached_bound(weights, graph, graph_hash, variant, warnings):
     """The spectral bound carried by a weight estimate, when it was made
-    on this graph and variant and is plausible; None otherwise.
+    on this graph and variant and passes two checks; None otherwise.
 
-    Plausible means at least the largest diagonal entry of L, a Rayleigh
-    quotient and so a lower bound on lambda_max, and at most 2 for the
-    normalized and random-walk variants. An implausible bound is reported
-    in warnings, because the Chebyshev expansions diverge outside their
-    interval.
+    The bound must equal, by repr, the one recorded in the estimate's own
+    partition fingerprint, and it must be plausible: at least the largest
+    diagonal entry of L, a Rayleigh quotient and so a lower bound on
+    lambda_max, and at most the proven cap of :func:`spectral_cap`. A bound
+    that fails is reported in warnings, because the Chebyshev expansions
+    diverge outside their interval.
     """
     if (weights is None or weights.lambda_ub is None
             or weights.graph_hash != graph_hash
             or weights.variant != variant):
         return None
     ub = weights.lambda_ub
-    if variant == "unnormalized":
-        low, high = float(graph.degrees.max()), np.inf
-    else:
-        low, high = 1.0, 2.0
+    if f",lambda_ub={ub!r}," not in f",{weights.pou},":
+        warnings.append(f"cached lambda_ub={ub!r} differs from the bound in "
+                        f"the weights' partition ({weights.pou}); recomputed "
+                        "by Lanczos")
+        return None
+    low = float(graph.degrees.max()) if variant == "unnormalized" else 1.0
+    high = spectral_cap(graph, variant)
     if low <= ub <= high:
         return ub
     warnings.append(f"cached lambda_ub={ub!r} lies outside [{low!r}, "
                     f"{high!r}] for the {variant} Laplacian; recomputed by "
-                    "power iteration")
+                    "Lanczos")
     return None
 
 
@@ -126,10 +131,10 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     LaplacianOperator for the same graph and variant (`source` is
     `operator`, with the cost paid when it was built); `weights`, whose
     `lambda_ub` is reused when it was made on the same graph and variant
-    and is plausible (`weights`, no matvecs); otherwise power iteration
-    (`power-iteration`). A reused bound is the one power iteration gives,
-    which is deterministic in (graph, variant), so the result does not
-    depend on where it came from.
+    and passes the checks of `_cached_bound` (`weights`, no matvecs);
+    otherwise Lanczos under the proven cap (`lanczos`). A reused bound is
+    the one Lanczos gives, which is deterministic in (graph, variant), so
+    the result does not depend on where it came from.
     """
     config.validate()
     if config.sigma is None:
@@ -151,7 +156,7 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     if operator is None:
         lambda_ub = _cached_bound(weights, graph, graph_hash, config.variant,
                                   report["warnings"])
-        source = "power-iteration" if lambda_ub is None else "weights"
+        source = "lanczos" if lambda_ub is None else "weights"
         L = laplacian(graph, config.variant, lambda_ub=lambda_ub)
     else:
         if operator.graph is not graph or operator.variant != config.variant:

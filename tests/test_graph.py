@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gsdenoise
-from gsdenoise.frame import exact_eigendecomposition
+from gsdenoise.frame import PartitionOfUnity, exact_eigendecomposition
 from gsdenoise.graph import (
-    ConvergenceError,
+    LaplacianOperator,
     SparseGraph,
+    _top_eigenvalue,
     build_graph,
     estimate_spectral_bound,
     from_csr,
@@ -24,6 +25,7 @@ from gsdenoise.graph import (
     random_connected_graph,
     random_geometric_graph,
     read_edgelist,
+    spectral_cap,
     write_edgelist,
 )
 
@@ -209,19 +211,52 @@ def test_laplacian_records_what_its_bound_cost():
     assert Ln.matvec_count == 0
     # the random-walk bound iterates on the normalized form, counted on L
     assert laplacian(g, "random_walk").bound_matvecs == Ln.bound_matvecs
+    Lrw = LaplacianOperator(g, "random_walk")
+    estimate_spectral_bound(Lrw)
+    assert Lrw.matvec_count == Ln.bound_matvecs
     given = laplacian(g, lambda_ub=5.0)
     assert (given.bound_matvecs, given.bound_ms) == (0, 0.0)
 
 
 @pytest.mark.parametrize("variant", ["unnormalized", "normalized", "random_walk"])
 def test_spectral_bound_dominates_exact_spectrum(variant):
+    # 400 graphs per variant: weighted and unweighted, and one in four a
+    # tree, which is bipartite, so its normalized lambda_max is exactly 2
     rng = np.random.default_rng(17)
-    for seed in range(12):
-        n = int(rng.integers(5, 51))
-        g = random_connected_graph(n, seed=seed)
-        L = laplacian(g, variant)
+    for seed in range(400):
+        n = int(rng.integers(5, 201))
+        g = random_connected_graph(n, extra_edges=0 if seed % 4 == 0 else n,
+                                   seed=seed, weighted=seed % 2 == 1)
+        L = laplacian(g, variant, seed=seed)
         lam_max = exact_eigendecomposition(L).eigenvalues.max()
-        assert estimate_spectral_bound(L, seed=seed) >= lam_max
+        cap = spectral_cap(g, variant)
+        # slack for the dense solver, which may put an eigenvalue of
+        # exactly 2 a rounding error above it
+        assert lam_max <= L.lambda_ub * (1 + 1e-13), (seed, n)
+        assert L.lambda_ub <= cap, (seed, n)
+
+
+def test_top_ritz_value_matches_dense_solver():
+    # some off-diagonals exactly 0, so T splits into blocks
+    rng = np.random.default_rng(1)
+    for k in range(1, 80):
+        a = 3 * rng.standard_normal(k)
+        b = rng.random(k - 1) * (rng.random(k - 1) < 0.8)
+        ref = np.linalg.eigvalsh(np.diag(a) + np.diag(b, -1))[-1]
+        got = _top_eigenvalue(a.tolist(), b.tolist())
+        assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+
+def test_grid_bound_is_the_cap_in_tens_of_matvecs():
+    # lambda_max of the r x r grid is 4 + 4 cos(pi / r), so the Ritz value
+    # reaches 8 / 1.01 within a few steps and the proven cap is returned
+    for side, most in ((30, 25), (300, 20)):
+        L = laplacian(grid_graph(side, side))
+        assert L.lambda_ub == 8.0
+        assert L.bound_matvecs <= most
+        # log(8) / log(2) is exactly 3, so J is 5, that of any bound in
+        # [8, 16), such as the grids' lambda_max times 1.01
+        assert PartitionOfUnity.for_operator(L).J == 5
 
 
 def test_spectral_bound_repr_independent_of_blas_threads():
@@ -243,11 +278,18 @@ def test_spectral_bound_repr_independent_of_blas_threads():
     assert outs[0] == outs[1]
 
 
-def test_bound_convergence_error_carries_last_estimate():
-    L = laplacian(grid_graph(30, 30), "unnormalized")
-    with pytest.raises(ConvergenceError) as exc:
-        estimate_spectral_bound(L, tol=1e-30, max_iter=2)
-    assert exc.value.last_estimate > 0
+@pytest.mark.parametrize("variant", ["unnormalized", "normalized"])
+def test_bound_stopped_short_returns_the_cap(variant):
+    # distinct weights on a triangle with a tail: five distinct eigenvalues,
+    # lambda_max (1 + margin) under the cap, and a tol this small is never
+    # met, so the loop runs its n steps
+    g = build_graph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0), (2, 3, 4.0),
+                     (3, 4, 5.0)])
+    L = LaplacianOperator(g, variant)
+    assert estimate_spectral_bound(L, tol=1e-30) == spectral_cap(g, variant)
+    assert L.matvec_count == g.n
+    with pytest.raises(ValueError, match="tol"):
+        estimate_spectral_bound(L, tol=0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ from gsdenoise.frame import PartitionOfUnity
 from gsdenoise.graph import (
     grid_graph,
     laplacian,
+    random_connected_graph,
     random_geometric_graph,
     read_edgelist,
     write_edgelist,
@@ -163,6 +164,8 @@ def _without_bound_line(est, tmp_path):
 ])
 def test_bound_falls_back_to_power_iteration(case, variant, cache, warned,
                                              tmp_path):
+    # the name is kept from when the bound came from power iteration;
+    # each case now falls back to the Lanczos bound
     g, f = _graph_and_signal(60)
     noisy = f + np.random.default_rng(2).standard_normal(g.n)
     cfg = PipelineConfig(variant=variant, sigma=1.0)
@@ -179,16 +182,53 @@ def test_bound_falls_back_to_power_iteration(case, variant, cache, warned,
     else:
         est = dataclasses.replace(_weights_for(g, cfg), lambda_ub=2.5)
     fhat, report = denoise_pipeline(g, noisy, cfg, weights=est)
-    assert report["bound"]["source"] == "power-iteration"
+    assert report["bound"]["source"] == "lanczos"
     assert report["bound"]["matvecs"] > 0
     assert report["cache"] == cache
-    assert any("by power iteration" in w
-               for w in report["warnings"]) == warned
-    # the bound power iteration gives, so the same answer as with none
+    assert any("by Lanczos" in w for w in report["warnings"]) == warned
+    # the bound Lanczos gives, so the same answer as with none
     ref, ref_report = denoise_pipeline(g, noisy, cfg, weights=est,
                                        operator=laplacian(g, variant))
     assert np.array_equal(fhat, ref)
     assert report["lambda_ub"] == ref_report["lambda_ub"]
+
+
+def _with_bound(est, ub, in_partition):
+    """est with its bound replaced, and in its partition fingerprint too
+    when in_partition, as a consistently edited cache would have it."""
+    pou = est.pou
+    if in_partition:
+        pou = pou.replace(f"lambda_ub={est.lambda_ub!r},",
+                          f"lambda_ub={ub!r},")
+        assert pou != est.pou
+    return dataclasses.replace(est, lambda_ub=ub, pou=pou)
+
+
+@pytest.mark.parametrize("scale, in_partition, warning", [
+    # between the max degree and lambda_max (17.82): the expansions
+    # diverge, up to 1e64 on this graph, when such a bound is reused
+    (1.0, False, "differs from the bound in the weights' partition"),
+    # below the max degree, a Rayleigh quotient, and above Gershgorin's
+    # 2 max(degrees), which no bound needs to exceed
+    (0.9, True, "lies outside"),
+    (2.5, True, "lies outside"),
+], ids=["off-partition", "below-max-degree", "above-cap"])
+def test_cached_bound_is_checked_against_partition_and_cap(
+        scale, in_partition, warning):
+    g = random_connected_graph(300, seed=1)
+    f = synth_signal(g, SignalSpec(0.05, 3, seed=1))
+    noisy = f + np.random.default_rng(2).standard_normal(g.n)
+    cfg = PipelineConfig(sigma=1.0)
+    est = _weights_for(g, cfg)
+    bad = _with_bound(est, scale * float(g.degrees.max()), in_partition)
+    fhat, report = denoise_pipeline(g, noisy, cfg, weights=bad)
+    assert report["bound"]["source"] == "lanczos"
+    assert any(warning in w and "recomputed by Lanczos" in w
+               for w in report["warnings"])
+    ref, ref_report = denoise_pipeline(g, noisy, cfg, weights=est)
+    assert ref_report["bound"]["source"] == "weights"
+    assert report["lambda_ub"] == ref_report["lambda_ub"] == est.lambda_ub
+    assert np.array_equal(fhat, ref)
 
 
 def test_denoising_gains_at_matched_noise():
@@ -290,7 +330,7 @@ def test_cli_weights_then_denoise_hits_cache(workspace, capsys):
     # the cached weights and bound give the file a cold run writes
     cold = str(tmp / "cold.txt")
     assert main(["denoise", gpath, fpath, "-o", cold, "--sigma", "1.0"]) == 0
-    assert "bound_source=power-iteration" in capsys.readouterr().out
+    assert "bound_source=lanczos" in capsys.readouterr().out
     with open(opath) as a, open(cold) as b:
         assert a.read() == b.read()
     # a cache built under different settings is refused and recomputed;
