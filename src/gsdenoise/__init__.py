@@ -42,7 +42,6 @@ from .chebyshev import (
 from .sure import (
     WeightEstimate,
     estimate_diagonal_weights,
-    estimate_full_weights,
     exact_weights,
     gamma_variance_exact,
     load_weights,

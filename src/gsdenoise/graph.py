@@ -1,10 +1,12 @@
 """Sparse undirected graphs and their Laplacian operators.
 
 Graphs are stored in compressed adjacency form (CSR of the symmetric weighted
-adjacency matrix). Laplacians are never materialized; they act matrix-free
-through ``LaplacianOperator.matvec`` in O(m + n) per application, with one
-sparse kernel, scipy's CSR product over the graph's own arrays. Each carries
-a bound on its largest eigenvalue: Lanczos's top Ritz value times 1.01,
+adjacency matrix). Laplacians act through ``LaplacianOperator.matvec`` in
+O(m + n) per application, with one sparse kernel, scipy's CSR product, over
+the graph's own arrays; only a long run of Chebyshev steps on one interval
+(the Monte-Carlo weights) materializes its shifted operator, for the length
+of that run (``LaplacianOperator.assembled``). Each operator carries a
+bound on its largest eigenvalue: Lanczos's top Ritz value times 1.01,
 capped by Gershgorin's proven bound (2 max(degrees), or 2 for the
 normalized and random-walk variants). Lanczos stops early, and returns the
 cap, as soon as the estimate reaches the cap: 12 matvecs on the 300x300 grid.
@@ -13,6 +15,7 @@ cap, as soon as the estimate reaches the cap: 12 matvecs on the 300x300 grid.
 import hashlib
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,7 +135,8 @@ def build_graph(edge_records):
     Node identifiers may be any hashable values; they are densified to
     0..n-1 in order of first appearance and kept as labels. Duplicate
     undirected edges collapse by summing their weights. Self-loops and
-    non-positive weights are rejected with the offending record.
+    non-positive or non-finite weights are rejected with the offending
+    record.
     """
     index = {}
     labels = []
@@ -146,8 +150,9 @@ def build_graph(edge_records):
         w = float(w)
         if u == v:
             raise ValueError(f"self-loop rejected: {rec!r}")
-        if not w > 0:
-            raise ValueError(f"non-positive weight rejected: {rec!r}")
+        if not 0 < w < math.inf:
+            raise ValueError(f"non-positive or non-finite weight rejected: "
+                             f"{rec!r}")
         for node in (u, v):
             if node not in index:
                 index[node] = len(labels)
@@ -167,13 +172,17 @@ def from_csr(n, offsets, indices, weights, labels=None, validate=True):
     """Wrap existing CSR arrays as a SparseGraph.
 
     With validate=True the adjacency is checked for symmetry, positive
-    weights and absence of self-loops.
+    finite weights and absence of self-loops.
     """
     g = SparseGraph(n, offsets, indices, weights, labels=labels)
     if validate:
-        if np.any(g.weights <= 0):
-            raise ValueError("non-positive weight in adjacency")
         rows = _entry_rows(g)
+        bad = ~((g.weights > 0) & (g.weights < np.inf))
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ValueError("non-positive or non-finite weight in adjacency: "
+                             f"entry ({rows[e]}, {g.indices[e]}) is "
+                             f"{float(g.weights[e])!r}")
         if np.any(rows == g.indices):
             raise ValueError("self-loop in adjacency")
         fwd = np.lexsort((g.indices, rows))
@@ -318,7 +327,10 @@ class LaplacianOperator:
 
     Every variant is held in one form, L x = diag x - post (W (pre x)), with
     diag, post and pre scalars or n-vectors (post and pre None for 1), so
-    one code path applies all three.
+    one code path applies all three, over the graph's own arrays. Inside
+    :meth:`assembled`, the Chebyshev steps on one interval run instead on a
+    CSR matrix of the shifted operator, built once; only the probe loop of
+    the Monte-Carlo weights, N K steps on one operator, pays for it.
     """
 
     graph: SparseGraph
@@ -346,6 +358,7 @@ class LaplacianOperator:
         else:
             self._terms = (1.0, 1.0 / deg, None)
         self._step = (None, None)  # (interval, terms) of the last step
+        self._assembled = None  # (interval, step matrix) inside assembled()
 
     @property
     def n(self):
@@ -354,26 +367,96 @@ class LaplacianOperator:
     def reset_matvec_count(self):
         self.matvec_count = 0
 
-    def _step_terms(self, interval):
+    def _shifted_terms(self, interval):
         """Terms of 2 ((2 / interval) L - I), the doubled shifted operator of
-        a Chebyshev step, cached for the last interval asked for."""
+        a Chebyshev step."""
+        diag, post, pre = self._terms
+        c = 4.0 / interval
+        return c * diag - 2.0, c if post is None else c * post, pre
+
+    def _step_terms(self, interval):
+        """:meth:`_shifted_terms`, cached for the last interval asked for."""
         if self._step[0] != interval:
-            diag, post, pre = self._terms
-            c = 4.0 / interval
-            self._step = (interval, (c * diag - 2.0,
-                                     c if post is None else c * post, pre))
+            self._step = (interval, self._shifted_terms(interval))
         return self._step[1]
+
+    def _step_matrix(self, interval):
+        """2 ((2 / interval) L - I) as one scipy CSR array.
+
+        Built with numpy over the graph's arrays: each row holds its
+        diagonal entry, with the shift folded in, ahead of its neighbours,
+        whose entries carry the variant's scalings. A diagonal entry that
+        is exactly zero is left out: the whole diagonal of the normalized
+        variants on [0, 2], and that of every node of top degree when ub is
+        the Gershgorin cap. Indices are int32 when they fit, 12 bytes per
+        entry. Only the nonzero diagonal entries are inserted: inserting
+        all and then dropping zeros left more freed blocks behind, and on
+        the 300x300 grid later 4 MB arrays then often found no free block
+        that fit, which raised the peak RSS by 4 MB.
+        """
+        from scipy.sparse import csr_array
+        g = self.graph
+        n, nnz = g.n, g.indices.size
+        diag, post, pre = self._shifted_terms(interval)
+        if np.ndim(post) == 0:
+            off = g.weights * -post
+        else:
+            off = np.repeat(-post, np.diff(g.offsets))
+            off *= g.weights
+        if pre is not None:
+            off *= pre[g.indices]
+        itype = np.int32 if nnz + n < 2 ** 31 else np.int64
+        d = np.broadcast_to(diag, (n,))
+        rows = np.flatnonzero(d)
+        at = g.offsets[rows]
+        data = np.insert(off, at, d[rows])
+        del off
+        indices = np.insert(g.indices.astype(itype), at, rows.astype(itype))
+        indptr = np.zeros(n + 1, dtype=itype)
+        np.cumsum(d != 0, out=indptr[1:])
+        indptr += g.offsets
+        return csr_array((data, indices, indptr), shape=(n, n), copy=False)
+
+    @contextmanager
+    def assembled(self, ub):
+        """Within the context, run every Chebyshev step on [0, ub] as one
+        CSR product over the step matrix of :meth:`_step_matrix`.
+
+        The matrix is built on entry and dropped on exit. It costs about
+        6.5 signal vectors on a degree-4 grid, so only a loop of many steps
+        on one operator should hold it; a single transform keeps the
+        zero-copy step.
+        """
+        prior = self._assembled
+        self._assembled = (ub, self._step_matrix(ub))
+        try:
+            yield self
+        finally:
+            self._assembled = prior
 
     def matvec(self, x, out=None, interval=None, prev=None):
         """Apply the Laplacian to x, O(m + n); one application counted.
 
         With interval=ub it applies instead one step of the Chebyshev
-        recurrence on [0, ub], 2 ((2 / ub) L - I) x - prev, with the shift
-        and the variant's scalings folded into n-vectors kept per operator;
-        prev=None reads as 0. The result goes to out when given, which may
+        recurrence on [0, ub], 2 ((2 / ub) L - I) x - prev; prev=None reads
+        as 0. The shift and the variant's scalings are folded into n-vectors
+        kept per operator, or, inside ``assembled(ub)``, into the step
+        matrix, where the step is out = -prev and one kernel call adding
+        the product into out. The result goes to out when given, which may
         be x or prev itself.
         """
         self.matvec_count += 1
+        if self._assembled is not None and self._assembled[0] == interval:
+            x = np.ascontiguousarray(x, dtype=np.float64)
+            if out is None:
+                out = np.empty(self.n)
+            elif np.may_share_memory(out, x):
+                x = x.copy()
+            if prev is None:
+                out.fill(0.0)
+            else:
+                np.negative(prev, out=out)
+            return csr_matvec(self._assembled[1], x, out)
         diag, post, pre = (self._terms if interval is None
                            else self._step_terms(interval))
         wx = self.graph.adj_matvec(x if pre is None else pre * x)

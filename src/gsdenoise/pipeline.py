@@ -1,8 +1,8 @@
 """End-to-end denoiser: analysis, SURE thresholding, synthesis.
 
 One call wires the whole chain together: build the Laplacian and frame,
-push the noisy signal through the fast forward transform, estimate (or
-reuse) the Monte-Carlo SURE weights, pick per-scale thresholds minimizing
+estimate (or reuse) the Monte-Carlo SURE weights, push the noisy signal
+through the fast forward transform, pick per-scale thresholds minimizing
 SURE, shrink, and synthesize. The noise scale sigma is a required input,
 published by whatever mechanism produced the noise; nothing here tries to
 estimate it.
@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
-from .frame import PartitionOfUnity
+from .frame import POU_KINDS, PartitionOfUnity
 from .graph import VARIANTS, laplacian, spectral_cap
 from .sure import (DISTRIBUTIONS, estimate_diagonal_weights, sure_value)
 from .threshold import BETA_MAX, apply_policy, select_thresholds_sure
-
-POU_KINDS = ("linear", "smooth")
 
 
 @dataclass
@@ -170,11 +168,6 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     timings["setup"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    coeffs = sgwt_forward_fast(L, noisy, pou, K=config.K,
-                               jackson=config.jackson)
-    timings["forward"] = 1e3 * (time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
     expected = weight_fingerprint(graph_hash, pou, config)
     if weights is not None and weights.fingerprint() == expected:
         report["cache"] = "hit"
@@ -192,6 +185,13 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
             dist=config.distribution, seed=config.seed,
             graph_hash=graph_hash)
     timings["weights"] = 1e3 * (time.perf_counter() - t0)
+
+    # after the weights, so that the step matrix their estimate builds is
+    # never held beside the J + 1 coefficient blocks
+    t0 = time.perf_counter()
+    coeffs = sgwt_forward_fast(L, noisy, pou, K=config.K,
+                               jackson=config.jackson)
+    timings["forward"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()
     policy = select_thresholds_sure(coeffs, weights, config.sigma,

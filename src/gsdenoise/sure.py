@@ -10,6 +10,7 @@ probes at every sample size. Exact small-graph oracles for the weights and
 for both closed-form variance expressions live here too.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,58 +91,43 @@ class WeightEstimate:
                 f"N={self.N},dist={self.distribution},seed={self.seed}")
 
 
-def _probe_transform(L, pou, K, jackson, transform, eig):
-    if transform == "fast":
-        return lambda e: chebyshev.sgwt_forward_fast(
-            L, e, pou, K=K, jackson=jackson).values
-    if transform == "exact":
-        return lambda e: frame.sgwt_forward_exact(L, e, pou, eig=eig).values
-    raise ValueError(f"unknown transform {transform!r}")
-
-
 def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=10,
                               dist="rademacher", seed=0, transform="fast",
                               graph_hash=""):
     """Monte-Carlo Gram diagonal, O(N (mK + n(J+1)K)) with the fast transform.
 
-    transform="exact" switches to the eigendecomposition-backed analysis
-    operator so the estimate targets the exact weights; that mode exists for
-    the statistical oracles and is capped to small graphs.
+    The N K Chebyshev steps of the fast probe transforms run inside
+    ``L.assembled``: each is one CSR product over the step matrix, built
+    once here and dropped on return. transform="exact" switches to the
+    eigendecomposition-backed analysis operator so the estimate targets the
+    exact weights; that mode exists for the statistical oracles and is
+    capped to small graphs.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    eig = frame.exact_eigendecomposition(L) if transform == "exact" else None
-    fwd = _probe_transform(L, pou, K, jackson, transform, eig)
-    acc = np.zeros(L.n * (pou.J + 1))
-    for k in range(N):
-        w = fwd(draw_probe(L.n, dist, seed, k))
-        acc += np.square(w, out=w)
-        del w  # not held while the next probe is transformed
+    if transform == "fast":
+        steps = L.assembled(chebyshev.chebyshev_interval(L))
+
+        def fwd(e):
+            return chebyshev.sgwt_forward_fast(L, e, pou, K=K,
+                                               jackson=jackson).values
+    elif transform == "exact":
+        eig = frame.exact_eigendecomposition(L)
+        steps = nullcontext()
+
+        def fwd(e):
+            return frame.sgwt_forward_exact(L, e, pou, eig=eig).values
+    else:
+        raise ValueError(f"unknown transform {transform!r}")
+    with steps:
+        acc = np.zeros(L.n * (pou.J + 1))
+        for k in range(N):
+            w = fwd(draw_probe(L.n, dist, seed, k))
+            acc += np.square(w, out=w)
+            del w  # not held while the next probe is transformed
     return WeightEstimate(acc / N, L.n, pou.J, N, dist, seed, K, jackson,
                           pou=pou.fingerprint(), variant=L.variant,
                           graph_hash=graph_hash, lambda_ub=L.lambda_ub)
-
-
-def estimate_full_weights(L, pou, K=100, jackson=True, N=10,
-                          dist="rademacher", seed=0, transform="fast",
-                          cap=2000):
-    """Full symmetric Monte-Carlo Gram matrix, O(n^2 (J+1)^2 N) memory-bound.
-
-    The diagonal agrees bitwise with estimate_diagonal_weights at the same
-    seed because both average the same probe transforms.
-    """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    size = L.n * (pou.J + 1)
-    if size > cap:
-        raise ValueError(f"full weight matrix refused for n(J+1)={size} > {cap}")
-    eig = frame.exact_eigendecomposition(L) if transform == "exact" else None
-    fwd = _probe_transform(L, pou, K, jackson, transform, eig)
-    acc = np.zeros((size, size))
-    for k in range(N):
-        w = fwd(draw_probe(L.n, dist, seed, k))
-        acc += np.outer(w, w)
-    return acc / N
 
 
 def exact_weights(frame_matrix):

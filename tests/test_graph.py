@@ -52,6 +52,24 @@ def test_rejects_self_loops_and_bad_weights():
         build_graph([(0, 1, 0.0)])
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+def test_nonfinite_weights_rejected_at_every_entry_point(tmp_path, bad):
+    w = float(bad)
+    with pytest.raises(ValueError, match=rf"weight rejected: \(0, 1, {bad}\)"):
+        build_graph([(0, 1, 1.0), (0, 1, w)])
+    path = tmp_path / "g.txt"
+    path.write_text(f"a b 1.0\nb c {bad}\n")
+    with pytest.raises(ValueError, match=rf"'b', 'c', {bad}"):
+        read_edgelist(path)
+    offsets = np.array([0, 1, 3, 4], dtype=np.int64)
+    indices = np.array([1, 0, 2, 1], dtype=np.int64)
+    weights = np.array([1.0, 1.0, w, w])
+    with pytest.raises(ValueError, match=rf"entry \(1, 2\) is {bad}"):
+        from_csr(3, offsets, indices, weights)
+    # unvalidated wrapping is left to the caller
+    assert from_csr(3, offsets, indices, weights, validate=False).n == 3
+
+
 def test_labels_densified_in_first_appearance_order():
     g = build_graph([("z", "a"), ("a", "mid")])
     assert g.labels == ["z", "a", "mid"]

@@ -1,5 +1,6 @@
 """The Laplacian operator and its one kernel, scipy's CSR product."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import gsdenoise
+from gsdenoise._kernels import csr_matvec
 from gsdenoise.chebyshev import chebyshev_interval
 from gsdenoise.graph import (
     VARIANTS,
@@ -52,14 +55,92 @@ def test_chebyshev_step_matches_dense_shifted_operator(variant):
     rng = np.random.default_rng(2)
     x, prev = rng.standard_normal(g.n), rng.standard_normal(g.n)
     want = step @ x - prev
-    assert _close(L.matvec(x, interval=ub, prev=prev), want)
-    assert _close(L.matvec(x, interval=ub), step @ x)
-    # the recurrences write the step over its own inputs
-    for alias in ("x", "prev"):
-        xa, pa = x.copy(), prev.copy()
-        out = xa if alias == "x" else pa
-        assert L.matvec(xa, out=out, interval=ub, prev=pa) is out
-        assert _close(out, want)
+    # the zero-copy step, then the step on the assembled matrix
+    for steps in (contextlib.nullcontext(), L.assembled(ub)):
+        with steps:
+            assert _close(L.matvec(x, interval=ub, prev=prev), want)
+            assert _close(L.matvec(x, interval=ub), step @ x)
+            # the recurrences write the step over its own inputs
+            for alias in ("x", "prev"):
+                xa, pa = x.copy(), prev.copy()
+                out = xa if alias == "x" else pa
+                assert L.matvec(xa, out=out, interval=ub, prev=pa) is out
+                assert _close(out, want)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_matrix_is_the_shifted_operator_without_zeros(variant):
+    g = grid_graph(7, 9)
+    L = laplacian(g, variant, lambda_ub=8.0)
+    ub = chebyshev_interval(L)
+    A = L._step_matrix(ub)
+    step = 2.0 * ((2.0 / ub) * _dense_laplacian(g, variant) - np.eye(g.n))
+    assert np.allclose(A.toarray(), step, rtol=0, atol=1e-15)
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    assert np.all(A.data != 0)
+    # on [0, 8] the diagonal of a degree-4 node is 2 (4/8) 4 - 2 = 0, and
+    # on [0, 2] every diagonal entry of the normalized variants is 0
+    kept = np.sum(g.degrees != 4) if variant == "unnormalized" else 0
+    assert A.nnz == g.indices.size + kept
+
+
+def test_assembled_context_drops_the_matrix_on_exit():
+    L = laplacian(grid_graph(4, 5), "normalized")
+    x = np.ones(L.n)
+    with pytest.raises(RuntimeError):
+        with L.assembled(2.0):
+            assert L._assembled is not None
+            raise RuntimeError
+    assert L._assembled is None
+    # a step on another interval does not touch the assembled matrix
+    with L.assembled(2.0):
+        A = L._assembled[1]
+        other = L.matvec(x, interval=3.0)
+        assert _close(L.matvec(x, interval=2.0), A @ x)
+    assert _close(other, L.matvec(x, interval=3.0))
+
+
+@pytest.mark.parametrize("itype", [np.int32, np.int64])
+def test_csr_matvec_adds_into_out(itype):
+    g = random_connected_graph(40, seed=3)
+    A = g.adjacency
+    A = csr_array((A.data, A.indices.astype(itype), A.indptr.astype(itype)),
+                  shape=A.shape)
+    assert A.indices.dtype == itype
+    rng = np.random.default_rng(5)
+    x, out0 = rng.standard_normal(g.n), rng.standard_normal(g.n)
+    out = out0.copy()
+    assert csr_matvec(A, x, out) is out
+    assert _close(out, A @ x + out0, rel=1e-15)
+    assert _close(csr_matvec(A, x), A @ x, rel=0)
+
+
+@pytest.mark.parametrize("case", ["short x", "long out", "float32 x",
+                                  "int out", "strided out", "strided x",
+                                  "read-only out", "out is x", "list x"])
+def test_csr_matvec_rejects_what_the_raw_kernel_would_overrun(case):
+    A = random_connected_graph(30, seed=2).adjacency
+    x, out = np.ones(30), np.zeros(30)
+    if case == "short x":
+        x = x[:-1]
+    elif case == "long out":
+        out = np.zeros(31)
+    elif case == "float32 x":
+        x = x.astype(np.float32)
+    elif case == "int out":
+        out = out.astype(np.int64)
+    elif case == "strided out":
+        out = np.zeros(60)[::2]
+    elif case == "strided x":
+        x = np.ones(60)[::2]
+    elif case == "read-only out":
+        out.flags.writeable = False
+    elif case == "out is x":
+        out = x
+    else:
+        x = [1.0] * 30
+    with pytest.raises(ValueError):
+        csr_matvec(A, x, out)
 
 
 def test_matvec_counts_plain_and_step_applications_alike():

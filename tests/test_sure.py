@@ -5,17 +5,20 @@ quadruple-sum implementations written independently here, so a shared
 algebra mistake cannot hide.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gsdenoise.chebyshev import band_expansions, sgwt_forward_fast
 from gsdenoise.frame import (FrameCoefficients, PartitionOfUnity,
                              frame_matrix_exact)
-from gsdenoise.graph import laplacian, random_connected_graph
+from gsdenoise.graph import VARIANTS, grid_graph, laplacian, \
+    random_connected_graph
 from gsdenoise.sure import (
     WeightEstimate,
     draw_probe,
     estimate_diagonal_weights,
-    estimate_full_weights,
     exact_weights,
     gamma_variance_exact,
     load_weights,
@@ -85,11 +88,45 @@ def test_unknown_distribution_rejected():
         draw_probe(5, "uniform", 0, 0)
 
 
-def test_full_weights_diagonal_matches_diagonal_estimator():
-    _, L, pou = _setup(15, seed=2)
-    est = estimate_diagonal_weights(L, pou, K=40, N=4, seed=5)
-    full = estimate_full_weights(L, pou, K=40, N=4, seed=5)
-    assert np.array_equal(np.diag(full), est.diag)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_assembled_weights_match_zero_copy_steps(variant):
+    # the estimate runs its steps on the assembled matrix; the reference
+    # repeats its probe transforms outside that context
+    _, L, pou = _setup(60, seed=3, variant=variant)
+    K, N = 40, 4
+    L.reset_matvec_count()
+    est = estimate_diagonal_weights(L, pou, K=K, N=N, seed=5)
+    assert L.matvec_count == N * K
+    ref = np.zeros_like(est.diag)
+    for k in range(N):
+        w = sgwt_forward_fast(L, draw_probe(L.n, "rademacher", 5, k), pou,
+                              K=K).values
+        ref += w * w
+    ref /= N
+    assert np.linalg.norm(est.diag - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_weights_peak_memory_in_signal_vectors():
+    # N probes on a 6.5-vector step matrix: the sum of squares, a probe's
+    # J + 1 outputs, a ring of 4 and the probe itself (23.8 measured)
+    small = laplacian(grid_graph(3, 3))  # imports scipy.sparse
+    estimate_diagonal_weights(small, PartitionOfUnity.for_operator(small),
+                              K=5, N=1)
+    g = grid_graph(300, 300)
+    L = laplacian(g)  # a fresh operator: nothing assembled, no step cached
+    pou = PartitionOfUnity.for_operator(L)
+    assert pou.J == 5
+    band_expansions(L, pou, K=100)
+    tracemalloc.start()
+    try:
+        est = estimate_diagonal_weights(L, pou, N=2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * g.n
+    # only the estimate is left: the operator dropped its step matrix
+    assert L._assembled is None
+    assert held <= (pou.J + 1.1) * 8 * g.n and est.N == 2
 
 
 def test_exact_weights_gram_structure():
