@@ -10,9 +10,11 @@ synthesis cost at O(mK + n(J+1)K) instead of J + 1 separate filter runs.
 
 Every filter application is one of two loops over the same step,
 ``LaplacianOperator.matvec(x, interval=ub, prev=y)`` = 2 Lt x - y with
-Lt = (2 / ub) L - I: the analysis recurrence (:func:`_analysis`) and
-Clenshaw's recurrence (:func:`_clenshaw`), of which :func:`apply_filter` is
-the one-row case.
+Lt = (2 / ub) L - I: the analysis recurrence (:func:`_analysis`), which
+adds a ring of Chebyshev vectors into every scale by one matrix product,
+and Clenshaw's recurrence (:func:`_clenshaw`) on two buffers, which forms
+the scale mixtures of two steps by one matrix product; :func:`apply_filter`
+is its one-row case. Both products go SLAB columns at a time.
 """
 
 from dataclasses import dataclass
@@ -26,11 +28,12 @@ _EXPANSION_CACHE = {}
 # scale by one matrix product. 16 would add 24 MB of peak RSS on a 500x500
 # grid for little speed.
 RING = 4
-# Columns per slab of that product: its (J+1)-row temporary then stays in
-# cache instead of taking J + 1 signal-sized arrays; 2.5x faster at 10^6
-# nodes than one product over all columns. 4096 times the same as 8192 on
-# the 300x300 and 500x500 grids, and keeps the temporary within 0.3 signal
-# vectors on the first, where it sets the weight estimate's peak.
+# Columns per slab of that product and of the synthesis's two-step mixtures:
+# the temporary then stays in cache instead of taking signal-sized arrays.
+# The analysis's product is 2.5x faster at 10^6 nodes than one product over
+# all columns. 4096 times the same as 8192 on the 300x300 and 500x500 grids,
+# and keeps the temporary within 0.3 signal vectors on the first, where it
+# sets the weight estimate's peak.
 SLAB = 4096
 
 
@@ -142,10 +145,15 @@ def _analysis(L, ub, theta, f):
                      prev=ring[(k - 2) % RING])
         if k % RING == RING - 1 or k == K:
             k0 = k - k % RING
-            chunk, rows = theta[:, k0:k + 1], ring[:k - k0 + 1]
-            for s in range(0, L.n, SLAB):
-                y[:, s:s + SLAB] += chunk @ rows[:, s:s + SLAB]
+            _gemm_add(theta[:, k0:k + 1], ring[:k - k0 + 1], y)
     return y
+
+
+def _gemm_add(a, b, out):
+    """out += a @ b, one matrix product per SLAB columns, so that b is read
+    once for every row of out."""
+    for s in range(0, out.shape[1], SLAB):
+        out[:, s:s + SLAB] += a @ b[:, s:s + SLAB]
 
 
 def _clenshaw(L, ub, theta, blocks):
@@ -153,28 +161,35 @@ def _clenshaw(L, ub, theta, blocks):
     with Lt = (2 / ub) L - I.
 
     Clenshaw's recurrence b_k = 2 Lt b_(k+1) - b_(k+2) + u_k runs in place
-    on three rotating buffers; the sum is Lt b_1 - b_2 + u_0.
+    on two buffers, b_k in row k % 2 of b; the sum is Lt b_1 - b_2 + u_0.
+    The mixtures come two steps at a time: after the step that leaves
+    2 Lt b_(k+1) - b_(k+2) in one row, one product adds u_k into it and
+    takes u_(k-1) from the other row, which holds b_(k+1). The next step
+    reads that row only as prev, so it yields b_(k-1) complete.
     """
-    b1 = np.zeros(L.n)
-    b2 = np.zeros(L.n)
-    u = np.empty(L.n)
-    for k in range(theta.shape[1] - 1, 0, -1):
-        L.matvec(b1, out=b2, interval=ub, prev=b2)
-        b2 += np.dot(theta[:, k], blocks, out=u)
-        b1, b2 = b2, b1
-    # Lt b_1 - b_2 is half a step applied to 2 b_2; halving is exact
-    b2 *= 2.0
-    y = L.matvec(b1, out=b2, interval=ub, prev=b2)
-    y *= 0.5
-    y += np.dot(theta[:, 0], blocks, out=u)
-    return y
+    K = theta.shape[1] - 1
+    b = np.zeros((2, L.n))
+    pair = np.empty((2, theta.shape[0]))
+    for k in range(K, 0, -1):
+        L.matvec(b[(k + 1) % 2], out=b[k % 2], interval=ub, prev=b[k % 2])
+        if (K - k) % 2 == 0:
+            pair[k % 2], pair[(k + 1) % 2] = theta[:, k], -theta[:, k - 1]
+            _gemm_add(pair, blocks, b)
+    if K % 2 == 0:  # u_0 had no pair
+        _gemm_add(-theta[:, :1].T, blocks, b[:1])
+    # Lt b_1 - (b_2 - u_0) is half a step applied to 2 (b_2 - u_0); halving
+    # is exact
+    b[0] *= 2.0
+    L.matvec(b[1], out=b[0], interval=ub, prev=b[0])
+    return 0.5 * b[0]
 
 
 def apply_filter(L, expansion, f):
     """Apply the expanded filter with the Clenshaw recurrence.
 
     Performs exactly K + 1 Laplacian matvecs. The shifted operator
-    Lt = (2 / interval_ub) L - I is applied implicitly; no matrix is formed.
+    Lt = (2 / interval_ub) L - I is applied through the operator's step
+    and is never formed here.
     """
     _check_interval(L, expansion.interval_ub)
     f = np.asarray(f, dtype=np.float64)
@@ -226,8 +241,9 @@ def sgwt_inverse_fast(L, coeffs, pou, K=100, jackson=True, M=None):
     """Approximate synthesis transform, fused over scales.
 
     Runs one Clenshaw recurrence whose scalar coefficients are replaced by
-    the per-step mixtures u_k = sum_j theta_jk eta_j, which equals summing
-    the per-scale filter applications but costs K + 1 matvecs total.
+    the mixtures u_k = sum_j theta_jk eta_j, formed two steps at a time,
+    which equals summing the per-scale filter applications but costs K + 1
+    matvecs total.
     """
     if coeffs.n != L.n or coeffs.J != pou.J:
         raise ValueError("coefficient dimensions do not match operator/partition")

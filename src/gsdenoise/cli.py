@@ -203,6 +203,8 @@ def _cmd_denoise(args):
     print("thresholds=" + ",".join(repr(t) for t in report["thresholds"]))
     for stage, ms in report["timings_ms"].items():
         print(f"wall_ms_{stage}={ms:.3f}")
+    for stage, count in report["matvecs"].items():
+        print(f"matvecs_{stage}={count}")
     return 0
 
 

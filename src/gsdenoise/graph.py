@@ -3,8 +3,8 @@
 Graphs are stored in compressed adjacency form (CSR of the symmetric weighted
 adjacency matrix). Laplacians act through ``LaplacianOperator.matvec`` in
 O(m + n) per application, with one sparse kernel, scipy's CSR product, over
-the graph's own arrays; only a long run of Chebyshev steps on one interval
-(the Monte-Carlo weights) materializes its shifted operator, for the length
+the graph's own arrays; the Monte-Carlo weights and a request's synthesis
+materialize the shifted operator of their Chebyshev steps, for the length
 of that run (``LaplacianOperator.assembled``). Each operator carries a
 bound on its largest eigenvalue: Lanczos's top Ritz value times 1.01,
 capped by Gershgorin's proven bound (2 max(degrees), or 2 for the
@@ -329,8 +329,12 @@ class LaplacianOperator:
     diag, post and pre scalars or n-vectors (post and pre None for 1), so
     one code path applies all three, over the graph's own arrays. Inside
     :meth:`assembled`, the Chebyshev steps on one interval run instead on a
-    CSR matrix of the shifted operator, built once; only the probe loop of
-    the Monte-Carlo weights, N K steps on one operator, pays for it.
+    CSR matrix of the shifted operator, built once. The probe loop of the
+    Monte-Carlo weights (N K steps) and a denoising request's synthesis
+    (K + 1 steps, once the coefficients it no longer needs are freed) pay
+    for it; the analysis keeps the zero-copy step, so that its
+    coefficients, and the thresholds picked from them, are bitwise those
+    of a bare ``chebyshev.sgwt_forward_fast``.
     """
 
     graph: SparseGraph
@@ -422,13 +426,14 @@ class LaplacianOperator:
         """Within the context, run every Chebyshev step on [0, ub] as one
         CSR product over the step matrix of :meth:`_step_matrix`.
 
-        The matrix is built on entry and dropped on exit. It costs about
-        6.5 signal vectors on a degree-4 grid, so only a loop of many steps
-        on one operator should hold it; a single transform keeps the
-        zero-copy step.
+        The matrix is built on entry and dropped on exit; a context nested
+        in one already open on the same interval reuses its matrix. It costs
+        about 6.5 signal vectors on a degree-4 grid, so it is opened only
+        where that memory is free or many steps pay for it.
         """
         prior = self._assembled
-        self._assembled = (ub, self._step_matrix(ub))
+        if prior is None or prior[0] != ub:
+            self._assembled = (ub, self._step_matrix(ub))
         try:
             yield self
         finally:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
+from .chebyshev import (chebyshev_interval, sgwt_forward_fast,
+                        sgwt_inverse_fast)
 from .frame import POU_KINDS, PartitionOfUnity
 from .graph import VARIANTS, laplacian, spectral_cap
 from .sure import (DISTRIBUTIONS, estimate_diagonal_weights, sure_value)
@@ -120,7 +121,9 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     """Denoise a signal; returns (estimate, report).
 
     The report carries the per-scale thresholds, the attained SURE value,
-    per-stage wall times in ms, the cache disposition (`hit`, `miss`, or
+    per-stage wall times in ms, the Laplacian matvecs of the `weights`,
+    `forward` and `inverse` stages (`matvecs`: N K, K and K + 1, with 0 for
+    reused weights), the cache disposition (`hit`, `miss`, or
     `mismatch-recomputed` with a warning), and where the spectral bound
     came from with what it cost (`bound`: `source`, `matvecs`, `ms`).
     Everything except the timings is deterministic in (config, seeds).
@@ -167,7 +170,10 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
                                         c=config.c)
     timings["setup"] = 1e3 * (time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
+    # matvecs are deltas: the counter is never reset, as callers may be
+    # counting too
+    matvecs = {}
+    t0, m0 = time.perf_counter(), L.matvec_count
     expected = weight_fingerprint(graph_hash, pou, config)
     if weights is not None and weights.fingerprint() == expected:
         report["cache"] = "hit"
@@ -185,13 +191,18 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
             dist=config.distribution, seed=config.seed,
             graph_hash=graph_hash)
     timings["weights"] = 1e3 * (time.perf_counter() - t0)
+    matvecs["weights"] = L.matvec_count - m0
 
     # after the weights, so that the step matrix their estimate builds is
-    # never held beside the J + 1 coefficient blocks
-    t0 = time.perf_counter()
+    # never held beside the J + 1 coefficient blocks. The zero-copy step
+    # here keeps the coefficients bitwise those of a bare forward
+    # transform: each threshold is one of their magnitudes, so one ulp
+    # would move a kink term of SURE.
+    t0, m0 = time.perf_counter(), L.matvec_count
     coeffs = sgwt_forward_fast(L, noisy, pou, K=config.K,
                                jackson=config.jackson)
     timings["forward"] = 1e3 * (time.perf_counter() - t0)
+    matvecs["forward"] = L.matvec_count - m0
 
     t0 = time.perf_counter()
     policy = select_thresholds_sure(coeffs, weights, config.sigma,
@@ -204,10 +215,15 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
                       weights.diag)
     timings["apply"] = 1e3 * (time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    estimate = sgwt_inverse_fast(L, thresholded, pou, K=config.K,
-                                 jackson=config.jackson)
+    # freed first, so that the step matrix takes their place: the
+    # synthesis then runs on it below the peak of the stages above
+    del coeffs, derivs
+    t0, m0 = time.perf_counter(), L.matvec_count
+    with L.assembled(chebyshev_interval(L)):
+        estimate = sgwt_inverse_fast(L, thresholded, pou, K=config.K,
+                                     jackson=config.jackson)
     timings["inverse"] = 1e3 * (time.perf_counter() - t0)
+    matvecs["inverse"] = L.matvec_count - m0
 
     report.update(
         thresholds=[float(t) for t in policy.thresholds],
@@ -218,5 +234,6 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
         lambda_ub=float(L.lambda_ub),
         fingerprint=expected,
         timings_ms=timings,
+        matvecs=matvecs,
     )
     return estimate, report

@@ -139,7 +139,8 @@ def sure_value(coeffs, thresholded, derivs, sigma, weights_diag):
     """Stein unbiased risk estimate for a coordinate-wise thresholding map.
 
     -n sigma^2 + ||h(F) - F||^2 + 2 sigma^2 sum_i gamma2_ii d_i h_i(F),
-    where n is the node count (not the coefficient count).
+    where n is the node count (not the coefficient count). The residual is
+    summed one scale block at a time, into one signal-sized buffer.
     """
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive and finite")
@@ -151,8 +152,13 @@ def sure_value(coeffs, thresholded, derivs, sigma, weights_diag):
     if not (vals.shape == thr.shape == derivs.shape == weights_diag.shape):
         raise ValueError("coefficients, thresholded values, derivatives and "
                          "weights must all have length n(J+1)")
-    resid = thr - vals
-    return (-coeffs.n * sigma ** 2 + float(resid @ resid)
+    n = coeffs.n
+    resid = np.empty(n)
+    loss = 0.0
+    for s in range(0, vals.size, n):
+        np.subtract(thr[s:s + n], vals[s:s + n], out=resid)
+        loss += float(resid @ resid)
+    return (-n * sigma ** 2 + loss
             + 2.0 * sigma ** 2 * float(weights_diag @ derivs))
 
 

@@ -31,14 +31,16 @@ def _ratio_pow(t, absx, beta):
     """(t / |x|)^beta with the |x| = 0 entries masked to 0.
 
     Ratios above 1 only ever feed a shrinkage factor that is clamped to 0,
-    so they are capped at 2 to keep large beta from overflowing.
+    so they are capped at 2 to keep large beta from overflowing. Computed
+    in place: the zero mask is the only temporary.
     """
     out = np.zeros_like(absx)
-    nz = absx > 0
     if t == 0:
         return out
     with np.errstate(over="ignore"):  # inf ratios are capped right after
-        out[nz] = np.minimum(t / absx[nz], 2.0) ** beta
+        np.divide(t, absx, out=out, where=absx > 0)
+        np.minimum(out, 2.0, out=out)
+        out **= beta
     return out
 
 

@@ -100,6 +100,22 @@ def test_assembled_context_drops_the_matrix_on_exit():
     assert _close(other, L.matvec(x, interval=3.0))
 
 
+def test_nested_assembled_context_reuses_an_open_matrix():
+    L = laplacian(grid_graph(4, 5))
+    ub = chebyshev_interval(L)
+    with L.assembled(ub):
+        outer = L._assembled
+        with L.assembled(ub):
+            assert L._assembled[1] is outer[1]
+        assert L._assembled is outer
+        # another interval builds its own, and the outer one comes back
+        with L.assembled(2 * ub):
+            assert L._assembled[0] == 2 * ub
+            assert L._assembled[1] is not outer[1]
+        assert L._assembled is outer
+    assert L._assembled is None
+
+
 @pytest.mark.parametrize("itype", [np.int32, np.int64])
 def test_csr_matvec_adds_into_out(itype):
     g = random_connected_graph(40, seed=3)

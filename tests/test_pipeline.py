@@ -2,13 +2,16 @@
 
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gsdenoise.chebyshev import sgwt_forward_fast
 from gsdenoise.cli import main
 from gsdenoise.frame import PartitionOfUnity
 from gsdenoise.graph import (
+    VARIANTS,
     grid_graph,
     laplacian,
     random_connected_graph,
@@ -20,7 +23,8 @@ from gsdenoise.pipeline import PipelineConfig, denoise_pipeline
 from gsdenoise.signals import SignalSpec, read_signal, snr, synth_signal, \
     write_signal
 from gsdenoise.sure import estimate_diagonal_weights, load_weights, \
-    save_weights
+    save_weights, sure_value
+from gsdenoise.threshold import ThresholdPolicy, apply_policy
 
 
 def _graph_and_signal(n=120, seed=3):
@@ -250,6 +254,73 @@ def test_report_carries_scale_count_and_bound():
     assert report["lambda_ub"] > 0
 
 
+def test_report_counts_matvecs_per_stage():
+    g = grid_graph(20, 20)
+    f = np.random.default_rng(1).standard_normal(g.n)
+    config = PipelineConfig(K=30, N=4, sigma=1.0)
+    _, cold = denoise_pipeline(g, f, config)
+    assert cold["matvecs"] == {"weights": 4 * 30, "forward": 30,
+                               "inverse": 31}
+    # deltas of a counter that is never reset
+    L = laplacian(g)
+    L.matvec_count = 1000
+    pou = PartitionOfUnity.for_operator(L)
+    weights = estimate_diagonal_weights(L, pou, K=30, N=4,
+                                        graph_hash=g.content_hash())
+    _, warm = denoise_pipeline(g, f, config, weights=weights, operator=L)
+    assert warm["matvecs"] == {"weights": 0, "forward": 30, "inverse": 31}
+    assert L.matvec_count == 1000 + 4 * 30 + 30 + 31
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_reported_sure_is_that_of_a_bare_forward_transform(variant):
+    # each threshold is one of the coefficient magnitudes, so coefficients
+    # one ulp away from a bare forward transform's would move a kink term
+    g = random_connected_graph(400, seed=3)
+    f = synth_signal(g, SignalSpec(0.05, 3, seed=1))
+    noisy = f + 0.4 * np.random.default_rng(2).standard_normal(g.n)
+    config = PipelineConfig(variant=variant, K=60, N=4, sigma=0.4)
+    _, report = denoise_pipeline(g, noisy, config)
+    L = laplacian(g, variant, lambda_ub=report["lambda_ub"])
+    pou = PartitionOfUnity.for_operator(L)
+    coeffs = sgwt_forward_fast(L, noisy, pou, K=config.K)
+    weights = estimate_diagonal_weights(L, pou, K=config.K, N=config.N)
+    policy = ThresholdPolicy(config.beta, report["thresholds"])
+    thresholded, derivs = apply_policy(coeffs, policy)
+    sure = sure_value(coeffs, thresholded, derivs, config.sigma,
+                      weights.diag)
+    assert sure == pytest.approx(report["sure"], rel=1e-12, abs=0)
+
+
+def test_pipeline_peak_memory_in_signal_vectors():
+    # a cold request peaks in apply: coefficients, weights, thresholded
+    # values, derivatives and a block's temporaries (29.2 vectors measured;
+    # 22.1 with the operator and weights passed in). The synthesis's step
+    # matrix is built after the coefficients and derivatives are freed.
+    config = PipelineConfig(N=2, sigma=1.0)
+    # warms the caches: the 30x30 grid has the same bound, 8, as 300x300
+    denoise_pipeline(grid_graph(30, 30), np.ones(900), config)
+    g = grid_graph(300, 300)
+    noisy = np.random.default_rng(0).standard_normal(g.n)
+
+    def peak(**kw):
+        tracemalloc.start()
+        try:
+            denoise_pipeline(g, noisy, config, **kw)
+            return tracemalloc.get_traced_memory()[1] / (8 * g.n)
+        finally:
+            tracemalloc.stop()
+
+    cold = peak()
+    L = laplacian(g)
+    weights = estimate_diagonal_weights(L, PartitionOfUnity.for_operator(L),
+                                        N=config.N,
+                                        graph_hash=g.content_hash())
+    reuse = peak(operator=L, weights=weights)
+    assert cold <= 30
+    assert reuse <= 24
+
+
 def test_operator_reuse_must_match_graph():
     g, f = _graph_and_signal(40)
     other = laplacian(random_geometric_graph(40, seed=9), "unnormalized")
@@ -301,6 +372,8 @@ def test_cli_synth_sanitize_denoise_eval(workspace, capsys):
     out = capsys.readouterr().out
     assert "cache=miss" in out and "sure=" in out
     assert "wall_ms_forward=" in out
+    assert "matvecs_weights=1000\nmatvecs_forward=100\nmatvecs_inverse=101\n" \
+        in out
 
     assert main(["eval", fpath, dpath]) == 0
     line = capsys.readouterr().out
