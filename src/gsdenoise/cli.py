@@ -205,6 +205,7 @@ def _cmd_denoise(args):
         print(f"wall_ms_{stage}={ms:.3f}")
     for stage, count in report["matvecs"].items():
         print(f"matvecs_{stage}={count}")
+    print(f"peak_rss_mb={report['peak_rss_mb']}")
     return 0
 
 

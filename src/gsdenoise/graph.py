@@ -10,6 +10,11 @@ bound on its largest eigenvalue: Lanczos's top Ritz value times 1.01,
 capped by Gershgorin's proven bound (2 max(degrees), or 2 for the
 normalized and random-walk variants). Lanczos stops early, and returns the
 cap, as soon as the estimate reaches the cap: 12 matvecs on the 300x300 grid.
+
+Graphs come from records (``build_graph``), from CSR arrays (``from_csr``),
+from the generators, or from text edge lists (``read_edgelist``), which
+are parsed by numpy passes over the file's bytes with no Python object per
+token, into the graph ``build_graph`` makes of the same records.
 """
 
 import hashlib
@@ -129,6 +134,15 @@ def _assemble(rows, cols, w, n, labels):
     return SparseGraph(n, offsets, cols, w, labels=labels)
 
 
+def _check_record(rec, u, v, w):
+    """Reject a self-loop, then a weight outside (0, inf), naming rec."""
+    if u == v:
+        raise ValueError(f"self-loop rejected: {rec!r}")
+    if not 0 < w < math.inf:
+        raise ValueError(f"non-positive or non-finite weight rejected: "
+                         f"{rec!r}")
+
+
 def build_graph(edge_records):
     """Build a SparseGraph from (u, v[, weight]) records.
 
@@ -148,11 +162,7 @@ def build_graph(edge_records):
         else:
             u, v, w = rec
         w = float(w)
-        if u == v:
-            raise ValueError(f"self-loop rejected: {rec!r}")
-        if not 0 < w < math.inf:
-            raise ValueError(f"non-positive or non-finite weight rejected: "
-                             f"{rec!r}")
+        _check_record(rec, u, v, w)
         for node in (u, v):
             if node not in index:
                 index[node] = len(labels)
@@ -195,35 +205,186 @@ def from_csr(n, offsets, indices, weights, labels=None, validate=True):
     return g
 
 
+# A bytes.translate table that maps the bytes str.split() takes for
+# whitespace to 0 and all others to 1. Of those, b"\n" also ends a line.
+# The wider whitespace characters of _WIDE_SPACES are turned into spaces
+# before the text is encoded.
+_TOKEN = bytes(b not in b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+               for b in range(256))
+_WIDE_SPACES = dict.fromkeys([0x85, 0xa0, 0x1680, *range(0x2000, 0x200b),
+                              0x2028, 0x2029, 0x202f, 0x205f, 0x3000], " ")
+
+
+def _padded(buf, starts, lens, width):
+    """The tokens of buf at starts, lens bytes each, as the rows of a
+    (count, width) byte matrix, left-aligned and padded with spaces."""
+    rows = np.full((starts.size, width), ord(" "), dtype=np.uint8)
+    for k in range(int(lens.max(initial=0))):
+        rows[:, k] = np.where(lens > k, buf.take(starts + k, mode="clip"),
+                              ord(" "))
+    return rows
+
+
+def _groups(widths):
+    """Token indices by width, one array per width, each in token order."""
+    if not widths.size:
+        return []
+    by = np.argsort(widths, kind="stable")
+    return np.split(by, np.flatnonzero(np.diff(widths[by])) + 1)
+
+
+def _floats(buf, starts, lens):
+    """float() of each token, by one numpy cast of the tokens of each
+    length as byte strings; returns (values, None), or (None, i) for the
+    first token that float() rejects.
+
+    Every token is followed by a space, since the cast would take a
+    trailing NUL for padding. The cast reads ASCII only: when it fails,
+    float() looks for the bad token, and converts the digits outside
+    ASCII that it reads if there is none.
+    """
+    values = np.empty(starts.size)
+    try:
+        for group in _groups(lens):
+            width = int(lens[group[0]]) + 1
+            tokens = _padded(buf, starts[group], lens[group], width)
+            values[group] = tokens.view(f"S{width}").ravel().astype(float)
+        return values, None
+    except ValueError:
+        pass
+    for i, (start, size) in enumerate(zip(starts.tolist(), lens.tolist())):
+        try:
+            values[i] = float(buf[start:start + size].tobytes().decode())
+        except ValueError:
+            return None, i
+    return values, None
+
+
+def _number_labels(buf, starts, lens):
+    """Node index of each label token, numbered in order of first
+    appearance, and the labels in that order.
+
+    Each token becomes a space-padded key: a uint64 for labels of up to 7
+    bytes, else a byte string one byte longer than the label. Labels hold
+    no whitespace, so no key is another label's, and the labels come back
+    from the keys of their first appearances by one split. Tokens are
+    keyed by key width, so that one long label does not widen every key;
+    labels of different widths differ. A label's first appearance is the
+    minimum over its tokens, not np.unique's return_index, whose stable
+    sort takes three times as long.
+    """
+    widths = np.where(lens < 8, 8, lens + 1)
+    inverse = np.empty(lens.size, dtype=np.intp)
+    firsts, labels = [], []
+    for group in _groups(widths):
+        width = int(widths[group[0]])
+        keys = _padded(buf, starts[group], lens[group], width)
+        _, inv = np.unique(
+            keys.view(np.uint64 if width == 8 else f"S{width}").ravel(),
+            return_inverse=True)
+        first = np.full(inv.max() + 1, inv.size)
+        np.minimum.at(first, inv, np.arange(inv.size))
+        inverse[group] = inv + len(labels)
+        labels += keys[first].tobytes().decode().split()
+        firsts.append(group[first])
+        del keys, inv
+    order = np.argsort(np.concatenate(firsts))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], [labels[i] for i in order.tolist()]
+
+
 def read_edgelist(path):
     """Read the text edge-list format: one ``u v [w]`` per line.
 
-    Lines starting with ``#`` and blank lines are skipped; weight defaults
-    to 1.0.
+    A line's tokens are those of ``str.split()``. Blank lines, and lines
+    whose first token starts with ``#``, are skipped wherever they are;
+    every other line holds 2 or 3 tokens, and the weight defaults to 1.0.
+    Labels are strings, numbered in order of first appearance, so the graph
+    is the one :func:`build_graph` makes of the lines' records, with the
+    same errors in the same order: a malformed line or a bad weight first,
+    in line order, naming the file and the line; then the first self-loop
+    or non-positive or non-finite weight; then an empty list.
+
+    The text is parsed by numpy passes over its bytes, with no Python
+    object per token, and each pass's arrays are freed before the final
+    assembly, which then sets the peak: about 7.5 times the file's size
+    under tracemalloc on the files :func:`write_edgelist` writes.
     """
-    records = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) == 2:
-                records.append((parts[0], parts[1], 1.0))
-            elif len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad weight {parts[2]!r}") from None
-                records.append((parts[0], parts[1], w))
-            else:
-                raise ValueError(f"{path}:{lineno}: expected 'u v [w]', "
-                                 f"got {line!r}")
-    return build_graph(records)
+        text = fh.read()
+    if not text.isascii():
+        text = text.translate(_WIDE_SPACES)
+    data = text.encode()
+    del text
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # the bytes' token flags, padded with a 0 on either side, flip at the
+    # start of each token and again after its end
+    flips = np.flatnonzero(np.diff(
+        np.frombuffer(data.translate(_TOKEN), dtype=bool),
+        prepend=False, append=False))
+    starts, ends = flips[0::2], flips[1::2]
+    line = np.searchsorted(np.flatnonzero(buf == ord("\n")), starts)
+    heads = np.flatnonzero(np.diff(line, prepend=-1))  # first token of a line
+    counts = np.diff(heads, append=starts.size)
+    linenos = line[heads] + 1
+    del line
+    comment = buf[starts[heads]] == ord("#")
+    edge = ~comment & ((counts == 2) | (counts == 3))
+    malformed = linenos[~comment & ~edge]
+    heads, linenos, weighted = heads[edge], linenos[edge], counts[edge] == 3
+    del counts, comment, edge
+    # the u and v tokens of each edge line, interleaved, then the weights
+    pair = np.repeat(heads, 2)
+    pair[1::2] += 1
+    lstart = starts[pair]
+    llen = ends[pair] - lstart
+    wtok = heads[weighted] + 2
+    wstart = starts[wtok]
+    wlen = ends[wtok] - wstart
+    del flips, starts, ends, pair, wtok, heads
+    values, bad = _floats(buf, wstart, wlen)
+    if bad is not None:
+        at = int(linenos[weighted][bad])
+        if not malformed.size or at < malformed[0]:
+            token = data[wstart[bad]:wstart[bad] + wlen[bad]].decode()
+            raise ValueError(f"{path}:{at}: bad weight {token!r}")
+    if malformed.size:
+        at = int(malformed[0])
+        with open(path) as fh:  # for the line as written
+            line = fh.read().split("\n")[at - 1].strip()
+        raise ValueError(f"{path}:{at}: expected 'u v [w]', got {line!r}")
+    if not linenos.size:
+        raise ValueError("empty edge list")
+    del wstart, wlen, malformed, linenos
+    ids, labels = _number_labels(buf, lstart, llen)
+    del buf, data, lstart, llen
+    us, vs = ids[0::2], ids[1::2]
+    w = np.ones(us.size)
+    w[weighted] = values
+    del values, weighted
+    bad = (us == vs) | ~((w > 0) & (w < math.inf))
+    if bad.any():
+        r = int(np.argmax(bad))
+        u, v, wr = labels[us[r]], labels[vs[r]], float(w[r])
+        _check_record((u, v, wr), u, v, wr)
+    del bad
+    return _assemble(us, vs, w, len(labels), labels)
 
 
 def write_edgelist(g, path):
+    """Write g as text, one ``u v w`` line per undirected edge.
+
+    Labels are written by str(). One whose str() is empty, holds
+    whitespace or starts with ``#`` would not read back as one label, so
+    it is refused before the file is opened.
+    """
+    for label in g.labels or ():
+        s = str(label)
+        if s.split() != [s] or s.startswith("#"):
+            raise ValueError(
+                f"label {label!r} cannot be read back from an edge list: "
+                "its str() is empty, holds whitespace or starts with '#'")
     labels = g.labels if g.labels is not None else list(range(g.n))
     rows = _entry_rows(g)
     with open(path, "w") as fh:
@@ -293,8 +454,7 @@ def random_connected_graph(n, extra_edges=None, seed=0, weighted=True):
     if n < 2:
         raise ValueError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
-    parents = np.array([rng.integers(0, i) for i in range(1, n)],
-                       dtype=np.int64)
+    parents = rng.integers(0, np.arange(1, n))
     r = [np.arange(1, n, dtype=np.int64)]
     c = [parents]
     if extra_edges is None:

@@ -117,6 +117,27 @@ def _cached_bound(weights, graph, graph_hash, variant, warnings):
     return None
 
 
+# where Linux reports a process's memory, VmHWM among it
+PROC_STATUS = "/proc/self/status"
+
+
+def _peak_rss_mb():
+    """The process's peak resident set size so far (VmHWM), in MB, or None
+    where PROC_STATUS does not exist.
+
+    Not ``ru_maxrss``: a child started by vfork and exec inherits its
+    parent's high-water mark there.
+    """
+    try:
+        with open(PROC_STATUS) as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except FileNotFoundError:
+        pass
+    return None
+
+
 def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     """Denoise a signal; returns (estimate, report).
 
@@ -125,8 +146,10 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     `forward` and `inverse` stages (`matvecs`: N K, K and K + 1, with 0 for
     reused weights), the cache disposition (`hit`, `miss`, or
     `mismatch-recomputed` with a warning), and where the spectral bound
-    came from with what it cost (`bound`: `source`, `matvecs`, `ms`).
-    Everything except the timings is deterministic in (config, seeds).
+    came from with what it cost (`bound`: `source`, `matvecs`, `ms`), and
+    the process's peak RSS at the end of the call (`peak_rss_mb`, None
+    where the system does not report it). Everything except the timings
+    and the peak RSS is deterministic in (config, seeds).
 
     The bound comes from, in order: `operator`, an already-built
     LaplacianOperator for the same graph and variant (`source` is
@@ -235,5 +258,6 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
         fingerprint=expected,
         timings_ms=timings,
         matvecs=matvecs,
+        peak_rss_mb=_peak_rss_mb(),
     )
     return estimate, report

@@ -76,60 +76,99 @@ def write_signal(path, values, header=None):
     with open(path, "w") as fh:
         for key, val in (header or {}).items():
             fh.write(f"# {key} = {val}\n")
-        for v in values:
-            fh.write(f"{float(v)!r}\n")
+        if values.size:
+            fh.write("\n".join(map(repr, values.tolist())))
+            fh.write("\n")
+
+
+def _header_line(line, header):
+    """Record a stripped `# key = value` line in header; other comments are
+    skipped."""
+    body = line[1:].strip()
+    if "=" in body:
+        key, _, val = body.partition("=")
+        header[key.strip()] = val.strip()
 
 
 def read_signal(path, graph=None):
     """Read a signal file; returns (values, header dict).
 
-    Bare lines hold one real whose row index is the node index. Lines of
-    the form `label,value` are resolved through the graph's label map and
-    require the graph argument; unnamed nodes default to 0. Header values
+    Blank lines are skipped, and `#` lines anywhere are header lines
+    (`# key = value`) or comments. Bare lines hold one real whose row index
+    is the node index. Lines of the form `label,value` are resolved through
+    the graph's label map and require the graph argument; unnamed nodes
+    default to 0, and a label given twice is rejected. A malformed value,
+    or a label given twice, names the file and the line. Header values
     stay strings; callers coerce what they need.
+
+    A body of bare values after the header, the layout `write_signal`
+    gives, is converted by one call; any other body is read line by line.
     """
-    header = {}
-    bare = []
-    labelled = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        lines = fh.read().split("\n")
+    header = {}
+    first = len(lines)
+    for i, line in enumerate(lines):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            first = i
+            break
+        if line:
+            _header_line(line, header)
+    last = len(lines)
+    while last > first and not lines[last - 1].strip():
+        last -= 1
+    try:
+        values = np.array(lines[first:last], dtype=np.float64)
+    except ValueError:  # another layout, or a bad line: read line by line
+        values = None
+    if values is None:
+        bare, labelled = [], []
+        for lineno, line in enumerate(lines[first:], first + 1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    header[key.strip()] = val.strip()
+                _header_line(line, header)
                 continue
-            if "," in line:
-                label, _, val = line.partition(",")
-                try:
-                    labelled.append((label.strip(), float(val)))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad value in {line!r}") from None
-            else:
-                try:
+            label, comma, val = line.partition(",")
+            try:
+                if comma:
+                    labelled.append((lineno, label.strip(), float(val)))
+                else:
                     bare.append(float(line))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: bad value in {line!r}") from None
-    if labelled and bare:
-        raise ValueError(f"{path}: mixed bare and label,value lines")
-    if labelled:
-        if graph is None:
-            raise ValueError(
-                f"{path}: label,value lines need a graph to resolve labels")
-        index = graph.label_index()
-        values = np.zeros(graph.n)
-        for label, val in labelled:
-            if label not in index:
-                raise ValueError(f"{path}: unknown node label {label!r}")
-            values[index[label]] = val
-        return values, header
-    values = np.asarray(bare, dtype=np.float64)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: bad value in {line!r}") from None
+        if labelled and bare:
+            raise ValueError(f"{path}: mixed bare and label,value lines")
+        if labelled:
+            return _resolve_labels(path, labelled, graph), header
+        values = np.asarray(bare, dtype=np.float64)
     if graph is not None and values.size != graph.n:
         raise ValueError(
             f"{path}: {values.size} values for a graph with {graph.n} nodes")
     return values, header
+
+
+def _resolve_labels(path, labelled, graph):
+    """The signal of (lineno, label, value) lines on graph's nodes, in one
+    lookup pass; unnamed nodes are 0."""
+    if graph is None:
+        raise ValueError(
+            f"{path}: label,value lines need a graph to resolve labels")
+    index = graph.label_index()
+    seen = {}
+    nodes = []
+    for lineno, label, _ in labelled:
+        node = index.get(label)
+        if node is None:
+            raise ValueError(f"{path}: unknown node label {label!r}")
+        if label in seen:
+            raise ValueError(f"{path}:{lineno}: node label {label!r} given "
+                             f"twice, first on line {seen[label]}")
+        seen[label] = lineno
+        nodes.append(node)
+    values = np.zeros(graph.n)
+    values[nodes] = [val for _, _, val in labelled]
+    return values

@@ -2,10 +2,21 @@
 
 Tests marked ``acceptance(num, title)`` are the release gate; their
 outcomes are replayed as one line per criterion at the end of the run so
-the gate is readable without scrolling the full test log.
+the gate is readable without scrolling the full test log. The hypothesis
+profile ``ci`` is loaded when the ``CI`` environment variable is set.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
+
+# GitHub Actions sets CI: every CI run then draws the same examples, and a
+# failure there reproduces with CI=1
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 _RESULTS = {}
 

@@ -15,6 +15,7 @@ from gsdenoise.frame import PartitionOfUnity, exact_eigendecomposition
 from gsdenoise.graph import (
     LaplacianOperator,
     SparseGraph,
+    _assemble,
     _top_eigenvalue,
     build_graph,
     estimate_spectral_bound,
@@ -173,6 +174,30 @@ def test_random_graph_weights_bounded_below():
     u = random_connected_graph(50, seed=2, weighted=False)
     assert np.all(u.weights == np.round(u.weights))  # sums of unit draws
     assert u.weights.min() >= 1.0
+
+
+def scalar_random_connected_graph(n, seed, weighted):
+    """random_connected_graph with one generator call per tree parent."""
+    rng = np.random.default_rng(seed)
+    parents = np.array([rng.integers(0, i) for i in range(1, n)],
+                       dtype=np.int64)
+    eu = rng.integers(0, n, size=n)
+    ev = rng.integers(0, n, size=n)
+    keep = eu != ev
+    r = np.concatenate([np.arange(1, n, dtype=np.int64), eu[keep]])
+    c = np.concatenate([parents, ev[keep]])
+    w = rng.uniform(0.5, 2.0, size=r.size) if weighted else np.ones(r.size)
+    return _assemble(r, c, w, n, None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 1000])
+@pytest.mark.parametrize("weighted", [True, False])
+def test_random_graph_tree_parents_drawn_as_one_per_call(n, weighted):
+    for seed in range(5):
+        assert (random_connected_graph(n, seed=seed, weighted=weighted)
+                .content_hash()
+                == scalar_random_connected_graph(n, seed, weighted)
+                .content_hash())
 
 
 def test_content_hash_tracks_structure_and_weights():

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from gsdenoise.graph import (
     read_edgelist,
     write_edgelist,
 )
+from gsdenoise import pipeline
 from gsdenoise.pipeline import PipelineConfig, denoise_pipeline
 from gsdenoise.signals import SignalSpec, read_signal, snr, synth_signal, \
     write_signal
@@ -321,6 +323,25 @@ def test_pipeline_peak_memory_in_signal_vectors():
     assert reuse <= 24
 
 
+def _status_mb(field):
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(field + ":"):
+                return int(line.split()[1]) / 1024.0
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="VmHWM is read from Linux's /proc/self/status")
+def test_report_carries_the_process_peak_rss(monkeypatch, tmp_path):
+    g = grid_graph(12, 12)
+    before = _status_mb("VmHWM")
+    _, report = denoise_pipeline(g, np.ones(g.n), PipelineConfig(sigma=0.5))
+    assert before <= report["peak_rss_mb"] <= _status_mb("VmHWM")
+    monkeypatch.setattr(pipeline, "PROC_STATUS", str(tmp_path / "absent"))
+    _, report = denoise_pipeline(g, np.ones(g.n), PipelineConfig(sigma=0.5))
+    assert report["peak_rss_mb"] is None
+
+
 def test_operator_reuse_must_match_graph():
     g, f = _graph_and_signal(40)
     other = laplacian(random_geometric_graph(40, seed=9), "unnormalized")
@@ -374,6 +395,7 @@ def test_cli_synth_sanitize_denoise_eval(workspace, capsys):
     assert "wall_ms_forward=" in out
     assert "matvecs_weights=1000\nmatvecs_forward=100\nmatvecs_inverse=101\n" \
         in out
+    assert "\npeak_rss_mb=" in out
 
     assert main(["eval", fpath, dpath]) == 0
     line = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Synthetic signals, SNR/MSE metrics, and the signal file format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,3 +133,24 @@ def test_malformed_value_names_the_line(tmp_path):
     path.write_text("1.0\nnot-a-number\n")
     with pytest.raises(ValueError, match=":2"):
         read_signal(path)
+
+
+def test_label_given_twice_rejected_at_its_second_line(tmp_path):
+    g = build_graph([("a", "b")])
+    path = tmp_path / "s.txt"
+    path.write_text("a,1.0\nb,2.0\na,5.0\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:3: node label 'a' given twice, first on line 1")):
+        read_signal(path, graph=g)
+
+
+def test_signal_file_bytes_match_the_per_value_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    vals = np.concatenate([
+        rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+        [0.0, -0.0, 1.0, 5e-324, math.inf, -math.inf, math.nan, 1e16]])
+    path = tmp_path / "s.txt"
+    for values in (vals, vals[:0]):
+        write_signal(path, values, header={"sigma": 2.5})
+        assert path.read_text() == "# sigma = 2.5\n" + "".join(
+            f"{float(v)!r}\n" for v in values)
