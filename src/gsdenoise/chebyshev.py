@@ -63,20 +63,17 @@ def jackson_damping(K):
             + (1.0 - (i + 1) / (K + 2)) * np.cos(i * a))
 
 
-def chebyshev_coefficients(rho, interval_ub, K, M=None):
+def chebyshev_coefficients(rho, interval_ub, K):
     """Chebyshev coefficients of the shifted filter by Gauss quadrature.
 
     theta_i = (2 - 1{i=0}) / M * sum_m rho~(cos t_m) cos(i t_m) over the
-    Chebyshev nodes t_m = pi (m - 1/2) / M, where rho~(x) =
-    rho(interval_ub / 2 * (x + 1)) lives on [-1, 1]. M defaults to
-    4 (K + 1), oversampled so the kinked band filters do not alias.
+    M = 4 (K + 1) Chebyshev nodes t_m = pi (m - 1/2) / M, where rho~(x) =
+    rho(interval_ub / 2 * (x + 1)) lives on [-1, 1]; the nodes are
+    oversampled so the kinked band filters do not alias.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if M is None:
-        M = 4 * (K + 1)
-    if M < K + 1:
-        raise ValueError(f"need at least K+1={K + 1} quadrature nodes, got {M}")
+    M = 4 * (K + 1)
     t = np.pi * (np.arange(1, M + 1) - 0.5) / M
     x = np.cos(t)
     vals = np.asarray(rho(interval_ub / 2.0 * (x + 1.0)), dtype=np.float64)
@@ -107,11 +104,10 @@ class ChebyshevExpansion:
         return np.asarray(self.theta)
 
 
-def filter_expansion(rho, L, K, jackson=True, M=None):
+def filter_expansion(rho, L, K, jackson=True):
     """Expand an arbitrary filter for direct application to an operator."""
     ub = chebyshev_interval(L)
-    return ChebyshevExpansion(chebyshev_coefficients(rho, ub, K, M=M),
-                              ub, jackson)
+    return ChebyshevExpansion(chebyshev_coefficients(rho, ub, K), ub, jackson)
 
 
 def _check_interval(L, interval_ub):
@@ -199,7 +195,7 @@ def apply_filter(L, expansion, f):
                      f[None])
 
 
-def band_expansions(L, pou, K, jackson=True, M=None):
+def band_expansions(L, pou, K, jackson=True):
     """Expansions of all J + 1 scale filters sqrt(psi_j), cached.
 
     The cache key covers everything the raw coefficients depend on; the
@@ -208,21 +204,21 @@ def band_expansions(L, pou, K, jackson=True, M=None):
     ub = chebyshev_interval(L)
     out = []
     for j in range(pou.J + 1):
-        key = (pou.kind, pou.b, pou.c, j, K, M, ub)
+        key = (pou.kind, pou.b, pou.c, j, K, ub)
         theta = _EXPANSION_CACHE.get(key)
         if theta is None:
-            theta = chebyshev_coefficients(pou.sqrt_psi(j), ub, K, M=M)
+            theta = chebyshev_coefficients(pou.sqrt_psi(j), ub, K)
             _EXPANSION_CACHE[key] = theta
         out.append(ChebyshevExpansion(theta, ub, jackson))
     return out
 
 
-def _band_coefficient_matrix(L, pou, K, jackson, M):
-    exps = band_expansions(L, pou, K, jackson=jackson, M=M)
+def _band_coefficient_matrix(L, pou, K, jackson):
+    exps = band_expansions(L, pou, K, jackson=jackson)
     return np.stack([e.coefficients() for e in exps])
 
 
-def sgwt_forward_fast(L, f, pou, K=100, jackson=True, M=None):
+def sgwt_forward_fast(L, f, pou, K=100, jackson=True):
     """Approximate analysis transform, all scales in one recurrence.
 
     The Chebyshev vectors T_k(Lt) f are generated once by the three-term
@@ -232,12 +228,12 @@ def sgwt_forward_fast(L, f, pou, K=100, jackson=True, M=None):
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (L.n,):
         raise ValueError(f"expected signal of length {L.n}, got {f.shape}")
-    theta = _band_coefficient_matrix(L, pou, K, jackson, M)
+    theta = _band_coefficient_matrix(L, pou, K, jackson)
     y = _analysis(L, chebyshev_interval(L), theta, f)
     return FrameCoefficients(y.ravel(), L.n, pou.J)
 
 
-def sgwt_inverse_fast(L, coeffs, pou, K=100, jackson=True, M=None):
+def sgwt_inverse_fast(L, coeffs, pou, K=100, jackson=True):
     """Approximate synthesis transform, fused over scales.
 
     Runs one Clenshaw recurrence whose scalar coefficients are replaced by
@@ -247,5 +243,5 @@ def sgwt_inverse_fast(L, coeffs, pou, K=100, jackson=True, M=None):
     """
     if coeffs.n != L.n or coeffs.J != pou.J:
         raise ValueError("coefficient dimensions do not match operator/partition")
-    theta = _band_coefficient_matrix(L, pou, K, jackson, M)
+    theta = _band_coefficient_matrix(L, pou, K, jackson)
     return _clenshaw(L, chebyshev_interval(L), theta, coeffs.as_blocks())

@@ -9,6 +9,7 @@ go to stderr.
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from .frame import PartitionOfUnity
 from .pipeline import PipelineConfig, denoise_pipeline
 from .privacy import MECHANISMS, PrivacyParams, calibrate_sigma, sanitize
 from .signals import SignalSpec, mse, read_signal, snr, synth_signal, write_signal
-from .sure import DISTRIBUTIONS, estimate_diagonal_weights, load_weights, save_weights
+from .sure import estimate_diagonal_weights, load_weights, save_weights
 from . import __version__
 
 BENCH_COLUMNS = ("run", "epsilon", "sigma", "snr_in", "snr_out", "sure",
@@ -26,40 +27,28 @@ BENCH_COLUMNS = ("run", "epsilon", "sigma", "snr_in", "snr_out", "sure",
                  "wall_ms_select", "wall_ms_apply", "wall_ms_inverse")
 
 
+# the PipelineConfig fields that are flags of every subcommand; sigma is
+# a flag of its own where a subcommand takes one
+_CONFIG_FIELDS = [f for f in dataclasses.fields(PipelineConfig)
+                  if f.name != "sigma"]
+
+
 def _config_parser():
-    """Parent parser whose flags mirror PipelineConfig field names."""
+    """Parent parser with one flag per PipelineConfig field but sigma,
+    spelled as the field and typed, defaulted and documented by it."""
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("pipeline configuration")
-    g.add_argument("--variant", default="unnormalized",
-                   choices=("unnormalized", "normalized", "random_walk"))
-    g.add_argument("--kind", default="linear", choices=("linear", "smooth"),
-                   help="partition-of-unity window kind")
-    g.add_argument("--b", type=float, default=2.0, help="dilation base")
-    g.add_argument("--c", type=float, default=1.0,
-                   help="smooth-window sharpness")
-    g.add_argument("--K", type=int, default=100,
-                   help="Chebyshev polynomial degree")
-    g.add_argument("--jackson", default=True,
-                   action=argparse.BooleanOptionalAction,
-                   help="Jackson damping of the Chebyshev coefficients")
-    g.add_argument("--N", type=int, default=10,
-                   help="Monte-Carlo probe count for the SURE weights")
-    g.add_argument("--distribution", default="rademacher",
-                   choices=DISTRIBUTIONS, help="probe distribution")
-    g.add_argument("--beta", type=float, default=2.0,
-                   help="thresholding exponent (1 = soft)")
-    g.add_argument("--P", type=int, default=100,
-                   help="percentile candidates per scale")
-    g.add_argument("--seed", type=int, default=0)
+    for f in _CONFIG_FIELDS:
+        kw = {"action": argparse.BooleanOptionalAction} if f.type is bool \
+            else {"type": f.type, "choices": f.metadata["choices"]}
+        g.add_argument(f"--{f.name}", default=f.default,
+                       help=f.metadata["help"], **kw)
     return p
 
 
 def _config_from(args, sigma=None):
-    return PipelineConfig(
-        variant=args.variant, kind=args.kind, b=args.b, c=args.c,
-        K=args.K, jackson=args.jackson, N=args.N,
-        distribution=args.distribution, beta=args.beta, P=args.P,
-        sigma=sigma, seed=args.seed)
+    return PipelineConfig(sigma=sigma, **{f.name: getattr(args, f.name)
+                                          for f in _CONFIG_FIELDS})
 
 
 def _build_parser():
@@ -175,12 +164,16 @@ def _cmd_sanitize(args):
 
 
 def _cmd_weights(args):
+    config = _config_from(args)
+    config.validate()
     g = read_edgelist(args.graph)
-    L = laplacian(g, args.variant)
-    pou = PartitionOfUnity.for_operator(L, kind=args.kind, b=args.b, c=args.c)
+    L = laplacian(g, config.variant)
+    pou = PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
+                                        c=config.c)
     est = estimate_diagonal_weights(
-        L, pou, K=args.K, jackson=args.jackson, N=args.N,
-        dist=args.distribution, seed=args.seed, graph_hash=g.content_hash())
+        L, pou, K=config.K, jackson=config.jackson, N=config.N,
+        dist=config.distribution, seed=config.seed,
+        graph_hash=g.content_hash())
     save_weights(args.output, est)
     print(f"n={est.n} J={est.J} N={est.N} file={args.output}")
     return 0

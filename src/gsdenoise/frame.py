@@ -146,9 +146,6 @@ class FrameCoefficients:
         """(J + 1, n) view, one row per scale."""
         return self.values.reshape(self.J + 1, self.n)
 
-    def copy(self):
-        return FrameCoefficients(self.values.copy(), self.n, self.J)
-
 
 @dataclass(eq=False)
 class EigenDecomposition:

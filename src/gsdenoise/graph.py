@@ -376,15 +376,22 @@ def write_edgelist(g, path):
     """Write g as text, one ``u v w`` line per undirected edge.
 
     Labels are written by str(). One whose str() is empty, holds
-    whitespace or starts with ``#`` would not read back as one label, so
-    it is refused before the file is opened.
+    whitespace or starts with ``#`` would not read back as one label, nor
+    would two with the same str(), so they are refused before the file is
+    opened.
     """
+    seen = {}
     for label in g.labels or ():
         s = str(label)
         if s.split() != [s] or s.startswith("#"):
             raise ValueError(
                 f"label {label!r} cannot be read back from an edge list: "
                 "its str() is empty, holds whitespace or starts with '#'")
+        if s in seen:
+            raise ValueError(f"labels {seen[s]!r} and {label!r} cannot be "
+                             "read back from an edge list: both are written "
+                             f"as {s!r}")
+        seen[s] = label
     labels = g.labels if g.labels is not None else list(range(g.n))
     rows = _entry_rows(g)
     with open(path, "w") as fh:
@@ -634,7 +641,7 @@ class LaplacianOperator:
         return out
 
 
-def laplacian(g, variant="unnormalized", lambda_ub=None, tol=1e-6, seed=0):
+def laplacian(g, variant="unnormalized", lambda_ub=None):
     """Construct the Laplacian operator with its spectral bound.
 
     When lambda_ub is not supplied it is computed by Lanczos via
@@ -644,7 +651,7 @@ def laplacian(g, variant="unnormalized", lambda_ub=None, tol=1e-6, seed=0):
     L = LaplacianOperator(g, variant)
     if lambda_ub is None:
         t0 = time.perf_counter()
-        lambda_ub = estimate_spectral_bound(L, tol=tol, seed=seed)
+        lambda_ub = estimate_spectral_bound(L)
         L.bound_ms = 1e3 * (time.perf_counter() - t0)
         L.bound_matvecs = L.matvec_count
         L.reset_matvec_count()
@@ -701,13 +708,12 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0, margin=0.01):
     and it only grows with k, since the Ritz values of consecutive steps
     interlace. The loop stops when theta's relative change drops to tol,
     or when beta_k is 0 (the Krylov space is invariant), and returns
-    theta (1 + margin); the margin covers theta's remaining shortfall,
-    which nothing here proves. The result never exceeds the cap: once
-    theta (1 + margin) reaches it the loop stops early and returns the cap,
-    the value a full run would return too, and so does a run that has not
-    stopped after n steps. The random-walk case iterates on the symmetric
-    similar form, which is exactly the normalized Laplacian of the same
-    graph; its matvecs are counted on L.
+    theta (1 + margin) or the cap, whichever is less; the margin covers
+    theta's remaining shortfall, which nothing here proves. Once
+    theta (1 + margin) reaches the cap, the loop stops early and returns
+    the cap, as a full run would. The random-walk case iterates on the
+    symmetric similar form, which is exactly the normalized Laplacian of
+    the same graph; its matvecs are counted on L.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -726,7 +732,7 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0, margin=0.01):
     v /= dot(v, v) ** 0.5
     v_prev = np.zeros(op.n)
     alphas, betas = [], []
-    beta, theta_prev, bound = 0.0, -np.inf, cap
+    beta, theta_prev = 0.0, -np.inf
     for _ in range(op.n):
         # w = L v - beta v_prev, written over v_prev
         v_prev *= beta
@@ -736,14 +742,12 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0, margin=0.01):
         theta = _top_eigenvalue(alphas, betas)
         beta = dot(w, w) ** 0.5
         betas.append(beta)
-        if theta * (1.0 + margin) >= cap:
-            break
-        if beta == 0 or abs(theta - theta_prev) <= tol * abs(theta):
-            bound = theta * (1.0 + margin)
+        if (theta * (1.0 + margin) >= cap or beta == 0
+                or abs(theta - theta_prev) <= tol * abs(theta)):
             break
         theta_prev = theta
         w /= beta
         v_prev, v = v, w
     if op is not L:
         L.matvec_count += op.matvec_count
-    return bound
+    return min(cap, theta * (1.0 + margin))

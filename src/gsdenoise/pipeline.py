@@ -17,7 +17,7 @@ bound agrees with the weights' own partition and lies under the proven cap.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,37 +25,49 @@ from .chebyshev import (chebyshev_interval, sgwt_forward_fast,
                         sgwt_inverse_fast)
 from .frame import POU_KINDS, PartitionOfUnity
 from .graph import VARIANTS, laplacian, spectral_cap
-from .sure import (DISTRIBUTIONS, estimate_diagonal_weights, sure_value)
+from .sure import (DISTRIBUTIONS, WEIGHT_FINGERPRINT,
+                   estimate_diagonal_weights, sure_value)
 from .threshold import BETA_MAX, apply_policy, select_thresholds_sure
+
+
+def _field(default, help, choices=None):
+    """A config field whose metadata gives the command line its flag."""
+    return field(default=default, metadata={"help": help, "choices": choices})
 
 
 @dataclass
 class PipelineConfig:
     """Every tunable of the denoising chain, with the defaults used
     throughout the experiments (degree-100 Chebyshev with Jackson damping,
-    10 Rademacher probes, quadratic shrinkage exponent)."""
+    10 Rademacher probes, quadratic shrinkage exponent).
 
-    variant: str = "unnormalized"
-    kind: str = "linear"
-    b: float = 2.0
-    c: float = 1.0
-    K: int = 100
-    jackson: bool = True
-    N: int = 10
-    distribution: str = "rademacher"
-    beta: float = 2.0
-    P: int = 100
-    sigma: float = None
-    seed: int = 0
+    The command line makes one flag of each field but sigma, with the type,
+    default, help and choices given here.
+    """
+
+    variant: str = _field("unnormalized", "Laplacian variant", VARIANTS)
+    kind: str = _field("linear", "partition-of-unity window kind", POU_KINDS)
+    b: float = _field(2.0, "dilation base")
+    c: float = _field(1.0, "smooth-window sharpness")
+    K: int = _field(100, "Chebyshev polynomial degree")
+    jackson: bool = _field(True, "Jackson damping of the Chebyshev "
+                                 "coefficients")
+    N: int = _field(10, "Monte-Carlo probe count for the SURE weights")
+    distribution: str = _field("rademacher", "probe distribution",
+                               DISTRIBUTIONS)
+    beta: float = _field(2.0, "thresholding exponent (1 = soft)")
+    sigma: float = _field(None, "noise scale published with the signal")
+    seed: int = _field(0, "seed of the Monte-Carlo probes, and of the "
+                          "signal or noise that synth, sanitize and bench "
+                          "draw")
 
     def validate(self):
         """Check every field against the module preconditions up front."""
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; "
-                             f"expected one of {VARIANTS}")
-        if self.kind not in POU_KINDS:
-            raise ValueError(f"unknown partition kind {self.kind!r}; "
-                             f"expected one of {POU_KINDS}")
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata["choices"]
+            if choices is not None and value not in choices:
+                raise ValueError(f"unknown {f.name} {value!r}; expected one "
+                                 f"of {choices}")
         if not self.b > 1:
             raise ValueError("b must exceed 1")
         if self.variant in ("normalized", "random_walk") and self.b > 2:
@@ -67,23 +79,16 @@ class PipelineConfig:
             raise ValueError("K must be at least 1")
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}; "
-                             f"expected one of {DISTRIBUTIONS}")
         if not 1 <= self.beta <= BETA_MAX:
             raise ValueError(f"beta must lie in [1, {BETA_MAX}]")
-        if self.P < 1:
-            raise ValueError("P must be at least 1")
         if self.sigma is not None and not 0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive and finite when given")
 
 
 def weight_fingerprint(graph_hash, pou, config):
     """Provenance string a cached weight estimate must match exactly."""
-    return (f"graph={graph_hash},variant={config.variant},"
-            f"pou={pou.fingerprint()},K={config.K},"
-            f"jackson={int(config.jackson)},N={config.N},"
-            f"dist={config.distribution},seed={config.seed}")
+    return WEIGHT_FINGERPRINT.format(graph_hash=graph_hash,
+                                     pou=pou.fingerprint(), **vars(config))
 
 
 def _cached_bound(weights, graph, graph_hash, variant, warnings):
@@ -229,7 +234,7 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
 
     t0 = time.perf_counter()
     policy = select_thresholds_sure(coeffs, weights, config.sigma,
-                                    beta=config.beta, P=config.P)
+                                    beta=config.beta)
     timings["select"] = 1e3 * (time.perf_counter() - t0)
 
     t0 = time.perf_counter()

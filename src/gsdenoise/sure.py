@@ -18,6 +18,10 @@ import numpy as np
 from . import chebyshev, frame
 
 DISTRIBUTIONS = ("rademacher", "gaussian")
+# everything a weight estimate depends on, by WeightEstimate's field names
+WEIGHT_FINGERPRINT = ("graph={graph_hash},variant={variant},pou={pou},K={K},"
+                      "jackson={jackson:d},N={N},dist={distribution},"
+                      "seed={seed}")
 
 
 def _eps_sq_moments(dist):
@@ -86,9 +90,7 @@ class WeightEstimate:
                              f"entry {i} is {self.diag[i]!r}")
 
     def fingerprint(self):
-        return (f"graph={self.graph_hash},variant={self.variant},"
-                f"pou={self.pou},K={self.K},jackson={int(self.jackson)},"
-                f"N={self.N},dist={self.distribution},seed={self.seed}")
+        return WEIGHT_FINGERPRINT.format_map(vars(self))
 
 
 def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=10,

@@ -46,11 +46,6 @@ def test_coefficients_of_square():
     assert np.all(np.abs(theta[3:]) <= 1e-12)
 
 
-def test_quadrature_needs_enough_nodes():
-    with pytest.raises(ValueError, match="quadrature nodes"):
-        chebyshev_coefficients(lambda x: x, 2.0, 5, M=4)
-
-
 def test_nonfinite_filter_names_the_abscissa():
     with pytest.raises(ValueError, match="non-finite value at x="):
         chebyshev_coefficients(lambda x: np.full_like(x, np.inf), 2.0, 3)

@@ -300,6 +300,22 @@ def test_write_edgelist_refuses_labels_it_cannot_read_back(tmp_path, records,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("records, nodes", [
+    ([(1, 2), ("1", 3)], 4),    # would read back with 3 nodes
+    ([(1, "1"), ("1", 2)], 3),  # would read back as a self-loop
+])
+def test_write_edgelist_refuses_labels_whose_str_collide(tmp_path, records,
+                                                         nodes):
+    g = build_graph(records)
+    assert g.n == nodes
+    path = tmp_path / "g.txt"
+    with pytest.raises(ValueError, match=re.escape(
+            "labels 1 and '1' cannot be read back from an edge list: both "
+            "are written as '1'")):
+        write_edgelist(g, path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # signal files
 

@@ -1,5 +1,6 @@
 """End-to-end pipeline behavior and the command-line interface."""
 
+import argparse
 import csv
 import dataclasses
 import os
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from gsdenoise.chebyshev import sgwt_forward_fast
-from gsdenoise.cli import main
-from gsdenoise.frame import PartitionOfUnity
+from gsdenoise.cli import _build_parser, main
+from gsdenoise.frame import POU_KINDS, PartitionOfUnity
 from gsdenoise.graph import (
     VARIANTS,
     grid_graph,
@@ -24,8 +25,8 @@ from gsdenoise import pipeline
 from gsdenoise.pipeline import PipelineConfig, denoise_pipeline
 from gsdenoise.signals import SignalSpec, read_signal, snr, synth_signal, \
     write_signal
-from gsdenoise.sure import estimate_diagonal_weights, load_weights, \
-    save_weights, sure_value
+from gsdenoise.sure import DISTRIBUTIONS, estimate_diagonal_weights, \
+    load_weights, save_weights, sure_value
 from gsdenoise.threshold import ThresholdPolicy, apply_policy
 
 
@@ -46,7 +47,6 @@ def test_config_validation_covers_every_field():
         dict(N=0),
         dict(distribution="uniform"),
         dict(beta=0.5),
-        dict(P=0),
         dict(sigma=-1.0),
         dict(sigma=np.inf),
     ]
@@ -296,9 +296,10 @@ def test_reported_sure_is_that_of_a_bare_forward_transform(variant):
 
 def test_pipeline_peak_memory_in_signal_vectors():
     # a cold request peaks in apply: coefficients, weights, thresholded
-    # values, derivatives and a block's temporaries (29.2 vectors measured;
-    # 22.1 with the operator and weights passed in). The synthesis's step
-    # matrix is built after the coefficients and derivatives are freed.
+    # values, derivatives and a block's magnitudes and masks (27.3 vectors
+    # measured; 20.3 with the operator and weights passed in). The
+    # synthesis's step matrix is built after the coefficients and
+    # derivatives are freed.
     config = PipelineConfig(N=2, sigma=1.0)
     # warms the caches: the 30x30 grid has the same bound, 8, as 300x300
     denoise_pipeline(grid_graph(30, 30), np.ones(900), config)
@@ -319,8 +320,8 @@ def test_pipeline_peak_memory_in_signal_vectors():
                                         N=config.N,
                                         graph_hash=g.content_hash())
     reuse = peak(operator=L, weights=weights)
-    assert cold <= 30
-    assert reuse <= 24
+    assert cold <= 28
+    assert reuse <= 21
 
 
 def _status_mb(field):
@@ -436,6 +437,37 @@ def test_cli_weights_then_denoise_hits_cache(workspace, capsys):
     assert "cache=mismatch-recomputed" in captured.out
     assert "bound_source=weights" in captured.out
     assert "warning" in captured.err
+
+
+def test_cli_config_flags_are_the_config_fields():
+    config = PipelineConfig()
+    choices = {"variant": VARIANTS, "kind": POU_KINDS,
+               "distribution": DISTRIBUTIONS}
+    names = {f.name for f in dataclasses.fields(PipelineConfig)} - {"sigma"}
+    (action,) = [a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    subparsers = action.choices
+    assert set(subparsers) == {"graph-info", "synth", "sanitize", "weights",
+                               "denoise", "eval", "bench"}
+    for command, parser in subparsers.items():
+        flags = {a.dest: a for a in parser._actions}
+        assert names <= set(flags), command
+        for name in names:
+            assert flags[name].default == getattr(config, name), (command,
+                                                                  name)
+            assert flags[name].choices == choices.get(name), (command, name)
+        assert flags["jackson"].option_strings == ["--jackson",
+                                                   "--no-jackson"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--variant", "fancy"], ["--distribution", "uniform"], ["--P", "50"],
+    ["--K", "ten"]])
+def test_cli_bad_config_flag_is_usage_error(workspace, argv):
+    tmp, g, gpath = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", gpath, "-o", str(tmp / "w.txt")] + argv)
+    assert exc.value.code == 2
 
 
 def test_cli_missing_sigma_is_usage_error(workspace):

@@ -90,11 +90,13 @@ def test_threshold_monotone_in_t():
 
 
 def test_candidate_grid_contents():
-    grid = candidate_grid(np.array([2.0, -2.0]), P=4)
-    assert grid[0] == 0.0 and grid[-1] == np.inf
-    assert 2.0 in grid
-    single = candidate_grid(np.array([0.5, -3.0]), P=1)
-    assert np.array_equal(single, [0.0, 0.5, 3.0, np.inf])
+    grid = candidate_grid(np.array([2.0, -2.0]))
+    assert np.array_equal(grid, [0.0, 2.0, np.inf])
+    pair = candidate_grid(np.array([0.5, -3.0]))
+    assert np.array_equal(pair, [0.0, 0.5, 3.0, np.inf])
+    # 0, then the 101 percentiles of 1000 distinct positive magnitudes,
+    # then inf
+    assert candidate_grid(np.arange(1.0, 1001.0)).size == 103
     assert np.all(np.diff(candidate_grid(
         np.random.default_rng(0).standard_normal(40))) > 0)
 
@@ -152,47 +154,50 @@ def _blocks_with_ties(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_blocks_with_ties(), st.sampled_from([1.0, 1.5, 2.0, 5.0, 100.0]),
-       st.floats(0.1, 3.0), st.integers(1, 60))
+       st.floats(0.1, 3.0), st.data())
 def test_one_pass_objectives_match_per_candidate_reference(block, beta,
-                                                           sigma, P):
-    # P runs both above and below the block length n <= 40
+                                                           sigma, data):
+    # any sorted candidate set: every magnitude, or a random subset of
+    # them, with 0 and inf
     x, w = block
-    grid = candidate_grid(x, P=P)
-    want = [_objective_reference(x, w, sigma, t, beta) for t in grid]
+    mags = np.unique(np.abs(x))
+    keep = data.draw(hnp.arrays(bool, mags.size)) | data.draw(st.booleans())
+    cands = np.unique(np.concatenate([[0.0], mags[keep], [np.inf]]))
+    want = [_objective_reference(x, w, sigma, t, beta) for t in cands]
     a, ws = _by_magnitude(x, w)
-    np.testing.assert_allclose(_scale_objectives(a, ws, sigma, grid, beta),
+    np.testing.assert_allclose(_scale_objectives(a, ws, sigma, cands, beta),
                                want, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 3000), st.integers(1, 1000), st.integers(1, 50),
-       st.integers(0, 2 ** 32 - 1))
-def test_candidates_are_numpys_lower_percentiles(n, P, distinct, seed):
+@given(st.integers(1, 3000), st.integers(1, 50), st.integers(0, 2 ** 32 - 1))
+def test_candidates_are_numpys_lower_percentiles(n, distinct, seed):
     # the ranks are read off the sorted block, where numpy selects its own;
     # a block drawn from few distinct values, zero among them, has ties
     rng = np.random.default_rng(seed)
     x = rng.choice(np.append(0.0, rng.standard_normal(distinct)), n)
-    qs = np.percentile(np.abs(x), np.linspace(0.0, 100.0, P + 1),
+    qs = np.percentile(np.abs(x), np.linspace(0.0, 100.0, 101),
                        method="lower")
-    assert np.array_equal(candidate_grid(x, P=P),
+    assert np.array_equal(candidate_grid(x),
                           np.unique(np.concatenate([[0.0], qs, [np.inf]])))
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0, 5.0, 100.0])
-@pytest.mark.parametrize("P", [7, 100, 500])
-def test_selected_thresholds_are_the_bruteforce_argmin_over_the_grid(beta, P):
+@pytest.mark.parametrize("n", [7, 100, 500])
+def test_selected_thresholds_are_the_bruteforce_argmin_over_the_grid(beta, n):
+    # blocks shorter than, as long as and longer than the 101 percentiles
     rng = np.random.default_rng(11)
-    n, J = 300, 3
+    J = 3
     vals = rng.standard_normal(n * (J + 1)) * rng.choice([0.3, 3.0],
                                                          n * (J + 1))
     vals[::17] = 0.0
     coeffs = FrameCoefficients(vals, n, J)
     wdiag = rng.uniform(0.0, 1.5, n * (J + 1))
     sigma = 0.9
-    policy = select_thresholds_sure(coeffs, wdiag, sigma, beta=beta, P=P)
+    policy = select_thresholds_sure(coeffs, wdiag, sigma, beta=beta)
     for j in range(J + 1):
         x, w = coeffs.block(j), wdiag[j * n:(j + 1) * n]
-        grid = candidate_grid(x, P=P)
+        grid = candidate_grid(x)
         objs = [_objective_reference(x, w, sigma, t, beta) for t in grid]
         assert policy.thresholds[j] == grid[int(np.argmin(objs))]
 
