@@ -227,8 +227,10 @@ def _cmd_bench(args):
         out.writerow(BENCH_COLUMNS)
         for eps, sigma in levels:
             for run in range(args.reps):
+                # (seed, k) keys probe k of the weight estimate; the
+                # trailing 1 keeps run r's noise apart from probe r
                 rng = np.random.default_rng(
-                    np.random.SeedSequence((args.seed, run)))
+                    np.random.SeedSequence((args.seed, run, 1)))
                 noisy = f + sigma * rng.standard_normal(g.n)
                 config = _config_from(args, sigma=sigma)
                 fhat, report = denoise_pipeline(g, noisy, config, operator=L)

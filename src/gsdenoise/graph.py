@@ -434,18 +434,21 @@ def random_geometric_graph(n, radius=None, seed=0):
     """Uniform points in the unit square joined when closer than radius.
 
     The radius grows until the graph is connected, starting from the usual
-    connectivity threshold sqrt(2 log n / (pi n)).
+    connectivity threshold sqrt(2 log n / (pi n)). Close pairs come from a
+    k-d tree, so memory stays linear in the edge count.
     """
+    from scipy.spatial import cKDTree
+    if n < 2:
+        raise ValueError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
+    tree = cKDTree(rng.random((n, 2)))
     if radius is None:
-        radius = math.sqrt(2.0 * math.log(max(n, 2)) / (math.pi * n))
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        radius = math.sqrt(2.0 * math.log(n) / (math.pi * n))
     while True:
-        adj = (d2 <= radius * radius) & ~np.eye(n, dtype=bool)
-        if adj.any():
-            r, c = np.nonzero(adj)
-            g = _assemble(r[r < c], c[r < c], np.ones(np.sum(r < c)), n, None)
+        pairs = tree.query_pairs(radius, output_type="ndarray")
+        if pairs.size:
+            g = _assemble(pairs[:, 0], pairs[:, 1], np.ones(len(pairs)), n,
+                          None)
             if g.degrees.min() > 0 and is_connected(g):
                 return g
         radius *= 1.3

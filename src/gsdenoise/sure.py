@@ -11,11 +11,12 @@ for both closed-form variance expressions live here too.
 """
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from . import chebyshev, frame
+from .signals import read_signal, write_signal
 
 DISTRIBUTIONS = ("rademacher", "gaussian")
 # everything a weight estimate depends on, by WeightEstimate's field names
@@ -91,6 +92,14 @@ class WeightEstimate:
 
     def fingerprint(self):
         return WEIGHT_FINGERPRINT.format_map(vars(self))
+
+
+# a weight cache's header keys, in file order; each key's type, and whether
+# it is required, is its WeightEstimate field's
+CACHE_KEYS = ("n", "J", "K", "jackson", "N", "distribution", "seed", "pou",
+              "variant", "graph_hash", "lambda_ub")
+_FIELDS = {field.name: field for field in fields(WeightEstimate)
+           if field.name != "diag"}
 
 
 def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=10,
@@ -211,56 +220,29 @@ def sure_variance_exact(frame_matrix, derivs, sigma, dist, N, cap=150):
 # weight cache files
 
 def save_weights(path, est):
-    """Write the weight estimate with its provenance header."""
-    header = [("n", est.n), ("J", est.J), ("K", est.K),
-              ("jackson", int(est.jackson)), ("N", est.N),
-              ("distribution", est.distribution), ("seed", est.seed),
-              ("pou", est.pou), ("variant", est.variant),
-              ("graph_hash", est.graph_hash)]
-    if est.lambda_ub is not None:
-        header.append(("lambda_ub", repr(est.lambda_ub)))
-    with open(path, "w") as fh:
-        fh.writelines(f"# {key} = {val}\n" for key, val in header)
-        fh.write("\n".join(map(repr, est.diag.tolist())))
-        fh.write("\n")
+    """Write the weight estimate as a signal file with its provenance
+    header."""
+    header = {key: int(val) if _FIELDS[key].type is bool else val
+              for key in CACHE_KEYS
+              if (val := getattr(est, key)) is not None}
+    write_signal(path, est.diag, header=header)
 
 
 def load_weights(path):
     """Read a weight cache written by :func:`save_weights`.
 
-    The ``# key = value`` header comes first, then one value per line. A
-    cache without a ``lambda_ub`` line loads with ``lambda_ub=None``.
+    The cache is a signal file; each header value is converted to its
+    ``WeightEstimate`` field's type. A cache without a ``lambda_ub`` line
+    loads with ``lambda_ub=None``.
     """
-    with open(path) as fh:
-        lines = fh.read().rstrip().splitlines()
+    values, header = read_signal(path)
     meta = {}
-    body = 0
-    for line in lines:
-        if line.startswith("#"):
-            key, _, val = line[1:].partition("=")
-            meta[key.strip()] = val.strip()
-        elif line.strip():
-            break
-        body += 1
-    try:
-        values = np.array(lines[body:], dtype=np.float64)
-    except ValueError:
-        for i, line in enumerate(lines[body:], body + 1):
-            try:
-                float(line)
-            except ValueError:
-                raise ValueError(f"weight cache {path} line {i}: {line!r} "
-                                 "is not a number") from None
-        raise
-    lambda_ub = meta.get("lambda_ub")
-    try:
-        return WeightEstimate(
-            values, int(meta["n"]), int(meta["J"]),
-            int(meta["N"]), meta["distribution"], int(meta["seed"]),
-            int(meta["K"]), bool(int(meta["jackson"])),
-            pou=meta.get("pou", ""), variant=meta.get("variant", ""),
-            graph_hash=meta.get("graph_hash", ""),
-            lambda_ub=None if lambda_ub is None else float(lambda_ub))
-    except KeyError as exc:
-        raise ValueError(f"weight cache {path} missing header field "
-                         f"{exc.args[0]!r}") from None
+    for key, field in _FIELDS.items():
+        if key in header:
+            # bool("0") is True, so a flag goes through int
+            meta[key] = bool(int(header[key])) if field.type is bool \
+                else field.type(header[key])
+        elif field.default is MISSING:
+            raise ValueError(f"weight cache {path} missing header field "
+                             f"{key!r}")
+    return WeightEstimate(values, **meta)

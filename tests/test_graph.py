@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,42 @@ def test_geometric_graph_same_under_reference_connectivity(monkeypatch):
     monkeypatch.setattr(gsdenoise.graph, "is_connected", _reaches_every_node)
     assert got == [random_geometric_graph(200, seed=s).content_hash()
                    for s in range(5)]
+
+
+# content hashes of random_geometric_graph(n, seed=s) as given by the
+# generator that compared all n^2 squared distances against radius^2
+GEOMETRIC_HASHES = {
+    (500, 0): "68f6de637320ecd2", (300, 2): "e79374e919e555bc",
+    (100, 2): "53339bc76e90dc50", (100, 0): "82d6c5467ed7e5b2",
+    (90, 5): "0b66bc2d3c79490a", (80, 1): "64a4d7f3c8f078f6",
+    (150, 6): "abd0ac3f493ec89e", (40, 9): "31524e5cefc4f028",
+    (200, 0): "518db2992d808dea", (200, 1): "d179abfc090def56",
+    (200, 2): "2bc5158345a6adc6", (200, 3): "4411daf428b6ecfc",
+    (200, 4): "3ff5e8cd32967f38",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(GEOMETRIC_HASHES))
+def test_geometric_graph_matches_all_pairs_generator(n, seed):
+    assert random_geometric_graph(n, seed=seed).content_hash() == \
+        GEOMETRIC_HASHES[n, seed]
+
+
+def test_geometric_graph_memory_is_linear():
+    # all n^2 distances at this size would take gigabytes
+    tracemalloc.start()
+    try:
+        g = random_geometric_graph(20000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_connected(g)
+    assert peak < 100e6, peak
+
+
+def test_geometric_graph_needs_two_nodes():
+    with pytest.raises(ValueError, match="2 nodes"):
+        random_geometric_graph(1)
 
 
 def test_random_graph_weights_bounded_below():

@@ -25,8 +25,8 @@ from gsdenoise import pipeline
 from gsdenoise.pipeline import PipelineConfig, denoise_pipeline
 from gsdenoise.signals import SignalSpec, read_signal, snr, synth_signal, \
     write_signal
-from gsdenoise.sure import DISTRIBUTIONS, estimate_diagonal_weights, \
-    load_weights, save_weights, sure_value
+from gsdenoise.sure import DISTRIBUTIONS, draw_probe, \
+    estimate_diagonal_weights, load_weights, save_weights, sure_value
 from gsdenoise.threshold import ThresholdPolicy, apply_policy
 
 
@@ -168,10 +168,7 @@ def _without_bound_line(est, tmp_path):
     ("below-diagonal", "unnormalized", "hit", True),
     ("above-two", "normalized", "hit", True),
 ])
-def test_bound_falls_back_to_power_iteration(case, variant, cache, warned,
-                                             tmp_path):
-    # the name is kept from when the bound came from power iteration;
-    # each case now falls back to the Lanczos bound
+def test_bound_falls_back_to_lanczos(case, variant, cache, warned, tmp_path):
     g, f = _graph_and_signal(60)
     noisy = f + np.random.default_rng(2).standard_normal(g.n)
     cfg = PipelineConfig(variant=variant, sigma=1.0)
@@ -510,6 +507,27 @@ def test_cli_bench_direct_sigma_leaves_epsilon_blank(workspace):
     assert len(rows) == 5  # header + 2 levels x 2 reps
     assert all(r[1] == "" for r in rows[1:])
     assert {r[2] for r in rows[1:]} == {"0.5", "1.5"}
+
+
+def test_cli_bench_noise_is_not_a_weight_probe(workspace, monkeypatch):
+    # run r's noise and probe r of the weight estimate come from different
+    # generator keys, so the noise is not the vector the weights are made of
+    tmp, g, gpath = workspace
+    noisy = []
+
+    def spy(graph, signal, config, **kwargs):
+        noisy.append(signal.copy())
+        return denoise_pipeline(graph, signal, config, **kwargs)
+
+    monkeypatch.setattr("gsdenoise.cli.denoise_pipeline", spy)
+    assert main(["bench", gpath, "-o", str(tmp / "bench.csv"), "--sigma", "1",
+                 "--reps", "2", "--N", "2", "--distribution", "gaussian",
+                 "--seed", "3", "--K", "30"]) == 0
+    g = read_edgelist(gpath)
+    f = synth_signal(g, SignalSpec(0.01, 4))
+    assert len(noisy) == 2
+    for run, x in enumerate(noisy):
+        assert not np.allclose(x - f, draw_probe(g.n, "gaussian", 3, run))
 
 
 def test_cli_bench_requires_exactly_one_sweep(workspace, capsys):

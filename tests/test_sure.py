@@ -285,8 +285,21 @@ _HEADER = ("# n = 2\n# J = 0\n# K = 10\n# jackson = 1\n# N = 1\n"
 def test_weight_cache_malformed_value_names_its_line(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text(_HEADER + "1.0\n0.5x\n")
-    with pytest.raises(ValueError, match=r"w\.txt line 9: '0\.5x'"):
+    with pytest.raises(ValueError, match=r"w\.txt:9: bad value in '0\.5x'"):
         load_weights(path)
+
+
+def test_weight_cache_reads_as_a_signal_file(tmp_path):
+    # a cache is a signal file: comments and blank lines may sit inside its
+    # body, and a header line may follow it
+    clean = tmp_path / "clean.txt"
+    clean.write_text(_HEADER + "# lambda_ub = 2.5\n1.0\n0.5\n")
+    loose = tmp_path / "loose.txt"
+    loose.write_text(_HEADER + "1.0\n# note\n\n0.5\n# lambda_ub = 2.5\n")
+    want, got = load_weights(clean), load_weights(loose)
+    assert got.diag.tobytes() == want.diag.tobytes()
+    assert got.lambda_ub == want.lambda_ub == 2.5
+    assert got.fingerprint() == want.fingerprint()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "0.0", "-1.5"])
