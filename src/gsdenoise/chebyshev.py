@@ -1,20 +1,22 @@
 """Eigendecomposition-free spectral filtering via Chebyshev recurrences.
 
-Filters rho on the spectral interval [0, lambda_ub] are expanded in shifted
-Chebyshev polynomials and applied through the three-term recurrence, so a
-degree-K filter costs K + 1 Laplacian applications and O(n) extra memory.
+Filters rho on the operator's spectral interval [0, L.interval] are
+expanded in shifted Chebyshev polynomials and applied through the
+three-term recurrence, so a degree-K filter costs K + 1 Laplacian
+applications and O(n) extra memory.
 Optional Jackson damping multiplies the coefficients to suppress Gibbs
 oscillations around discontinuities. The fast wavelet transforms share a
 single recurrence across all scales, which is what keeps the analysis and
 synthesis cost at O(mK + n(J+1)K) instead of J + 1 separate filter runs.
 
 Every filter application is one of two loops over the same step,
-``LaplacianOperator.matvec(x, interval=ub, prev=y)`` = 2 Lt x - y with
-Lt = (2 / ub) L - I: the analysis recurrence (:func:`_analysis`), which
-adds a ring of Chebyshev vectors into every scale by one matrix product,
-and Clenshaw's recurrence (:func:`_clenshaw`) on two buffers, which forms
-the scale mixtures of two steps by one matrix product; :func:`apply_filter`
-is its one-row case. Both products go SLAB columns at a time.
+``LaplacianOperator.matvec(x, prev=y, step=True)`` = 2 Lt x - y with
+Lt = (2 / L.interval) L - I: the analysis recurrence (:func:`_analysis`),
+which adds a ring of Chebyshev vectors into every scale by one matrix
+product, and Clenshaw's recurrence (:func:`_clenshaw`) on two buffers,
+which forms the scale mixtures of two steps by one matrix product;
+:func:`apply_filter` is its one-row case. Both products go SLAB columns
+at a time.
 """
 
 from dataclasses import dataclass
@@ -35,18 +37,6 @@ RING = 4
 # and keeps the temporary within 0.3 signal vectors on the first, where it
 # sets the weight estimate's peak.
 SLAB = 4096
-
-
-def chebyshev_interval(L):
-    """Right endpoint of the expansion interval for an operator.
-
-    The normalized and random-walk variants always use [0, 2] (the shifted
-    operator is then L - I); the unnormalized variant uses the operator's
-    spectral bound ``lambda_ub``.
-    """
-    if L.variant in ("normalized", "random_walk"):
-        return 2.0
-    return L.lambda_ub
 
 
 def jackson_damping(K):
@@ -106,21 +96,13 @@ class ChebyshevExpansion:
 
 def filter_expansion(rho, L, K, jackson=True):
     """Expand an arbitrary filter for direct application to an operator."""
-    ub = chebyshev_interval(L)
+    ub = L.interval
     return ChebyshevExpansion(chebyshev_coefficients(rho, ub, K), ub, jackson)
 
 
-def _check_interval(L, interval_ub):
-    expected = chebyshev_interval(L)
-    if not np.isclose(interval_ub, expected, rtol=1e-9, atol=0):
-        raise ValueError(
-            f"expansion interval {interval_ub} does not match the operator's "
-            f"{expected} ({L.variant} variant)")
-
-
-def _analysis(L, ub, theta, f):
+def _analysis(L, theta, f):
     """theta @ [T_0(Lt) f, ..., T_K(Lt) f], one row per filter, in K
-    matvecs, with Lt = (2 / ub) L - I.
+    matvecs, with Lt = (2 / L.interval) L - I.
 
     The Chebyshev vectors go round a ring of RING rows; each time the ring
     is full, one matrix product, taken SLAB columns at a time, adds it into
@@ -134,11 +116,11 @@ def _analysis(L, ub, theta, f):
         if k == 0:
             t[:] = f
         elif k == 1:  # T_1 = Lt f, half a step from T_0 alone
-            L.matvec(f, out=t, interval=ub)
+            L.matvec(f, out=t, step=True)
             t *= 0.5
         else:
-            L.matvec(ring[(k - 1) % RING], out=t, interval=ub,
-                     prev=ring[(k - 2) % RING])
+            L.matvec(ring[(k - 1) % RING], out=t, prev=ring[(k - 2) % RING],
+                     step=True)
         if k % RING == RING - 1 or k == K:
             k0 = k - k % RING
             _gemm_add(theta[:, k0:k + 1], ring[:k - k0 + 1], y)
@@ -152,9 +134,9 @@ def _gemm_add(a, b, out):
         out[:, s:s + SLAB] += a @ b[:, s:s + SLAB]
 
 
-def _clenshaw(L, ub, theta, blocks):
+def _clenshaw(L, theta, blocks):
     """sum_k T_k(Lt) u_k with u_k = theta[:, k] @ blocks, in K + 1 matvecs,
-    with Lt = (2 / ub) L - I.
+    with Lt = (2 / L.interval) L - I.
 
     Clenshaw's recurrence b_k = 2 Lt b_(k+1) - b_(k+2) + u_k runs in place
     on two buffers, b_k in row k % 2 of b; the sum is Lt b_1 - b_2 + u_0.
@@ -167,7 +149,7 @@ def _clenshaw(L, ub, theta, blocks):
     b = np.zeros((2, L.n))
     pair = np.empty((2, theta.shape[0]))
     for k in range(K, 0, -1):
-        L.matvec(b[(k + 1) % 2], out=b[k % 2], interval=ub, prev=b[k % 2])
+        L.matvec(b[(k + 1) % 2], out=b[k % 2], prev=b[k % 2], step=True)
         if (K - k) % 2 == 0:
             pair[k % 2], pair[(k + 1) % 2] = theta[:, k], -theta[:, k - 1]
             _gemm_add(pair, blocks, b)
@@ -176,7 +158,7 @@ def _clenshaw(L, ub, theta, blocks):
     # Lt b_1 - (b_2 - u_0) is half a step applied to 2 (b_2 - u_0); halving
     # is exact
     b[0] *= 2.0
-    L.matvec(b[1], out=b[0], interval=ub, prev=b[0])
+    L.matvec(b[1], out=b[0], prev=b[0], step=True)
     return 0.5 * b[0]
 
 
@@ -187,12 +169,14 @@ def apply_filter(L, expansion, f):
     Lt = (2 / interval_ub) L - I is applied through the operator's step
     and is never formed here.
     """
-    _check_interval(L, expansion.interval_ub)
+    ub = expansion.interval_ub
+    if not np.isclose(ub, L.interval, rtol=1e-9, atol=0):
+        raise ValueError(f"expansion interval {ub} does not match the "
+                         f"operator's {L.interval} ({L.variant} variant)")
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (L.n,):
         raise ValueError(f"expected signal of length {L.n}, got {f.shape}")
-    return _clenshaw(L, expansion.interval_ub, expansion.coefficients()[None],
-                     f[None])
+    return _clenshaw(L, expansion.coefficients()[None], f[None])
 
 
 def band_expansions(L, pou, K, jackson=True):
@@ -201,7 +185,7 @@ def band_expansions(L, pou, K, jackson=True):
     The cache key covers everything the raw coefficients depend on; the
     damping flag only reweights them at use time.
     """
-    ub = chebyshev_interval(L)
+    ub = L.interval
     out = []
     for j in range(pou.J + 1):
         key = (pou.kind, pou.b, pou.c, j, K, ub)
@@ -229,8 +213,7 @@ def sgwt_forward_fast(L, f, pou, K=100, jackson=True):
     if f.shape != (L.n,):
         raise ValueError(f"expected signal of length {L.n}, got {f.shape}")
     theta = _band_coefficient_matrix(L, pou, K, jackson)
-    y = _analysis(L, chebyshev_interval(L), theta, f)
-    return FrameCoefficients(y.ravel(), L.n, pou.J)
+    return FrameCoefficients(_analysis(L, theta, f).ravel(), L.n, pou.J)
 
 
 def sgwt_inverse_fast(L, coeffs, pou, K=100, jackson=True):
@@ -244,4 +227,4 @@ def sgwt_inverse_fast(L, coeffs, pou, K=100, jackson=True):
     if coeffs.n != L.n or coeffs.J != pou.J:
         raise ValueError("coefficient dimensions do not match operator/partition")
     theta = _band_coefficient_matrix(L, pou, K, jackson)
-    return _clenshaw(L, chebyshev_interval(L), theta, coeffs.as_blocks())
+    return _clenshaw(L, theta, coeffs.as_blocks())

@@ -13,7 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import DENSE_CAP
+
 POU_KINDS = ("linear", "smooth")
+FRAME_CAP = 200  # the most nodes the dense frame matrix is formed for
 
 
 def _smooth_step(u, c):
@@ -178,7 +181,7 @@ class EigenDecomposition:
         return M
 
 
-def exact_eigendecomposition(L, cap=5000):
+def exact_eigendecomposition(L):
     """Full dense eigendecomposition of the Laplacian operator.
 
     The random-walk variant is handled through its symmetric similar form
@@ -186,11 +189,11 @@ def exact_eigendecomposition(L, cap=5000):
     degree scaling.
     """
     g = L.graph
-    if g.n > cap:
+    if g.n > DENSE_CAP:
         raise ValueError(
-            f"exact eigendecomposition refused for n={g.n} > {cap}; "
+            f"exact eigendecomposition refused for n={g.n} > {DENSE_CAP}; "
             "use the Chebyshev fast transform at this scale")
-    W = g.to_dense_adjacency(cap=cap)
+    W = g.to_dense_adjacency()
     deg = L.degrees
     if L.variant == "unnormalized":
         M = np.diag(deg) - W
@@ -252,14 +255,14 @@ def sgwt_inverse_exact(L, coeffs, pou, eig=None):
     return out
 
 
-def frame_matrix_exact(L, pou, cap=200):
+def frame_matrix_exact(L, pou):
     """Dense analysis operator, one row per (scale, node) coefficient.
 
     Row j*n + i is the functional producing coefficient i of scale j, so
     that frame_matrix_exact(L, pou) @ f equals the forward transform of f.
     """
-    if L.n > cap:
-        raise ValueError(f"frame matrix refused for n={L.n} > {cap}")
+    if L.n > FRAME_CAP:
+        raise ValueError(f"frame matrix refused for n={L.n} > {FRAME_CAP}")
     eig = exact_eigendecomposition(L)
     bands = _band_values(pou, eig)
     F = np.empty(((pou.J + 1) * L.n, L.n))

@@ -3,13 +3,14 @@
 Graphs are stored in compressed adjacency form (CSR of the symmetric weighted
 adjacency matrix). Laplacians act through ``LaplacianOperator.matvec`` in
 O(m + n) per application, with one sparse kernel, scipy's CSR product, over
-the graph's own arrays; the Monte-Carlo weights and a request's synthesis
-materialize the shifted operator of their Chebyshev steps, for the length
-of that run (``LaplacianOperator.assembled``). Each operator carries a
-bound on its largest eigenvalue: Lanczos's top Ritz value times 1.01,
-capped by Gershgorin's proven bound (2 max(degrees), or 2 for the
-normalized and random-walk variants). Lanczos stops early, and returns the
-cap, as soon as the estimate reaches the cap: 12 matvecs on the 300x300 grid.
+the graph's own arrays, or as one Chebyshev step on the operator's own
+interval; the Monte-Carlo weights and a request's synthesis materialize
+the shifted operator of their steps, for the length of that run
+(``LaplacianOperator.assembled``). Each operator carries a bound on its
+largest eigenvalue: Lanczos's top Ritz value times 1.01, capped by
+Gershgorin's proven bound (2 max(degrees), or 2 for the normalized and
+random-walk variants). Lanczos stops early, and returns the cap, as soon
+as the estimate reaches it: 12 matvecs on the 300x300 grid.
 
 Graphs come from records (``build_graph``), from CSR arrays (``from_csr``),
 from the generators, or from text edge lists (``read_edgelist``), which
@@ -29,6 +30,8 @@ import numpy as np
 from ._kernels import csr_matvec
 
 VARIANTS = ("unnormalized", "normalized", "random_walk")
+DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
+BOUND_MARGIN = 0.01  # Lanczos's bound is its top Ritz value times 1.01
 
 
 @dataclass(eq=False)
@@ -105,9 +108,10 @@ class SparseGraph:
         h.update(self.weights.tobytes())
         return h.hexdigest()[:16]
 
-    def to_dense_adjacency(self, cap=5000):
-        if self.n > cap:
-            raise ValueError(f"dense adjacency refused for n={self.n} > {cap}")
+    def to_dense_adjacency(self):
+        if self.n > DENSE_CAP:
+            raise ValueError(f"dense adjacency refused for n={self.n} > "
+                             f"{DENSE_CAP}")
         W = np.zeros((self.n, self.n))
         W[_entry_rows(self), self.indices] = self.weights
         return W
@@ -178,30 +182,26 @@ def build_graph(edge_records):
                      np.asarray(ws), n, labels)
 
 
-def from_csr(n, offsets, indices, weights, labels=None, validate=True):
-    """Wrap existing CSR arrays as a SparseGraph.
-
-    With validate=True the adjacency is checked for symmetry, positive
-    finite weights and absence of self-loops.
-    """
+def from_csr(n, offsets, indices, weights, labels=None):
+    """Wrap CSR arrays as a SparseGraph, once the adjacency is checked for
+    symmetry, positive finite weights and absence of self-loops."""
     g = SparseGraph(n, offsets, indices, weights, labels=labels)
-    if validate:
-        rows = _entry_rows(g)
-        bad = ~((g.weights > 0) & (g.weights < np.inf))
-        if bad.any():
-            e = int(np.argmax(bad))
-            raise ValueError("non-positive or non-finite weight in adjacency: "
-                             f"entry ({rows[e]}, {g.indices[e]}) is "
-                             f"{float(g.weights[e])!r}")
-        if np.any(rows == g.indices):
-            raise ValueError("self-loop in adjacency")
-        fwd = np.lexsort((g.indices, rows))
-        bwd = np.lexsort((rows, g.indices))
-        if (not np.array_equal(rows[fwd], g.indices[bwd])
-                or not np.array_equal(g.indices[fwd], rows[bwd])
-                or not np.allclose(g.weights[fwd], g.weights[bwd],
-                                   rtol=0, atol=0)):
-            raise ValueError("adjacency is not symmetric")
+    rows = _entry_rows(g)
+    bad = ~((g.weights > 0) & (g.weights < np.inf))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError("non-positive or non-finite weight in adjacency: "
+                         f"entry ({rows[e]}, {g.indices[e]}) is "
+                         f"{float(g.weights[e])!r}")
+    if np.any(rows == g.indices):
+        raise ValueError("self-loop in adjacency")
+    fwd = np.lexsort((g.indices, rows))
+    bwd = np.lexsort((rows, g.indices))
+    if (not np.array_equal(rows[fwd], g.indices[bwd])
+            or not np.array_equal(g.indices[fwd], rows[bwd])
+            or not np.allclose(g.weights[fwd], g.weights[bwd],
+                               rtol=0, atol=0)):
+        raise ValueError("adjacency is not symmetric")
     return g
 
 
@@ -430,8 +430,8 @@ def is_connected(g):
     return count == 1
 
 
-def random_geometric_graph(n, radius=None, seed=0):
-    """Uniform points in the unit square joined when closer than radius.
+def random_geometric_graph(n, seed=0):
+    """Uniform points in the unit square joined when closer than a radius.
 
     The radius grows until the graph is connected, starting from the usual
     connectivity threshold sqrt(2 log n / (pi n)). Close pairs come from a
@@ -442,8 +442,7 @@ def random_geometric_graph(n, radius=None, seed=0):
         raise ValueError("need at least 2 nodes")
     rng = np.random.default_rng(seed)
     tree = cKDTree(rng.random((n, 2)))
-    if radius is None:
-        radius = math.sqrt(2.0 * math.log(n) / (math.pi * n))
+    radius = math.sqrt(2.0 * math.log(n) / (math.pi * n))
     while True:
         pairs = tree.query_pairs(radius, output_type="ndarray")
         if pairs.size:
@@ -493,18 +492,19 @@ class LaplacianOperator:
     largest eigenvalue from above (see :func:`estimate_spectral_bound`) and
     never exceeds the proven cap of :func:`spectral_cap`.
     ``bound_matvecs`` and ``bound_ms`` record what :func:`laplacian` paid
-    to estimate it, 0 when the bound was supplied.
+    to estimate it, 0 when the bound was supplied. Every Chebyshev step,
+    and so every filter expansion, runs on [0, :attr:`interval`].
 
     Every variant is held in one form, L x = diag x - post (W (pre x)), with
     diag, post and pre scalars or n-vectors (post and pre None for 1), so
     one code path applies all three, over the graph's own arrays. Inside
-    :meth:`assembled`, the Chebyshev steps on one interval run instead on a
-    CSR matrix of the shifted operator, built once. The probe loop of the
-    Monte-Carlo weights (N K steps) and a denoising request's synthesis
-    (K + 1 steps, once the coefficients it no longer needs are freed) pay
-    for it; the analysis keeps the zero-copy step, so that its
-    coefficients, and the thresholds picked from them, are bitwise those
-    of a bare ``chebyshev.sgwt_forward_fast``.
+    :meth:`assembled`, the steps run instead on a CSR matrix of the shifted
+    operator, built once. The probe loop of the Monte-Carlo weights (N K
+    steps) and a denoising request's synthesis (K + 1 steps, once the
+    coefficients it no longer needs are freed) pay for it; the analysis
+    keeps the zero-copy step, so that its coefficients, and the thresholds
+    picked from them, are bitwise those of a bare
+    ``chebyshev.sgwt_forward_fast``.
     """
 
     graph: SparseGraph
@@ -531,8 +531,7 @@ class LaplacianOperator:
             self._terms = (1.0, isd, isd)
         else:
             self._terms = (1.0, 1.0 / deg, None)
-        self._step = (None, None)  # (interval, terms) of the last step
-        self._assembled = None  # (interval, step matrix) inside assembled()
+        self._assembled = None  # the step matrix inside assembled()
 
     @property
     def n(self):
@@ -541,28 +540,35 @@ class LaplacianOperator:
     def reset_matvec_count(self):
         self.matvec_count = 0
 
-    def _shifted_terms(self, interval):
+    @property
+    def interval(self):
+        """Right end of the Chebyshev interval: lambda_ub for the
+        unnormalized variant, the spectral cap 2 for the other two."""
+        if self.variant != "unnormalized":
+            return spectral_cap(self.graph, self.variant)
+        if self.lambda_ub is None:
+            raise ValueError("no spectral bound, so no Chebyshev interval; "
+                             "build the operator with laplacian()")
+        return self.lambda_ub
+
+    def _shifted_terms(self):
         """Terms of 2 ((2 / interval) L - I), the doubled shifted operator of
         a Chebyshev step."""
         diag, post, pre = self._terms
-        c = 4.0 / interval
+        c = 4.0 / self.interval
         return c * diag - 2.0, c if post is None else c * post, pre
 
-    def _step_terms(self, interval):
-        """:meth:`_shifted_terms`, cached for the last interval asked for."""
-        if self._step[0] != interval:
-            self._step = (interval, self._shifted_terms(interval))
-        return self._step[1]
+    _step_terms = cached_property(_shifted_terms)  # for the zero-copy step
 
-    def _step_matrix(self, interval):
+    def _step_matrix(self):
         """2 ((2 / interval) L - I) as one scipy CSR array.
 
         Built with numpy over the graph's arrays: each row holds its
         diagonal entry, with the shift folded in, ahead of its neighbours,
         whose entries carry the variant's scalings. A diagonal entry that
         is exactly zero is left out: the whole diagonal of the normalized
-        variants on [0, 2], and that of every node of top degree when ub is
-        the Gershgorin cap. Indices are int32 when they fit, 12 bytes per
+        variants, and that of every node of top degree when lambda_ub is the
+        Gershgorin cap. Indices are int32 when they fit, 12 bytes per
         entry. Only the nonzero diagonal entries are inserted: inserting
         all and then dropping zeros left more freed blocks behind, and on
         the 300x300 grid later 4 MB arrays then often found no free block
@@ -571,7 +577,7 @@ class LaplacianOperator:
         from scipy.sparse import csr_array
         g = self.graph
         n, nnz = g.n, g.indices.size
-        diag, post, pre = self._shifted_terms(interval)
+        diag, post, pre = self._shifted_terms()
         if np.ndim(post) == 0:
             off = g.weights * -post
         else:
@@ -592,36 +598,34 @@ class LaplacianOperator:
         return csr_array((data, indices, indptr), shape=(n, n), copy=False)
 
     @contextmanager
-    def assembled(self, ub):
-        """Within the context, run every Chebyshev step on [0, ub] as one
-        CSR product over the step matrix of :meth:`_step_matrix`.
+    def assembled(self):
+        """Within the context, run every Chebyshev step as one CSR product
+        over the step matrix of :meth:`_step_matrix`.
 
         The matrix is built on entry and dropped on exit; a context nested
-        in one already open on the same interval reuses its matrix. It costs
-        about 6.5 signal vectors on a degree-4 grid, so it is opened only
-        where that memory is free or many steps pay for it.
+        in an open one reuses its matrix. It costs about 6.5 signal vectors
+        on a degree-4 grid, so it is opened only where that memory is free
+        or many steps pay for it.
         """
         prior = self._assembled
-        if prior is None or prior[0] != ub:
-            self._assembled = (ub, self._step_matrix(ub))
+        self._assembled = self._step_matrix() if prior is None else prior
         try:
             yield self
         finally:
             self._assembled = prior
 
-    def matvec(self, x, out=None, interval=None, prev=None):
-        """Apply the Laplacian to x, O(m + n); one application counted.
+    def matvec(self, x, out=None, prev=None, step=False):
+        """L x - prev, O(m + n), with prev=None as 0; one application counted.
 
-        With interval=ub it applies instead one step of the Chebyshev
-        recurrence on [0, ub], 2 ((2 / ub) L - I) x - prev; prev=None reads
-        as 0. The shift and the variant's scalings are folded into n-vectors
-        kept per operator, or, inside ``assembled(ub)``, into the step
-        matrix, where the step is out = -prev and one kernel call adding
-        the product into out. The result goes to out when given, which may
-        be x or prev itself.
+        With step=True it applies instead one Chebyshev step on
+        [0, interval], 2 ((2 / interval) L - I) x - prev. The shift and the
+        variant's scalings are folded into n-vectors kept per operator, or,
+        inside :meth:`assembled`, into the step matrix, where the step is
+        out = -prev and one kernel call adding the product into out. The
+        result goes to out when given, which may be x or prev itself.
         """
         self.matvec_count += 1
-        if self._assembled is not None and self._assembled[0] == interval:
+        if step and self._assembled is not None:
             x = np.ascontiguousarray(x, dtype=np.float64)
             if out is None:
                 out = np.empty(self.n)
@@ -631,9 +635,8 @@ class LaplacianOperator:
                 out.fill(0.0)
             else:
                 np.negative(prev, out=out)
-            return csr_matvec(self._assembled[1], x, out)
-        diag, post, pre = (self._terms if interval is None
-                           else self._step_terms(interval))
+            return csr_matvec(self._assembled, x, out)
+        diag, post, pre = self._step_terms if step else self._terms
         wx = self.graph.adj_matvec(x if pre is None else pre * x)
         if post is not None:
             wx *= post
@@ -701,7 +704,7 @@ def _top_eigenvalue(alphas, betas):
             hi = x
 
 
-def estimate_spectral_bound(L, tol=1e-6, seed=0, margin=0.01):
+def estimate_spectral_bound(L, tol=1e-6, seed=0):
     """Upper bound on the largest Laplacian eigenvalue, by Lanczos under the
     proven cap of :func:`spectral_cap`.
 
@@ -711,9 +714,9 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0, margin=0.01):
     and it only grows with k, since the Ritz values of consecutive steps
     interlace. The loop stops when theta's relative change drops to tol,
     or when beta_k is 0 (the Krylov space is invariant), and returns
-    theta (1 + margin) or the cap, whichever is less; the margin covers
-    theta's remaining shortfall, which nothing here proves. Once
-    theta (1 + margin) reaches the cap, the loop stops early and returns
+    theta (1 + BOUND_MARGIN) or the cap, whichever is less; the margin
+    covers theta's remaining shortfall, which nothing here proves. Once
+    theta (1 + BOUND_MARGIN) reaches the cap, the loop stops early and returns
     the cap, as a full run would. The random-walk case iterates on the
     symmetric similar form, which is exactly the normalized Laplacian of
     the same graph; its matvecs are counted on L.
@@ -745,7 +748,7 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0, margin=0.01):
         theta = _top_eigenvalue(alphas, betas)
         beta = dot(w, w) ** 0.5
         betas.append(beta)
-        if (theta * (1.0 + margin) >= cap or beta == 0
+        if (theta * (1.0 + BOUND_MARGIN) >= cap or beta == 0
                 or abs(theta - theta_prev) <= tol * abs(theta)):
             break
         theta_prev = theta
@@ -753,4 +756,4 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0, margin=0.01):
         v_prev, v = v, w
     if op is not L:
         L.matvec_count += op.matvec_count
-    return min(cap, theta * (1.0 + margin))
+    return min(cap, theta * (1.0 + BOUND_MARGIN))

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chebyshev import (chebyshev_interval, sgwt_forward_fast,
-                        sgwt_inverse_fast)
+from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
 from .frame import POU_KINDS, PartitionOfUnity
 from .graph import VARIANTS, laplacian, spectral_cap
+from .signals import require_finite
 from .sure import (DISTRIBUTIONS, WEIGHT_FINGERPRINT,
                    estimate_diagonal_weights, sure_value)
 from .threshold import BETA_MAX, apply_policy, select_thresholds_sure
@@ -173,10 +173,7 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     if noisy.shape != (graph.n,):
         raise ValueError(f"signal length {noisy.size} does not match "
                          f"graph with {graph.n} nodes")
-    if not np.isfinite(noisy).all():
-        i = int(np.argmin(np.isfinite(noisy)))
-        raise ValueError(f"signal sample {i} is {noisy[i]!r}; every sample "
-                         "must be finite")
+    require_finite(noisy)
     report = {"warnings": []}
     timings = {}
 
@@ -244,10 +241,11 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     timings["apply"] = 1e3 * (time.perf_counter() - t0)
 
     # freed first, so that the step matrix takes their place: the
-    # synthesis then runs on it below the peak of the stages above
+    # synthesis's K + 1 steps, on the operator's own interval, then run on
+    # it below the peak of the stages above
     del coeffs, derivs
     t0, m0 = time.perf_counter(), L.matvec_count
-    with L.assembled(chebyshev_interval(L)):
+    with L.assembled():
         estimate = sgwt_inverse_fast(L, thresholded, pou, K=config.K,
                                      jackson=config.jackson)
     timings["inverse"] = 1e3 * (time.perf_counter() - t0)

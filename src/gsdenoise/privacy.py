@@ -17,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import require_finite
+
 MECHANISMS = ("classical", "analytic")
+BISECTION_TOL = 1e-9  # relative width of analytic_sigma's final bracket
 
 
 @dataclass(frozen=True)
@@ -25,8 +28,8 @@ class PrivacyParams:
     """Privacy budget, slack, query sensitivity and mechanism choice.
 
     The classical mechanism's guarantee is stated for epsilon in (0, 1];
-    the analytic mechanism accepts any epsilon >= 0 and delta in [0, 1],
-    though calibration itself needs epsilon > 0 and delta in (0, 1).
+    the analytic mechanism accepts any finite epsilon >= 0 and delta in
+    [0, 1], though calibration itself needs epsilon > 0 and delta in (0, 1).
     """
 
     epsilon: float
@@ -38,8 +41,8 @@ class PrivacyParams:
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}; "
                              f"expected one of {MECHANISMS}")
-        if not self.sensitivity > 0:
-            raise ValueError("sensitivity must be positive")
+        if not 0 < self.sensitivity < math.inf:
+            raise ValueError("sensitivity must be positive and finite")
         if self.mechanism == "classical":
             if not 0 < self.epsilon <= 1:
                 raise ValueError("classical mechanism requires epsilon in "
@@ -48,8 +51,8 @@ class PrivacyParams:
                 raise ValueError("classical mechanism requires delta in "
                                  f"(0, 1), got {self.delta}")
         else:
-            if self.epsilon < 0:
-                raise ValueError("epsilon must be nonnegative")
+            if not 0 <= self.epsilon < math.inf:
+                raise ValueError("epsilon must be nonnegative and finite")
             if not 0 <= self.delta <= 1:
                 raise ValueError("delta must lie in [0, 1]")
 
@@ -79,16 +82,16 @@ def _analytic_condition(s, epsilon):
     return gaussian_cdf(a - b) - math.exp(epsilon) * gaussian_cdf(-a - b)
 
 
-def analytic_sigma(params, tol=1e-9):
+def analytic_sigma(params):
     """Minimal sigma meeting the analytic Gaussian mechanism condition.
 
     Bisects on s = sigma/Delta between 1e-6 and twice the classical formula
     value (evaluated regardless of the classical domain restriction, since
     it always upper-bounds the analytic scale). Returns the upper end of the
     final bracket, so the condition is satisfied; bisection continues past
-    the requested bracket tolerance until the condition value at that
-    endpoint sits within 1e-12 of delta, i.e. the returned sigma is minimal
-    up to that slack.
+    a bracket of relative width BISECTION_TOL until the condition value at
+    that endpoint sits within 1e-12 of delta, i.e. the returned sigma is
+    minimal up to that slack.
     """
     if not params.epsilon > 0:
         raise ValueError("analytic calibration requires epsilon > 0")
@@ -103,7 +106,7 @@ def analytic_sigma(params, tol=1e-9):
         raise ValueError(
             f"bisection bracket failure: condition({lo})={c_lo}, "
             f"condition({hi})={c_hi}, delta={delta}")
-    while (hi - lo) > tol * hi or c_hi < delta - 1e-12:
+    while (hi - lo) > BISECTION_TOL * hi or c_hi < delta - 1e-12:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -115,11 +118,11 @@ def analytic_sigma(params, tol=1e-9):
     return hi * params.sensitivity
 
 
-def calibrate_sigma(params, tol=1e-9):
+def calibrate_sigma(params):
     """Dispatch to the mechanism selected in params."""
     if params.mechanism == "classical":
         return classical_sigma(params)
-    return analytic_sigma(params, tol=tol)
+    return analytic_sigma(params)
 
 
 def sanitize(f, sigma, seed=0):
@@ -131,5 +134,6 @@ def sanitize(f, sigma, seed=0):
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
     f = np.asarray(f, dtype=np.float64)
+    require_finite(f)
     rng = np.random.default_rng(seed)
     return f + sigma * rng.standard_normal(f.shape), float(sigma)

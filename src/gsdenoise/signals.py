@@ -70,6 +70,14 @@ def mse(a, b):
     return float(d @ d / d.size)
 
 
+def require_finite(f):
+    """Refuse a signal with a non-finite sample, naming the first."""
+    if not np.isfinite(f).all():
+        i = int(np.argmin(np.isfinite(f)))
+        raise ValueError(f"signal sample {i} is {f[i]!r}; every sample "
+                         "must be finite")
+
+
 def write_signal(path, values, header=None):
     """Write one real per line with optional `# key = value` header lines."""
     values = np.asarray(values, dtype=np.float64)

@@ -23,6 +23,7 @@ DISTRIBUTIONS = ("rademacher", "gaussian")
 WEIGHT_FINGERPRINT = ("graph={graph_hash},variant={variant},pou={pou},K={K},"
                       "jackson={jackson:d},N={N},dist={distribution},"
                       "seed={seed}")
+SURE_VARIANCE_CAP = 150  # the most coefficients, n(J+1), for that oracle
 
 
 def _eps_sq_moments(dist):
@@ -117,7 +118,7 @@ def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=10,
     if N < 1:
         raise ValueError("N must be at least 1")
     if transform == "fast":
-        steps = L.assembled(chebyshev.chebyshev_interval(L))
+        steps = L.assembled()
 
         def fwd(e):
             return chebyshev.sgwt_forward_fast(L, e, pou, K=K,
@@ -187,7 +188,7 @@ def gamma_variance_exact(frame_matrix, dist, N, i, j):
     return (v_eps2 * s_diag + 2.0 * e_eps2_sq * cross) / N
 
 
-def sure_variance_exact(frame_matrix, derivs, sigma, dist, N, cap=150):
+def sure_variance_exact(frame_matrix, derivs, sigma, dist, N):
     """Closed-form conditional variance of the plug-in SURE.
 
     derivs is the Jacobian d_j h_i as a matrix (diagonal for coordinate-wise
@@ -199,9 +200,9 @@ def sure_variance_exact(frame_matrix, derivs, sigma, dist, N, cap=150):
                         + E[eps^2]^2 (tr(C^2) - sum_p C_pp^2) ].
     """
     F = np.asarray(frame_matrix, dtype=np.float64)
-    if F.shape[0] > cap:
+    if F.shape[0] > SURE_VARIANCE_CAP:
         raise ValueError(f"sure variance oracle refused for n(J+1)="
-                         f"{F.shape[0]} > {cap}")
+                         f"{F.shape[0]} > {SURE_VARIANCE_CAP}")
     A = np.asarray(derivs, dtype=np.float64)
     if A.ndim == 1:
         A = np.diag(A)

@@ -11,7 +11,6 @@ from gsdenoise.chebyshev import (
     apply_filter,
     band_expansions,
     chebyshev_coefficients,
-    chebyshev_interval,
     filter_expansion,
     jackson_damping,
     sgwt_forward_fast,
@@ -60,10 +59,10 @@ def test_jackson_weights_shape():
 
 def test_interval_is_two_for_spectrum_normalizing_variants():
     g = random_connected_graph(15, seed=0)
-    assert chebyshev_interval(laplacian(g, "normalized")) == 2.0
-    assert chebyshev_interval(laplacian(g, "random_walk")) == 2.0
+    assert laplacian(g, "normalized").interval == 2.0
+    assert laplacian(g, "random_walk").interval == 2.0
     Lu = laplacian(g, "unnormalized")
-    assert chebyshev_interval(Lu) == Lu.lambda_ub
+    assert Lu.interval == Lu.lambda_ub
 
 
 def test_apply_constant_filter_is_scaling():
@@ -186,14 +185,14 @@ def test_expansion_cache_reuses_band_coefficients():
     assert all(a.theta is not b.theta for a, b in zip(first, other))
 
 
-def _clenshaw_per_step(L, ub, theta, blocks):
+def _clenshaw_per_step(L, theta, blocks):
     """Clenshaw's recurrence with each step's mixture formed alone."""
     b1 = np.zeros(L.n)
     b2 = np.zeros(L.n)
     for k in range(theta.shape[1] - 1, 0, -1):
-        b2 = L.matvec(b1, interval=ub, prev=b2) + theta[:, k] @ blocks
+        b2 = L.matvec(b1, prev=b2, step=True) + theta[:, k] @ blocks
         b1, b2 = b2, b1
-    return L.matvec(b1, interval=ub) / 2 - b2 + theta[:, 0] @ blocks
+    return L.matvec(b1, step=True) / 2 - b2 + theta[:, 0] @ blocks
 
 
 @pytest.mark.parametrize("assembled", [False, True])
@@ -205,19 +204,18 @@ def test_paired_clenshaw_matches_per_step_reference(K, rows, side, assembled):
     g = grid_graph(side, side)
     assert (g.n < SLAB) == (side == 20) and g.n % SLAB
     L = laplacian(g)
-    ub = chebyshev_interval(L)
     pou = PartitionOfUnity.for_operator(L)
     theta = np.stack([e.coefficients() for e in band_expansions(L, pou, K)])
     if rows == "one":
         theta = theta[1:2]
     blocks = np.random.default_rng(K).standard_normal((theta.shape[0], g.n))
-    want = _clenshaw_per_step(L, ub, theta, blocks)
+    want = _clenshaw_per_step(L, theta, blocks)
     L.reset_matvec_count()
     if assembled:
-        with L.assembled(ub):
-            got = _clenshaw(L, ub, theta, blocks)
+        with L.assembled():
+            got = _clenshaw(L, theta, blocks)
     else:
-        got = _clenshaw(L, ub, theta, blocks)
+        got = _clenshaw(L, theta, blocks)
     assert L.matvec_count == K + 1
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 

@@ -68,8 +68,6 @@ def test_nonfinite_weights_rejected_at_every_entry_point(tmp_path, bad):
     weights = np.array([1.0, 1.0, w, w])
     with pytest.raises(ValueError, match=rf"entry \(1, 2\) is {bad}"):
         from_csr(3, offsets, indices, weights)
-    # unvalidated wrapping is left to the caller
-    assert from_csr(3, offsets, indices, weights, validate=False).n == 3
 
 
 def test_labels_densified_in_first_appearance_order():

@@ -13,9 +13,11 @@ from scipy.sparse import csr_array
 
 import gsdenoise
 from gsdenoise._kernels import csr_matvec
-from gsdenoise.chebyshev import chebyshev_interval
+from gsdenoise.chebyshev import filter_expansion, sgwt_forward_fast
+from gsdenoise.frame import PartitionOfUnity
 from gsdenoise.graph import (
     VARIANTS,
+    LaplacianOperator,
     from_csr,
     grid_graph,
     laplacian,
@@ -50,21 +52,21 @@ def test_matvec_matches_dense_laplacian(variant):
 def test_chebyshev_step_matches_dense_shifted_operator(variant):
     g = random_connected_graph(73, seed=1)
     L = laplacian(g, variant)
-    ub = chebyshev_interval(L)
+    ub = L.interval
     step = 2.0 * ((2.0 / ub) * _dense_laplacian(g, variant) - np.eye(g.n))
     rng = np.random.default_rng(2)
     x, prev = rng.standard_normal(g.n), rng.standard_normal(g.n)
     want = step @ x - prev
     # the zero-copy step, then the step on the assembled matrix
-    for steps in (contextlib.nullcontext(), L.assembled(ub)):
+    for steps in (contextlib.nullcontext(), L.assembled()):
         with steps:
-            assert _close(L.matvec(x, interval=ub, prev=prev), want)
-            assert _close(L.matvec(x, interval=ub), step @ x)
+            assert _close(L.matvec(x, prev=prev, step=True), want)
+            assert _close(L.matvec(x, step=True), step @ x)
             # the recurrences write the step over its own inputs
             for alias in ("x", "prev"):
                 xa, pa = x.copy(), prev.copy()
                 out = xa if alias == "x" else pa
-                assert L.matvec(xa, out=out, interval=ub, prev=pa) is out
+                assert L.matvec(xa, out=out, prev=pa, step=True) is out
                 assert _close(out, want)
 
 
@@ -72,8 +74,8 @@ def test_chebyshev_step_matches_dense_shifted_operator(variant):
 def test_step_matrix_is_the_shifted_operator_without_zeros(variant):
     g = grid_graph(7, 9)
     L = laplacian(g, variant, lambda_ub=8.0)
-    ub = chebyshev_interval(L)
-    A = L._step_matrix(ub)
+    ub = L.interval
+    A = L._step_matrix()
     step = 2.0 * ((2.0 / ub) * _dense_laplacian(g, variant) - np.eye(g.n))
     assert np.allclose(A.toarray(), step, rtol=0, atol=1e-15)
     assert A.indices.dtype == A.indptr.dtype == np.int32
@@ -88,32 +90,47 @@ def test_assembled_context_drops_the_matrix_on_exit():
     L = laplacian(grid_graph(4, 5), "normalized")
     x = np.ones(L.n)
     with pytest.raises(RuntimeError):
-        with L.assembled(2.0):
+        with L.assembled():
             assert L._assembled is not None
             raise RuntimeError
     assert L._assembled is None
-    # a step on another interval does not touch the assembled matrix
-    with L.assembled(2.0):
-        A = L._assembled[1]
-        other = L.matvec(x, interval=3.0)
-        assert _close(L.matvec(x, interval=2.0), A @ x)
-    assert _close(other, L.matvec(x, interval=3.0))
+    with L.assembled():
+        A = L._assembled
+        assert _close(L.matvec(x, step=True), A @ x)
+    assert L._assembled is None
 
 
 def test_nested_assembled_context_reuses_an_open_matrix():
     L = laplacian(grid_graph(4, 5))
-    ub = chebyshev_interval(L)
-    with L.assembled(ub):
+    with L.assembled():
         outer = L._assembled
-        with L.assembled(ub):
-            assert L._assembled[1] is outer[1]
-        assert L._assembled is outer
-        # another interval builds its own, and the outer one comes back
-        with L.assembled(2 * ub):
-            assert L._assembled[0] == 2 * ub
-            assert L._assembled[1] is not outer[1]
+        with L.assembled():
+            assert L._assembled is outer
         assert L._assembled is outer
     assert L._assembled is None
+
+
+def test_unnormalized_operator_without_a_bound_refuses_to_step():
+    g = grid_graph(4, 5)
+    L = LaplacianOperator(g, "unnormalized")
+    x = np.random.default_rng(6).standard_normal(g.n)
+    pou = PartitionOfUnity("linear", 2.0, 8.0)
+    match = r"no spectral bound.*laplacian\(\)"
+    with pytest.raises(ValueError, match=match):
+        L.interval
+    with pytest.raises(ValueError, match=match):
+        L.matvec(x, step=True)
+    with pytest.raises(ValueError, match=match):
+        filter_expansion(lambda lam: lam, L, 5)
+    with pytest.raises(ValueError, match=match):
+        sgwt_forward_fast(L, x, pou, K=5)
+    # the plain product needs no bound
+    assert _close(L.matvec(x), _dense_laplacian(g, "unnormalized") @ x)
+    # the normalized variants step on [0, 2] without one
+    Ln = LaplacianOperator(g, "normalized")
+    assert Ln.lambda_ub is None and Ln.interval == 2.0
+    step = 2.0 * (_dense_laplacian(g, "normalized") - np.eye(g.n))
+    assert _close(Ln.matvec(x, step=True), step @ x)
 
 
 @pytest.mark.parametrize("itype", [np.int32, np.int64])
@@ -164,7 +181,7 @@ def test_matvec_counts_plain_and_step_applications_alike():
     L.reset_matvec_count()
     x = np.ones(L.n)
     L.matvec(x)
-    L.matvec(x, interval=L.lambda_ub, prev=x)
+    L.matvec(x, prev=x, step=True)
     assert L.matvec_count == 2
 
 

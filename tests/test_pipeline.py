@@ -474,6 +474,15 @@ def test_cli_missing_sigma_is_usage_error(workspace):
     assert exc.value.code == 2
 
 
+def test_cli_sanitize_refuses_nonfinite_samples(tmp_path, capsys):
+    spath, npath = tmp_path / "s.txt", tmp_path / "n.txt"
+    spath.write_text("1.0\nnan\ninf\n")
+    assert main(["sanitize", str(spath), "-o", str(npath),
+                 "--sigma", "1.0"]) == 1
+    assert "signal sample 1 is" in capsys.readouterr().err
+    assert not npath.exists()
+
+
 def test_cli_computation_error_exits_one(tmp_path, capsys):
     assert main(["graph-info", str(tmp_path / "missing.txt")]) == 1
     assert "error" in capsys.readouterr().err

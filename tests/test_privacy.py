@@ -44,6 +44,16 @@ def test_params_validation():
     PrivacyParams(3.0, 1e-6, 1.0, "analytic")  # analytic allows epsilon > 1
 
 
+@pytest.mark.parametrize("mechanism", ["analytic", "classical"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_params_reject_nonfinite_epsilon_and_sensitivity(mechanism, bad):
+    with pytest.raises(ValueError, match="epsilon"):
+        PrivacyParams(bad, 1e-6, 1.0, mechanism)
+    with pytest.raises(ValueError, match="sensitivity must be positive and "
+                                         "finite"):
+        PrivacyParams(0.5, 1e-6, bad, mechanism)
+
+
 def test_classical_formula():
     p = PrivacyParams(0.5, 1e-5, 2.0, "classical")
     want = 2.0 * math.sqrt(2.0 * math.log(1.25e5)) / 0.5
@@ -104,3 +114,14 @@ def test_sanitize_rejects_nonpositive_scale():
 def test_sanitize_rejects_infinite_scale():
     with pytest.raises(ValueError, match="finite"):
         sanitize(np.ones(3), math.inf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sanitize_rejects_nonfinite_samples_with_their_index(bad):
+    # the noise would leave a non-finite sample as it is, and so show which
+    # samples were not finite
+    f = np.ones(5)
+    f[[2, 4]] = bad
+    with pytest.raises(ValueError, match="signal sample 2 is .*; every "
+                                         "sample must be finite"):
+        sanitize(f, 1.0)
