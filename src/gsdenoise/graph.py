@@ -622,9 +622,9 @@ class LaplacianOperator:
         variant's scalings are folded into n-vectors kept per operator, or,
         inside :meth:`assembled`, into the step matrix, where the step is
         out = -prev and one kernel call adding the product into out. The
-        result goes to out when given, which may be x or prev itself.
+        result goes to out when given, which may be x or prev itself. A
+        call that raises is not counted.
         """
-        self.matvec_count += 1
         if step and self._assembled is not None:
             x = np.ascontiguousarray(x, dtype=np.float64)
             if out is None:
@@ -635,15 +635,17 @@ class LaplacianOperator:
                 out.fill(0.0)
             else:
                 np.negative(prev, out=out)
-            return csr_matvec(self._assembled, x, out)
-        diag, post, pre = self._step_terms if step else self._terms
-        wx = self.graph.adj_matvec(x if pre is None else pre * x)
-        if post is not None:
-            wx *= post
-        if prev is not None:
-            wx += prev
-        out = np.multiply(diag, x, out=out)
-        out -= wx
+            out = csr_matvec(self._assembled, x, out)
+        else:
+            diag, post, pre = self._step_terms if step else self._terms
+            wx = self.graph.adj_matvec(x if pre is None else pre * x)
+            if post is not None:
+                wx *= post
+            if prev is not None:
+                wx += prev
+            out = np.multiply(diag, x, out=out)
+            out -= wx
+        self.matvec_count += 1
         return out
 
 

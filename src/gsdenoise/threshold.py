@@ -7,10 +7,12 @@ scale's additive SURE contribution over observed magnitudes, where SURE
 restricted to this family has its kinks: the percentiles 0, 1, ..., 100 of
 the absolute coefficients, every magnitude of a block of up to 101.
 
-Selection costs one sort per scale plus two binary searches per candidate:
-with the block sorted by magnitude, the percentile candidates are read off
-at their ranks, and prefix and suffix sums give the objective at every
-candidate, instead of a pass over the block per candidate.
+Selection costs one sort per scale plus a few linear passes: with the
+block sorted by magnitude, the percentile candidates are read off at their
+ranks and cut the block into at most 205 segments, every term of the
+objective is reduced once per segment, and running sums over the segments
+give the objective at every candidate, instead of a pass over the block
+per candidate.
 """
 
 from dataclasses import dataclass
@@ -81,9 +83,9 @@ def js_derivative(x, t, beta=2.0):
 
 # The candidate thresholds of a scale are these percentiles of its
 # magnitudes. Exact selection over every magnitude was measured instead
-# (median of 7 runs, one thread): select went from 36.5 to 63.7 ms on the
-# 300x300 grid and from 107.9 to 178.1 ms on 500x500, about 17% of a
-# request's denoise time when the operator and weights are reused.
+# (median of 5 runs, one thread): select went from 26.5 to 241 ms on the
+# 300x300 grid and from 77 to 658 ms on 500x500, about as long again as a
+# whole request when the operator and weights are reused.
 PERCENTILES = np.linspace(0.0, 100.0, 101)
 
 
@@ -125,17 +127,43 @@ class ThresholdPolicy:
             raise ValueError("thresholds must be nonnegative")
 
 
-def _suffix_logsumexp(v):
-    """log sum_{i >= k} exp(v_i) for k = 0..len(v), the empty sum as -inf."""
-    return np.append(np.logaddexp.accumulate(v[::-1])[::-1], -np.inf)
-
-
 def _by_magnitude(x, w):
     """|x| sorted ascending, and the weights in the same order."""
     a = np.abs(x)
     order = np.argsort(a)
     a = a[order]  # the unsorted copy is freed before the weights are sorted
     return a, w[order]
+
+
+def _segment_sums(x, edges):
+    """Sums of x over its segments [edges[i], edges[i + 1]), 0 where a
+    segment is empty; edges run from 0 to x.size, nondecreasing."""
+    full = edges[:-1] < edges[1:]  # reduceat reads an empty one as an entry
+    out = np.zeros(edges.size - 1)
+    out[full] = np.add.reduceat(x, edges[:-1][full])
+    return out
+
+
+def _segment_logsumexp(v, edges):
+    """log of the sums of exp(v) over the segments of v (see _segment_sums),
+    -inf where a segment is empty or all -inf. Each segment is shifted by
+    its own maximum, so no exp overflows. v is used as scratch."""
+    full = edges[:-1] < edges[1:]
+    starts = edges[:-1][full]
+    top = np.maximum.reduceat(v, starts)
+    top[top == -np.inf] = 0.0  # all -inf: exp(v - 0) sums to 0
+    v -= np.repeat(top, np.diff(edges)[full])
+    np.exp(v, out=v)
+    out = np.full(edges.size - 1, -np.inf)
+    with np.errstate(divide="ignore"):
+        out[full] = top + np.log(np.add.reduceat(v, starts))
+    return out
+
+
+def _after_kinks(ufunc, seg):
+    """The suffix reductions of segment values seg by ufunc, read at the
+    start of the gap after each kink (see _scale_objectives)."""
+    return np.append(ufunc.accumulate(seg[::-1])[::-1], ufunc.identity)[1::2]
 
 
 def _scale_objectives(a, w, sigma, t, beta):
@@ -147,32 +175,42 @@ def _scale_objectives(a, w, sigma, t, beta):
     |x| = t > 0 are dead too and add the slope beta: x^2 + 2 sigma^2 beta w.
     Entries with |x| > t contribute
     t^(2 beta) |x|^(2 - 2 beta) + 2 sigma^2 w (1 + (beta - 1) t^beta |x|^-beta),
-    and exact zeros contribute nothing. The two power sums over the live
-    entries are suffix sums taken in the log domain, so that beta up to
-    BETA_MAX cannot overflow.
+    and exact zeros contribute nothing.
+
+    The thresholds cut the sorted block into segments, alternately the
+    kink of a threshold (the entries equal to it) and the gap up to the
+    next one. Every term is reduced once per segment, in a few linear
+    passes, and the objectives come from running sums over the segments.
+    The two power sums over the live entries are taken in the log domain,
+    each segment shifted by its own maximum, so that beta up to BETA_MAX
+    cannot overflow.
     """
-    dead_sq = np.append(0.0, np.cumsum(a * a))       # sum over entries [0, k)
-    live_w = np.append(np.cumsum(w[::-1])[::-1], 0.0)  # sum over entries [k, n)
     lo = np.searchsorted(a, t, side="left")
     hi = np.searchsorted(a, t, side="right")
+    edges = np.column_stack([lo, hi]).ravel()  # kink k is segment 2k
     s2 = 2.0 * sigma ** 2
-    obj = dead_sq[hi] + s2 * live_w[hi]
-    obj += np.where(t > 0, s2 * beta * (live_w[lo] - live_w[hi]), 0.0)
-    del dead_sq, live_w
+    ws = _segment_sums(w, edges)
+    obj = np.cumsum(_segment_sums(a * a, edges))[::2]  # dead: [0, hi)
+    obj += s2 * _after_kinks(np.add, ws)
+    obj += np.where(t > 0, s2 * beta * ws[::2], 0.0)
 
     # every live entry is nonzero, so the power sums skip the zeros
     zeros = int(np.searchsorted(a, 0.0, side="right"))
+    edges = np.maximum(edges - zeros, 0)
     loga = np.log(a[zeros:])
+    v = (2.0 - 2.0 * beta) * loga
+    sum_sq = _after_kinks(np.logaddexp, _segment_logsumexp(v, edges))
     with np.errstate(divide="ignore"):  # log 0 = -inf for t = 0 and w = 0
-        logw = np.log(w[zeros:])
+        np.log(w[zeros:], out=v)
         logt = np.log(t)
-    sum_sq = _suffix_logsumexp((2.0 - 2.0 * beta) * loga)
-    sum_w = _suffix_logsumexp(logw - beta * loga)
-    k = hi - zeros
-    live = k < loga.size  # t = inf, or t at the top magnitude, has none
-    k, logt = k[live], logt[live]
-    obj[live] += (np.exp(2.0 * beta * logt + sum_sq[k])
-                  + s2 * (beta - 1.0) * np.exp(beta * logt + sum_w[k]))
+    loga *= beta
+    v -= loga
+    del loga
+    sum_w = _after_kinks(np.logaddexp, _segment_logsumexp(v, edges))
+    live = hi < a.size  # t = inf, or t at the top magnitude, has none
+    obj[live] += (np.exp(2.0 * beta * logt[live] + sum_sq[live])
+                  + s2 * (beta - 1.0) * np.exp(beta * logt[live]
+                                               + sum_w[live]))
     return obj
 
 

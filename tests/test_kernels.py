@@ -185,6 +185,22 @@ def test_matvec_counts_plain_and_step_applications_alike():
     assert L.matvec_count == 2
 
 
+def test_refused_matvec_is_not_counted():
+    L = LaplacianOperator(grid_graph(4, 5), "unnormalized")
+    with pytest.raises(ValueError, match="no spectral bound"):
+        L.matvec(np.ones(20), step=True)
+    with pytest.raises(ValueError, match="length 20"):
+        L.matvec(np.ones(3))
+    assert L.matvec_count == 0
+    # nor inside an assembled step matrix
+    L = laplacian(grid_graph(4, 5), "unnormalized")
+    L.reset_matvec_count()
+    with L.assembled():
+        with pytest.raises(ValueError, match="length 20"):
+            L.matvec(np.ones(3), step=True)
+    assert L.matvec_count == 0
+
+
 def test_empty_rows_contribute_zero():
     # node 2 is isolated: the product must still emit a full-length output
     offsets = np.array([0, 1, 2, 2], dtype=np.int64)

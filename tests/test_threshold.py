@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gsdenoise.frame import FrameCoefficients
+from gsdenoise.chebyshev import sgwt_forward_fast
+from gsdenoise.frame import FrameCoefficients, PartitionOfUnity
+from gsdenoise.graph import grid_graph, laplacian
+from gsdenoise.privacy import PrivacyParams, calibrate_sigma, sanitize
+from gsdenoise.signals import SignalSpec, synth_signal
+from gsdenoise.sure import estimate_diagonal_weights
 from gsdenoise.threshold import (
     ThresholdPolicy,
     _by_magnitude,
@@ -131,17 +136,48 @@ def _objective_reference(x, w, sigma, t, beta):
     return float(r @ r) + 2 * sigma ** 2 * float(w @ js_derivative(x, t, beta))
 
 
+def _suffix_logsumexp(v):
+    """log sum_{i >= k} exp(v_i) for k = 0..len(v), the empty sum as -inf."""
+    return np.append(np.logaddexp.accumulate(v[::-1])[::-1], -np.inf)
+
+
+def _scale_objectives_reference(a, w, sigma, t, beta):
+    """_scale_objectives from running sums over every magnitude, read back
+    at each threshold's rank: the two power sums are log-domain suffix
+    scans over the whole block."""
+    dead_sq = np.append(0.0, np.cumsum(a * a))       # sum over entries [0, k)
+    live_w = np.append(np.cumsum(w[::-1])[::-1], 0.0)  # sum over entries [k, n)
+    lo = np.searchsorted(a, t, side="left")
+    hi = np.searchsorted(a, t, side="right")
+    s2 = 2.0 * sigma ** 2
+    obj = dead_sq[hi] + s2 * live_w[hi]
+    obj += np.where(t > 0, s2 * beta * (live_w[lo] - live_w[hi]), 0.0)
+    zeros = int(np.searchsorted(a, 0.0, side="right"))
+    loga = np.log(a[zeros:])
+    with np.errstate(divide="ignore"):
+        logw = np.log(w[zeros:])
+        logt = np.log(t)
+    sum_sq = _suffix_logsumexp((2.0 - 2.0 * beta) * loga)
+    sum_w = _suffix_logsumexp(logw - beta * loga)
+    k = hi - zeros
+    live = k < loga.size
+    k, logt = k[live], logt[live]
+    obj[live] += (np.exp(2.0 * beta * logt + sum_sq[k])
+                  + s2 * (beta - 1.0) * np.exp(beta * logt + sum_w[k]))
+    return obj
+
+
 @st.composite
-def _blocks_with_ties(draw):
+def _blocks_with_ties(draw, magnitudes=st.floats(0.125, 8.0)):
     """A coefficient block drawn from a few magnitudes, so that ties and
     exact zeros are common, and its weights, zeros included.
 
-    Magnitudes stay within [1/8, 8]: over a much wider range the
-    reference's h - x cancels for beta near 1, and the reference would be
-    the less accurate side of the comparison.
+    Magnitudes stay within [1/8, 8] by default: over a much wider range
+    the h - x of _objective_reference cancels for beta near 1, and that
+    reference would be the less accurate side of the comparison.
     """
-    pool = np.array([0.0] + draw(st.lists(st.floats(0.125, 8.0),
-                                          min_size=1, max_size=6)))
+    pool = np.array([0.0] + draw(st.lists(magnitudes, min_size=1,
+                                          max_size=6)))
     n = draw(st.integers(1, 40))
     which = draw(hnp.arrays(np.int64, n,
                             elements=st.integers(0, pool.size - 1)))
@@ -167,6 +203,57 @@ def test_one_pass_objectives_match_per_candidate_reference(block, beta,
     a, ws = _by_magnitude(x, w)
     np.testing.assert_allclose(_scale_objectives(a, ws, sigma, cands, beta),
                                want, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks_with_ties(st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)),
+       st.sampled_from([1.0, 1.5, 2.0, 5.0, 100.0]), st.floats(0.1, 3.0),
+       st.data())
+def test_segment_objectives_match_the_per_magnitude_scans(block, beta, sigma,
+                                                           data):
+    # candidates as in the test above
+    x, w = block
+    mags = np.unique(np.abs(x))
+    keep = data.draw(hnp.arrays(bool, mags.size)) | data.draw(st.booleans())
+    cands = np.unique(np.concatenate([[0.0], mags[keep], [np.inf]]))
+    a, ws = _by_magnitude(x, w)
+    got = _scale_objectives(a, ws, sigma, cands, beta)
+    want = _scale_objectives_reference(a, ws, sigma, cands, beta)
+    # Both sides exponentiate log-domain sums of the same terms, added in
+    # a different order, and each of up to n + 2 roundings errs by up to
+    # eps times the largest term, M. So the power terms, at most
+    # U = sum over the live entries of a^2 + 2 sigma^2 (beta - 1) w, may
+    # differ by (n + 2) eps M U: at beta = 100, near-tied magnitudes
+    # around 1e150 and M about 7e4, both sides are 1e-11 off an mpmath
+    # objective. Elsewhere this is well below rel 1e-12.
+    nz, pos = a > 0, ws > 0
+    M = (2.0 * beta * np.max(np.abs(np.log(a[nz])), initial=0.0)
+         + np.max(np.abs(np.log(ws[pos])), initial=0.0) + 1.0)
+    live = a[None, :] > cands[:, None]
+    U = live @ (a * a + 2.0 * sigma ** 2 * (beta - 1.0) * ws)
+    slack = (a.size + 2) * np.finfo(float).eps * M * U
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + slack)
+
+
+def test_grid_thresholds_equal_the_reference_path_bitwise():
+    g = grid_graph(300, 300)
+    L = laplacian(g)
+    pou = PartitionOfUnity.for_operator(L)
+    weights = estimate_diagonal_weights(L, pou)
+    for i, epsilon in enumerate((0.5, 1.0, 2.0)):
+        f = synth_signal(g, SignalSpec(0.01, 4, seed=i))
+        sigma = calibrate_sigma(PrivacyParams(epsilon, 1e-6))
+        noisy, sigma = sanitize(f, sigma, seed=100 + i)
+        coeffs = sgwt_forward_fast(L, noisy, pou)
+        policy = select_thresholds_sure(coeffs, weights, sigma)
+        want = np.empty(coeffs.J + 1)
+        for j in range(coeffs.J + 1):
+            x = coeffs.block(j)
+            a, w = _by_magnitude(x, weights.diag[j * g.n:(j + 1) * g.n])
+            grid = candidate_grid(x)
+            want[j] = grid[int(np.argmin(_scale_objectives_reference(
+                a, w, sigma, grid, policy.beta)))]
+        assert policy.thresholds.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
