@@ -31,10 +31,9 @@ from .frame import (
     sgwt_inverse_exact,
 )
 from .chebyshev import (
-    ChebyshevExpansion,
     apply_filter,
+    band_coefficients,
     chebyshev_coefficients,
-    filter_expansion,
     jackson_damping,
     sgwt_forward_fast,
     sgwt_inverse_fast,

@@ -19,13 +19,12 @@ which forms the scale mixtures of two steps by one matrix product;
 at a time.
 """
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from .frame import FrameCoefficients
 
-_EXPANSION_CACHE = {}
 # Chebyshev vectors held by the analysis recurrence and added into every
 # scale by one matrix product. 16 would add 24 MB of peak RSS on a 500x500
 # grid for little speed.
@@ -59,7 +58,9 @@ def chebyshev_coefficients(rho, interval_ub, K):
     theta_i = (2 - 1{i=0}) / M * sum_m rho~(cos t_m) cos(i t_m) over the
     M = 4 (K + 1) Chebyshev nodes t_m = pi (m - 1/2) / M, where rho~(x) =
     rho(interval_ub / 2 * (x + 1)) lives on [-1, 1]; the nodes are
-    oversampled so the kinked band filters do not alias.
+    oversampled so the kinked band filters do not alias. rho may return one
+    row per filter; the rows then share the nodes and the cosine table, and
+    the result has one row of K + 1 coefficients per filter.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -67,37 +68,37 @@ def chebyshev_coefficients(rho, interval_ub, K):
     t = np.pi * (np.arange(1, M + 1) - 0.5) / M
     x = np.cos(t)
     vals = np.asarray(rho(interval_ub / 2.0 * (x + 1.0)), dtype=np.float64)
-    if not np.all(np.isfinite(vals)):
-        bad = interval_ub / 2.0 * (x[~np.isfinite(vals)][0] + 1.0)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        bad = interval_ub / 2.0 * (x[np.nonzero(~finite)[-1][0]] + 1.0)
         raise ValueError(f"filter produced a non-finite value at x={bad}")
-    theta = (2.0 / M) * np.cos(np.outer(np.arange(K + 1), t)) @ vals
-    theta[0] *= 0.5
+    cos_table = (2.0 / M) * np.cos(np.outer(np.arange(K + 1), t))
+    # one matrix-vector product per row, so that a row's coefficients are
+    # bitwise those of a one-row call; one product over all rows is not
+    theta = np.stack([cos_table @ v for v in np.atleast_2d(vals)])
+    theta[:, 0] *= 0.5
+    return theta.reshape(vals.shape[:-1] + (K + 1,))
+
+
+def band_coefficients(L, pou, K, jackson=True):
+    """Coefficients of the frame's filters on L.interval, (J + 1, K + 1).
+
+    One row per scale, damped when jackson is enabled. The undamped rows
+    are computed once per partition, K and interval; the array returned is
+    read-only, so no caller can change what later transforms use.
+    """
+    theta = _band_coefficients(pou, K, L.interval)
+    if jackson:
+        theta = theta * jackson_damping(K)
+        theta.flags.writeable = False
     return theta
 
 
-@dataclass(frozen=True)
-class ChebyshevExpansion:
-    """Truncated expansion of one filter on (0, interval_ub]."""
-
-    theta: np.ndarray
-    interval_ub: float
-    jackson: bool = True
-
-    @property
-    def K(self):
-        return self.theta.size - 1
-
-    def coefficients(self):
-        """Expansion coefficients, damped when jackson is enabled."""
-        if self.jackson:
-            return self.theta * jackson_damping(self.K)
-        return np.asarray(self.theta)
-
-
-def filter_expansion(rho, L, K, jackson=True):
-    """Expand an arbitrary filter for direct application to an operator."""
-    ub = L.interval
-    return ChebyshevExpansion(chebyshev_coefficients(rho, ub, K), ub, jackson)
+@functools.lru_cache
+def _band_coefficients(pou, K, interval_ub):
+    theta = chebyshev_coefficients(pou.sqrt_bands, interval_ub, K)
+    theta.flags.writeable = False
+    return theta
 
 
 def _analysis(L, theta, f):
@@ -162,44 +163,21 @@ def _clenshaw(L, theta, blocks):
     return 0.5 * b[0]
 
 
-def apply_filter(L, expansion, f):
-    """Apply the expanded filter with the Clenshaw recurrence.
+def apply_filter(L, rho, f, K=100, jackson=True):
+    """Apply the filter rho(L), expanded to degree K on L.interval, with the
+    Clenshaw recurrence.
 
     Performs exactly K + 1 Laplacian matvecs. The shifted operator
-    Lt = (2 / interval_ub) L - I is applied through the operator's step
-    and is never formed here.
+    Lt = (2 / L.interval) L - I is applied through the operator's step and
+    is never formed here.
     """
-    ub = expansion.interval_ub
-    if not np.isclose(ub, L.interval, rtol=1e-9, atol=0):
-        raise ValueError(f"expansion interval {ub} does not match the "
-                         f"operator's {L.interval} ({L.variant} variant)")
+    theta = chebyshev_coefficients(rho, L.interval, K)
+    if jackson:
+        theta = theta * jackson_damping(K)
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (L.n,):
         raise ValueError(f"expected signal of length {L.n}, got {f.shape}")
-    return _clenshaw(L, expansion.coefficients()[None], f[None])
-
-
-def band_expansions(L, pou, K, jackson=True):
-    """Expansions of all J + 1 scale filters sqrt(psi_j), cached.
-
-    The cache key covers everything the raw coefficients depend on; the
-    damping flag only reweights them at use time.
-    """
-    ub = L.interval
-    out = []
-    for j in range(pou.J + 1):
-        key = (pou.kind, pou.b, pou.c, j, K, ub)
-        theta = _EXPANSION_CACHE.get(key)
-        if theta is None:
-            theta = chebyshev_coefficients(pou.sqrt_psi(j), ub, K)
-            _EXPANSION_CACHE[key] = theta
-        out.append(ChebyshevExpansion(theta, ub, jackson))
-    return out
-
-
-def _band_coefficient_matrix(L, pou, K, jackson):
-    exps = band_expansions(L, pou, K, jackson=jackson)
-    return np.stack([e.coefficients() for e in exps])
+    return _clenshaw(L, theta[None], f[None])
 
 
 def sgwt_forward_fast(L, f, pou, K=100, jackson=True):
@@ -212,7 +190,7 @@ def sgwt_forward_fast(L, f, pou, K=100, jackson=True):
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (L.n,):
         raise ValueError(f"expected signal of length {L.n}, got {f.shape}")
-    theta = _band_coefficient_matrix(L, pou, K, jackson)
+    theta = band_coefficients(L, pou, K, jackson)
     return FrameCoefficients(_analysis(L, theta, f).ravel(), L.n, pou.J)
 
 
@@ -226,5 +204,5 @@ def sgwt_inverse_fast(L, coeffs, pou, K=100, jackson=True):
     """
     if coeffs.n != L.n or coeffs.J != pou.J:
         raise ValueError("coefficient dimensions do not match operator/partition")
-    theta = _band_coefficient_matrix(L, pou, K, jackson)
+    theta = band_coefficients(L, pou, K, jackson)
     return _clenshaw(L, theta, coeffs.as_blocks())

@@ -2,10 +2,12 @@
 
 The frame is generated by a partition of unity built from dilations of a
 plateau window: psi_0(x) = omega(x) and psi_j(x) = omega(b^-j x) -
-omega(b^-j+1 x), whose sum telescopes to 1 on [0, lambda_ub]. Everything in
-this module goes through a dense eigendecomposition and is meant for small
-graphs, as the reference implementation against which the Chebyshev fast
-path is validated.
+omega(b^-j+1 x), whose sum telescopes to 1 on [0, lambda_ub].
+:meth:`PartitionOfUnity.sqrt_bands` defines the frame's filters sqrt(psi_j)
+once, for the exact transforms here and the Chebyshev fast path alike. The
+exact transforms and frame matrix go through a dense eigendecomposition and
+are meant for small graphs, as the reference against which the fast path
+is validated.
 """
 
 import math
@@ -109,11 +111,10 @@ class PartitionOfUnity:
             return self.omega(x)
         return self.omega(self.b ** (-j) * x) - self.omega(self.b ** (-j + 1) * x)
 
-    def sqrt_psi(self, j):
-        """The filter of scale j, as a callable for polynomial expansion."""
-        def rho(x):
-            return np.sqrt(np.clip(self.psi(j, x), 0.0, None))
-        return rho
+    def sqrt_bands(self, x):
+        """The frame's filters sqrt(psi_j)(x), one row per scale j = 0..J."""
+        return np.stack([np.sqrt(np.clip(self.psi(j, x), 0.0, None))
+                         for j in range(self.J + 1)])
 
     def fingerprint(self):
         return (f"kind={self.kind},b={self.b!r},c={self.c!r},"
@@ -211,15 +212,6 @@ def exact_eigendecomposition(L):
     return EigenDecomposition(vals[order], vecs[:, order], pre=pre, post=post)
 
 
-def _band_values(pou, eig):
-    """sqrt(psi_j) evaluated at the eigenvalues, one row per scale."""
-    lam = eig.eigenvalues
-    return np.stack([
-        np.sqrt(np.clip(pou.psi(j, lam), 0.0, None))
-        for j in range(pou.J + 1)
-    ])
-
-
 def sgwt_forward_exact(L, f, pou, eig=None):
     """Analysis transform through the eigendecomposition.
 
@@ -231,7 +223,7 @@ def sgwt_forward_exact(L, f, pou, eig=None):
         raise ValueError(f"expected signal of length {L.n}, got {f.shape}")
     if eig is None:
         eig = exact_eigendecomposition(L)
-    bands = _band_values(pou, eig)
+    bands = pou.sqrt_bands(eig.eigenvalues)
     out = np.empty((pou.J + 1) * L.n)
     for j in range(pou.J + 1):
         out[j * L.n:(j + 1) * L.n] = eig.apply_filter(bands[j], f)
@@ -248,7 +240,7 @@ def sgwt_inverse_exact(L, coeffs, pou, eig=None):
         raise ValueError("coefficient dimensions do not match operator/partition")
     if eig is None:
         eig = exact_eigendecomposition(L)
-    bands = _band_values(pou, eig)
+    bands = pou.sqrt_bands(eig.eigenvalues)
     out = np.zeros(L.n)
     for j in range(pou.J + 1):
         out += eig.apply_filter(bands[j], coeffs.block(j))
@@ -264,7 +256,7 @@ def frame_matrix_exact(L, pou):
     if L.n > FRAME_CAP:
         raise ValueError(f"frame matrix refused for n={L.n} > {FRAME_CAP}")
     eig = exact_eigendecomposition(L)
-    bands = _band_values(pou, eig)
+    bands = pou.sqrt_bands(eig.eigenvalues)
     F = np.empty(((pou.J + 1) * L.n, L.n))
     for j in range(pou.J + 1):
         F[j * L.n:(j + 1) * L.n] = eig.filter_matrix(bands[j])

@@ -10,7 +10,6 @@ probes at every sample size. Exact small-graph oracles for the weights and
 for both closed-form variance expressions live here too.
 """
 
-from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -104,37 +103,20 @@ _FIELDS = {field.name: field for field in fields(WeightEstimate)
 
 
 def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=10,
-                              dist="rademacher", seed=0, transform="fast",
-                              graph_hash=""):
+                              dist="rademacher", seed=0, graph_hash=""):
     """Monte-Carlo Gram diagonal, O(N (mK + n(J+1)K)) with the fast transform.
 
     The N K Chebyshev steps of the fast probe transforms run inside
     ``L.assembled``: each is one CSR product over the step matrix, built
-    once here and dropped on return. transform="exact" switches to the
-    eigendecomposition-backed analysis operator so the estimate targets the
-    exact weights; that mode exists for the statistical oracles and is
-    capped to small graphs.
+    once here and dropped on return.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    if transform == "fast":
-        steps = L.assembled()
-
-        def fwd(e):
-            return chebyshev.sgwt_forward_fast(L, e, pou, K=K,
-                                               jackson=jackson).values
-    elif transform == "exact":
-        eig = frame.exact_eigendecomposition(L)
-        steps = nullcontext()
-
-        def fwd(e):
-            return frame.sgwt_forward_exact(L, e, pou, eig=eig).values
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-    with steps:
+    with L.assembled():
         acc = np.zeros(L.n * (pou.J + 1))
         for k in range(N):
-            w = fwd(draw_probe(L.n, dist, seed, k))
+            w = chebyshev.sgwt_forward_fast(L, draw_probe(L.n, dist, seed, k),
+                                            pou, K=K, jackson=jackson).values
             acc += np.square(w, out=w)
             del w  # not held while the next probe is transformed
     return WeightEstimate(acc / N, L.n, pou.J, N, dist, seed, K, jackson,

@@ -228,8 +228,11 @@ def select_thresholds_sure(coeffs, weights, sigma, beta=2.0):
         weights, dtype=np.float64)
     if wdiag.shape != coeffs.values.shape:
         raise ValueError("weights length does not match coefficients")
-    if not np.all(wdiag >= 0):
-        raise ValueError("weights must be nonnegative")
+    ok = (wdiag >= 0) & (wdiag < np.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError("weights must be finite and nonnegative; "
+                         f"entry {i} is {wdiag[i]!r}")
     thresholds = np.empty(coeffs.J + 1)
     for j in range(coeffs.J + 1):
         a, wj = _by_magnitude(coeffs.block(j),

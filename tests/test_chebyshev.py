@@ -9,9 +9,8 @@ from gsdenoise.chebyshev import (
     SLAB,
     _clenshaw,
     apply_filter,
-    band_expansions,
+    band_coefficients,
     chebyshev_coefficients,
-    filter_expansion,
     jackson_damping,
     sgwt_forward_fast,
     sgwt_inverse_fast,
@@ -68,25 +67,24 @@ def test_interval_is_two_for_spectrum_normalizing_variants():
 def test_apply_constant_filter_is_scaling():
     g = random_connected_graph(25, seed=3)
     L = laplacian(g, "unnormalized")
-    exp = filter_expansion(lambda x: np.full_like(x, 2.5), L, 8)
     f = np.random.default_rng(0).standard_normal(g.n)
-    assert np.allclose(apply_filter(L, exp, f), 2.5 * f, atol=1e-12)
+    out = apply_filter(L, lambda x: np.full_like(x, 2.5), f, K=8)
+    assert np.allclose(out, 2.5 * f, atol=1e-12)
 
 
 def test_apply_identity_filter_reproduces_operator():
     g = random_connected_graph(25, seed=3)
     L = laplacian(g, "unnormalized")
-    exp = filter_expansion(lambda x: x, L, 3, jackson=False)
     f = np.random.default_rng(1).standard_normal(g.n)
-    assert np.allclose(apply_filter(L, exp, f), L.matvec(f), atol=1e-10)
+    out = apply_filter(L, lambda x: x, f, K=3, jackson=False)
+    assert np.allclose(out, L.matvec(f), atol=1e-10)
 
 
 def test_apply_filter_uses_exactly_k_plus_one_matvecs():
     g = random_connected_graph(20, seed=5)
     L = laplacian(g, "unnormalized")
-    exp = filter_expansion(lambda x: np.exp(-x), L, 7)
     L.reset_matvec_count()
-    apply_filter(L, exp, np.ones(g.n))
+    apply_filter(L, lambda x: np.exp(-x), np.ones(g.n), K=7)
     assert L.matvec_count == 8
 
 
@@ -100,8 +98,9 @@ def test_band_filter_converges_to_exact():
     j = 1
     exact = eig.apply_filter(
         np.sqrt(np.clip(pou.psi(j, eig.eigenvalues), 0, None)), f)
-    exp = filter_expansion(pou.sqrt_psi(j), L, 100, jackson=False)
-    err = np.linalg.norm(apply_filter(L, exp, f) - exact)
+    fast = apply_filter(L, lambda x: pou.sqrt_bands(x)[j], f, K=100,
+                        jackson=False)
+    err = np.linalg.norm(fast - exact)
     assert err <= 1e-2 * np.linalg.norm(f)
 
 
@@ -111,8 +110,8 @@ def test_forward_fast_matches_per_band_application():
     pou = PartitionOfUnity.for_operator(L)
     f = np.random.default_rng(3).standard_normal(g.n)
     fast = sgwt_forward_fast(L, f, pou, K=30)
-    for j, exp in enumerate(band_expansions(L, pou, K=30)):
-        ref = apply_filter(L, exp, f)
+    for j in range(pou.J + 1):
+        ref = apply_filter(L, lambda x: pou.sqrt_bands(x)[j], f, K=30)
         assert np.allclose(fast.block(j), ref, rtol=1e-12, atol=1e-12)
 
 
@@ -120,7 +119,7 @@ def test_forward_fast_matvec_count_is_k():
     g = random_connected_graph(30, seed=2)
     L = laplacian(g, "unnormalized")
     pou = PartitionOfUnity.for_operator(L)
-    band_expansions(L, pou, K=12)  # exclude expansion setup from the count
+    band_coefficients(L, pou, K=12)  # exclude expansion setup from the count
     L.reset_matvec_count()
     sgwt_forward_fast(L, np.ones(g.n), pou, K=12)
     assert L.matvec_count == 12
@@ -144,8 +143,9 @@ def test_inverse_fast_matches_per_band_synthesis():
     coeffs = sgwt_forward_fast(L, rng.standard_normal(g.n), pou, K=25)
     fused = sgwt_inverse_fast(L, coeffs, pou, K=25)
     ref = np.zeros(g.n)
-    for j, exp in enumerate(band_expansions(L, pou, K=25)):
-        ref += apply_filter(L, exp, coeffs.block(j))
+    for j in range(pou.J + 1):
+        ref += apply_filter(L, lambda x: pou.sqrt_bands(x)[j], coeffs.block(j),
+                            K=25)
     assert np.allclose(fused, ref, rtol=1e-12, atol=1e-12)
 
 
@@ -177,12 +177,61 @@ def test_expansion_cache_reuses_band_coefficients():
     g = random_connected_graph(15, seed=4)
     L = laplacian(g, "unnormalized")
     pou = PartitionOfUnity.for_operator(L)
-    # the raw coefficient arrays are cached; the damping wrapper is cheap
-    first = band_expansions(L, pou, K=10)
-    second = band_expansions(L, pou, K=10, jackson=False)
-    assert all(a.theta is b.theta for a, b in zip(first, second))
-    other = band_expansions(L, pou, K=11)
-    assert all(a.theta is not b.theta for a, b in zip(first, other))
+    # the undamped rows are cached; damping multiplies them at each call
+    first = band_coefficients(L, pou, K=10, jackson=False)
+    assert band_coefficients(L, pou, K=10, jackson=False) is first
+    assert band_coefficients(L, pou, K=11, jackson=False) is not first
+    assert np.array_equal(band_coefficients(L, pou, K=10),
+                          first * jackson_damping(10))
+    # the key is the partition itself, so every field it has counts
+    smooth = [PartitionOfUnity.for_operator(L, kind="smooth", c=c)
+              for c in (1.0, 0.7)]
+    rows = [band_coefficients(L, p, K=10, jackson=False) for p in smooth]
+    assert rows[0] is not rows[1]
+    assert not np.array_equal(rows[0], rows[1])
+    assert np.array_equal(rows[1], chebyshev_coefficients(
+        smooth[1].sqrt_bands, L.interval, 10))
+
+
+@pytest.mark.parametrize("jackson", [False, True])
+def test_band_coefficients_are_read_only(jackson):
+    g = grid_graph(10, 10)
+    L = laplacian(g)
+    pou = PartitionOfUnity.for_operator(L)
+    f = np.random.default_rng(5).standard_normal(g.n)
+    before = sgwt_forward_fast(L, f, pou, K=20, jackson=jackson).values
+    theta = band_coefficients(L, pou, K=20, jackson=jackson)
+    with pytest.raises(ValueError, match="read-only"):
+        theta *= 0.0
+    after = sgwt_forward_fast(L, f, pou, K=20, jackson=jackson).values
+    assert after.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["linear", "smooth"])
+@pytest.mark.parametrize("K", [0, 7, 100])
+def test_multi_row_coefficients_equal_one_row_calls(kind, K):
+    L = laplacian(random_connected_graph(30, seed=1))
+    pou = PartitionOfUnity.for_operator(L, kind=kind, c=0.7)
+    rows = chebyshev_coefficients(pou.sqrt_bands, L.interval, K)
+    assert rows.shape == (pou.J + 1, K + 1)
+    for j in range(pou.J + 1):
+        one = chebyshev_coefficients(
+            lambda x: np.sqrt(np.clip(pou.psi(j, x), 0.0, None)),
+            L.interval, K)
+        assert one.shape == (K + 1,)
+        assert rows[j].tobytes() == one.tobytes()
+
+
+def test_nonfinite_row_names_the_abscissa():
+    ub, K = 3.0, 5
+    M = 4 * (K + 1)
+    nodes = ub / 2 * (np.cos(np.pi * (np.arange(1, M + 1) - 0.5) / M) + 1)
+    # the first node, in node order, at which the second row is not finite
+    want = nodes[nodes < 1.0][0]
+    with pytest.raises(ValueError, match=rf"non-finite value at x={want}$"):
+        chebyshev_coefficients(
+            lambda x: np.stack([np.ones_like(x),
+                                np.where(x < 1.0, np.nan, x)]), ub, K)
 
 
 def _clenshaw_per_step(L, theta, blocks):
@@ -205,7 +254,7 @@ def test_paired_clenshaw_matches_per_step_reference(K, rows, side, assembled):
     assert (g.n < SLAB) == (side == 20) and g.n % SLAB
     L = laplacian(g)
     pou = PartitionOfUnity.for_operator(L)
-    theta = np.stack([e.coefficients() for e in band_expansions(L, pou, K)])
+    theta = band_coefficients(L, pou, K)
     if rows == "one":
         theta = theta[1:2]
     blocks = np.random.default_rng(K).standard_normal((theta.shape[0], g.n))
@@ -229,7 +278,7 @@ def test_transforms_peak_memory_in_signal_vectors():
     L = laplacian(g, lambda_ub=8.1)  # a fresh operator, no step cached
     pou = PartitionOfUnity.for_operator(L)
     assert pou.J == 5
-    band_expansions(L, pou, K=100)
+    band_coefficients(L, pou, K=100)
     small = laplacian(grid_graph(3, 3))  # imports scipy.sparse
     sgwt_forward_fast(small, np.ones(9), PartitionOfUnity.for_operator(small))
     f = np.random.default_rng(0).standard_normal(g.n)

@@ -13,7 +13,7 @@ from scipy.sparse import csr_array
 
 import gsdenoise
 from gsdenoise._kernels import csr_matvec
-from gsdenoise.chebyshev import filter_expansion, sgwt_forward_fast
+from gsdenoise.chebyshev import apply_filter, sgwt_forward_fast
 from gsdenoise.frame import PartitionOfUnity
 from gsdenoise.graph import (
     VARIANTS,
@@ -121,7 +121,7 @@ def test_unnormalized_operator_without_a_bound_refuses_to_step():
     with pytest.raises(ValueError, match=match):
         L.matvec(x, step=True)
     with pytest.raises(ValueError, match=match):
-        filter_expansion(lambda lam: lam, L, 5)
+        apply_filter(L, lambda lam: lam, x, K=5)
     with pytest.raises(ValueError, match=match):
         sgwt_forward_fast(L, x, pou, K=5)
     # the plain product needs no bound

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gsdenoise.chebyshev import band_expansions, sgwt_forward_fast
+from gsdenoise.chebyshev import band_coefficients, sgwt_forward_fast
 from gsdenoise.frame import (FrameCoefficients, PartitionOfUnity,
                              frame_matrix_exact)
 from gsdenoise.graph import VARIANTS, grid_graph, laplacian, \
@@ -26,6 +26,7 @@ from gsdenoise.sure import (
     sure_value,
     sure_variance_exact,
 )
+from oracles import exact_probe_weights
 
 MOMENTS = {"rademacher": (0.0, 1.0), "gaussian": (2.0, 1.0)}
 
@@ -116,7 +117,7 @@ def test_weights_peak_memory_in_signal_vectors():
     L = laplacian(g)  # a fresh operator: nothing assembled, no step cached
     pou = PartitionOfUnity.for_operator(L)
     assert pou.J == 5
-    band_expansions(L, pou, K=100)
+    band_coefficients(L, pou, K=100)
     tracemalloc.start()
     try:
         est = estimate_diagonal_weights(L, pou, N=2)
@@ -184,8 +185,7 @@ def test_weight_estimate_unbiased_small_budget():
     acc = np.zeros_like(exact)
     sq = np.zeros_like(exact)
     for r in range(reps):
-        est = estimate_diagonal_weights(L, pou, N=4, seed=r,
-                                        transform="exact").diag
+        est = exact_probe_weights(L, pou, N=4, seed=r)
         acc += est
         sq += est * est
     mean = acc / reps
@@ -199,8 +199,7 @@ def test_probe_budget_scales_variance_inversely():
     v = {}
     for N in (4, 16):
         samples = np.array([
-            estimate_diagonal_weights(L, pou, N=N, seed=1000 * N + r,
-                                      transform="exact").diag
+            exact_probe_weights(L, pou, N=N, seed=1000 * N + r)
             for r in range(reps)])
         v[N] = samples.var(axis=0).mean()
     assert v[16] == pytest.approx(v[4] / 4, rel=0.25)

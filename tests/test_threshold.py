@@ -313,10 +313,10 @@ def test_selection_rejects_infinite_sigma_and_bad_weights():
     coeffs = FrameCoefficients(np.arange(6.0), 3, 1)
     with pytest.raises(ValueError, match="finite"):
         select_thresholds_sure(coeffs, np.ones(6), np.inf)
-    for bad in (-1.0, np.nan):
+    for bad in (-1.0, np.nan, np.inf):
         w = np.ones(6)
         w[4] = bad
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="nonnegative; entry 4 is"):
             select_thresholds_sure(coeffs, w, 1.0)
 
 
