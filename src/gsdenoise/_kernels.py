@@ -1,12 +1,29 @@
 """The one sparse kernel: scipy's compiled CSR matrix-vector product.
 
 Every adjacency and Laplacian application ends here, so a trace of this
-function times the kernel alone. Plain products go through ``A @ x``; the
-assembled Chebyshev steps call the compiled routine behind it directly, so
-that it adds into a buffer the caller already holds.
+function times the kernel alone. It calls the compiled routine behind a
+scipy CSR array's ``A @ x`` on raw CSR arrays, adding into a vector that is
+zero-filled, as ``A @ x`` does, or that the caller already holds.
+
+The extension that holds the routine, ``scipy.sparse._sparsetools``, is
+loaded from its file on the first product, without running the
+``__init__`` of scipy or of scipy.sparse: importing the package costs about
+0.15 s (``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` come with it),
+against about 1 ms for the file alone.
 """
 
+import importlib.machinery
+import importlib.util
+import sys
+from collections import namedtuple
+
 import numpy as np
+
+# A CSR matrix as the kernel reads it; a scipy CSR array serves as well.
+CSR = namedtuple("CSR", "data indices indptr shape")
+
+_NAME = "scipy.sparse._sparsetools"
+_sparsetools = None  # the extension, once a product has loaded it
 
 
 def numba_enabled():
@@ -17,28 +34,61 @@ def numba_enabled():
     return False
 
 
-def csr_matvec(A, x, out=None):
-    """A @ x for a scipy CSR array A, into a new array; with out, A @ x is
-    added into out in place, and out is returned.
+def _load_sparsetools():
+    """scipy.sparse._sparsetools: the loaded module if scipy.sparse has
+    imported it, else a module of its own, made from the file.
 
-    The in-place form calls scipy's compiled ``csr_matvec``, which has no
-    bounds checks: it reads len(x) and writes len(out) from A's shape. So
-    x and out are checked first: float64, C-contiguous, of A's column and
-    row counts, out writeable and apart from x, which the kernel reads
-    while it writes out. A itself is trusted as built.
+    The extension uses single-phase init, so creating it enters it in
+    sys.modules. That entry is removed again: a later ``import
+    scipy.sparse`` would reuse it without binding it as an attribute of
+    the package, and then loads a copy of its own.
     """
-    if out is None:
-        return A @ x
-    from scipy.sparse import _sparsetools
+    if _NAME in sys.modules:
+        return sys.modules[_NAME]
+    scipy = importlib.util.find_spec("scipy")
+    where = [f"{d}/sparse" for d in scipy.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec(_NAME, where)
+    if spec is None:
+        raise ImportError(f"no {_NAME} extension in {', '.join(where)}",
+                          name=_NAME)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.modules.pop(_NAME, None)
+    return module
+
+
+def _check(name, v, size):
+    if (not isinstance(v, np.ndarray) or v.dtype != np.float64
+            or v.shape != (size,) or not v.flags.c_contiguous):
+        raise ValueError(f"{name} must be a C-contiguous float64 vector "
+                         f"of length {size}")
+
+
+def csr_matvec(A, x, out=None):
+    """A @ x, into a new array; with out, A @ x is added into out in place,
+    and out is returned.
+
+    A is any CSR matrix with ``data``, ``indices``, ``indptr`` and
+    ``shape``: a :data:`CSR` record or a scipy CSR array. The compiled
+    kernel has no bounds checks: it reads len(x) and writes len(out) from
+    A's shape. So x and out are checked first: float64, C-contiguous, of
+    A's column and row counts, out writeable and apart from x, which the
+    kernel reads while it writes out. A itself is trusted as built.
+    """
+    global _sparsetools
     rows, cols = A.shape
-    for name, v, size in (("x", x, cols), ("out", out, rows)):
-        if (not isinstance(v, np.ndarray) or v.dtype != np.float64
-                or v.shape != (size,) or not v.flags.c_contiguous):
-            raise ValueError(f"{name} must be a C-contiguous float64 vector "
-                             f"of length {size}")
-    if not out.flags.writeable or np.may_share_memory(x, out):
-        raise ValueError("out must be writeable and must not overlap x")
+    _check("x", x, cols)
+    if out is None:
+        out = np.zeros(rows)
+    else:
+        _check("out", out, rows)
+        if not out.flags.writeable or np.may_share_memory(x, out):
+            raise ValueError("out must be writeable and must not overlap x")
     if A.data.dtype != np.float64:
         raise ValueError("A's entries must be float64")
+    if _sparsetools is None:
+        _sparsetools = _load_sparsetools()
     _sparsetools.csr_matvec(rows, cols, A.indptr, A.indices, A.data, x, out)
     return out

@@ -2,11 +2,11 @@
 
 Graphs are stored in compressed adjacency form (CSR of the symmetric weighted
 adjacency matrix). Laplacians act through ``LaplacianOperator.matvec`` in
-O(m + n) per application, with one sparse kernel, scipy's CSR product, over
-the graph's own arrays, or as one Chebyshev step on the operator's own
-interval; the Monte-Carlo weights and a request's synthesis materialize
-the shifted operator of their steps, for the length of that run
-(``LaplacianOperator.assembled``). Each operator carries a bound on its
+O(m + n) per application, with one sparse kernel, scipy's compiled CSR
+product (``_kernels.csr_matvec``), over the graph's own arrays, or as one
+Chebyshev step on the operator's own interval; the Monte-Carlo weights and
+a request's synthesis materialize the shifted operator of their steps, for
+the length of that run (``LaplacianOperator.assembled``). Each operator carries a bound on its
 largest eigenvalue: Lanczos's top Ritz value times 1.01, capped by
 Gershgorin's proven bound (2 max(degrees), or 2 for the normalized and
 random-walk variants). Lanczos stops early, and returns the cap, as soon
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import csr_matvec
+from ._kernels import CSR, csr_matvec
 
 VARIANTS = ("unnormalized", "normalized", "random_walk")
 DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
@@ -70,12 +70,12 @@ class SparseGraph:
 
     @cached_property
     def adjacency(self):
-        """The adjacency as a scipy CSR array over this graph's own arrays.
+        """The adjacency as a scipy CSR array over this graph's own arrays,
+        for scipy's graph routines (:func:`is_connected`).
 
         No entry is copied: sparse arrays keep int64 index arrays as given.
-        scipy.sparse is imported here, not with the module, because the
-        import costs about 0.3 s, which commands that never multiply (such
-        as ``sanitize`` and ``--version``) should not pay.
+        No product goes through it, so scipy.sparse, whose import costs
+        about 0.15 s, is imported only where such a routine runs.
         """
         from scipy.sparse import csr_array
         return csr_array((self.weights, self.indices, self.offsets),
@@ -91,7 +91,8 @@ class SparseGraph:
         if x.shape != (self.n,):
             raise ValueError(f"expected signal of length {self.n}, "
                              f"got shape {x.shape}")
-        return csr_matvec(self.adjacency, x)
+        return csr_matvec(CSR(self.weights, self.indices, self.offsets,
+                              (self.n, self.n)), x)
 
     def label_index(self):
         """Mapping from node label to dense index."""
@@ -561,7 +562,7 @@ class LaplacianOperator:
     _step_terms = cached_property(_shifted_terms)  # for the zero-copy step
 
     def _step_matrix(self):
-        """2 ((2 / interval) L - I) as one scipy CSR array.
+        """2 ((2 / interval) L - I) as one ``_kernels.CSR`` record.
 
         Built with numpy over the graph's arrays: each row holds its
         diagonal entry, with the shift folded in, ahead of its neighbours,
@@ -574,7 +575,6 @@ class LaplacianOperator:
         the 300x300 grid later 4 MB arrays then often found no free block
         that fit, which raised the peak RSS by 4 MB.
         """
-        from scipy.sparse import csr_array
         g = self.graph
         n, nnz = g.n, g.indices.size
         diag, post, pre = self._shifted_terms()
@@ -595,7 +595,7 @@ class LaplacianOperator:
         indptr = np.zeros(n + 1, dtype=itype)
         np.cumsum(d != 0, out=indptr[1:])
         indptr += g.offsets
-        return csr_array((data, indices, indptr), shape=(n, n), copy=False)
+        return CSR(data, indices, indptr, (n, n))
 
     @contextmanager
     def assembled(self):

@@ -279,7 +279,7 @@ def test_transforms_peak_memory_in_signal_vectors():
     pou = PartitionOfUnity.for_operator(L)
     assert pou.J == 5
     band_coefficients(L, pou, K=100)
-    small = laplacian(grid_graph(3, 3))  # imports scipy.sparse
+    small = laplacian(grid_graph(3, 3))  # loads the kernel
     sgwt_forward_fast(small, np.ones(9), PartitionOfUnity.for_operator(small))
     f = np.random.default_rng(0).standard_normal(g.n)
 

@@ -1,18 +1,23 @@
 """The Laplacian operator and its one kernel, scipy's CSR product."""
 
 import contextlib
+import importlib.util
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
 import gsdenoise
-from gsdenoise._kernels import csr_matvec
+from gsdenoise import _kernels
+from gsdenoise._kernels import CSR, csr_matvec
+from gsdenoise.cli import main
 from gsdenoise.chebyshev import apply_filter, sgwt_forward_fast
 from gsdenoise.frame import PartitionOfUnity
 from gsdenoise.graph import (
@@ -22,7 +27,9 @@ from gsdenoise.graph import (
     grid_graph,
     laplacian,
     random_connected_graph,
+    write_edgelist,
 )
+from gsdenoise.signals import write_signal
 
 
 def _dense_laplacian(g, variant):
@@ -75,7 +82,8 @@ def test_step_matrix_is_the_shifted_operator_without_zeros(variant):
     g = grid_graph(7, 9)
     L = laplacian(g, variant, lambda_ub=8.0)
     ub = L.interval
-    A = L._step_matrix()
+    R = L._step_matrix()
+    A = csr_array((R.data, R.indices, R.indptr), shape=R.shape, copy=False)
     step = 2.0 * ((2.0 / ub) * _dense_laplacian(g, variant) - np.eye(g.n))
     assert np.allclose(A.toarray(), step, rtol=0, atol=1e-15)
     assert A.indices.dtype == A.indptr.dtype == np.int32
@@ -95,7 +103,8 @@ def test_assembled_context_drops_the_matrix_on_exit():
             raise RuntimeError
     assert L._assembled is None
     with L.assembled():
-        A = L._assembled
+        R = L._assembled
+        A = csr_array((R.data, R.indices, R.indptr), shape=R.shape, copy=False)
         assert _close(L.matvec(x, step=True), A @ x)
     assert L._assembled is None
 
@@ -148,11 +157,8 @@ def test_csr_matvec_adds_into_out(itype):
     assert _close(csr_matvec(A, x), A @ x, rel=0)
 
 
-@pytest.mark.parametrize("case", ["short x", "long out", "float32 x",
-                                  "int out", "strided out", "strided x",
-                                  "read-only out", "out is x", "list x"])
-def test_csr_matvec_rejects_what_the_raw_kernel_would_overrun(case):
-    A = random_connected_graph(30, seed=2).adjacency
+def _bad_vectors(case):
+    """x and out of length 30, one of them made unfit for the kernel."""
     x, out = np.ones(30), np.zeros(30)
     if case == "short x":
         x = x[:-1]
@@ -172,8 +178,51 @@ def test_csr_matvec_rejects_what_the_raw_kernel_would_overrun(case):
         out = x
     else:
         x = [1.0] * 30
+    return x, out
+
+
+@pytest.mark.parametrize("case", ["short x", "long out", "float32 x",
+                                  "int out", "strided out", "strided x",
+                                  "read-only out", "out is x", "list x"])
+def test_csr_matvec_rejects_what_the_raw_kernel_would_overrun(case):
+    A = random_connected_graph(30, seed=2).adjacency
+    x, out = _bad_vectors(case)
     with pytest.raises(ValueError):
         csr_matvec(A, x, out)
+
+
+def _record(g):
+    return CSR(g.weights, g.indices, g.offsets, (g.n, g.n))
+
+
+@pytest.mark.parametrize("form", ["scipy", "record"])
+@pytest.mark.parametrize("case", ["short x", "float32 x", "strided x",
+                                  "list x"])
+def test_csr_matvec_into_a_new_array_rejects_a_bad_x(case, form):
+    g = random_connected_graph(30, seed=2)
+    A = g.adjacency if form == "scipy" else _record(g)
+    x, _ = _bad_vectors(case)
+    with pytest.raises(ValueError, match="x must be"):
+        csr_matvec(A, x)
+
+
+def test_csr_matvec_takes_a_scipy_array_or_the_record():
+    # scipy's A @ x is the same kernel, adding into a zero-filled vector
+    g = random_connected_graph(40, seed=3)
+    x = np.random.default_rng(7).standard_normal(g.n)
+    want = g.adjacency @ x
+    assert np.array_equal(csr_matvec(g.adjacency, x), want)
+    assert np.array_equal(csr_matvec(_record(g), x), want)
+    assert np.array_equal(g.adj_matvec(x), want)
+
+
+def test_missing_kernel_names_the_directory_searched(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name:
+                        SimpleNamespace(submodule_search_locations=[
+                            str(tmp_path)]))
+    with pytest.raises(ImportError, match=str(tmp_path / "sparse")):
+        _kernels._load_sparsetools()
 
 
 def test_matvec_counts_plain_and_step_applications_alike():
@@ -221,7 +270,7 @@ def test_adjacency_shares_the_graph_arrays():
 
 
 def test_laplacian_holds_at_most_two_vectors():
-    laplacian(grid_graph(3, 3))  # imports scipy.sparse outside the trace
+    laplacian(grid_graph(3, 3))  # loads the kernel outside the trace
     g = grid_graph(300, 300)
     tracemalloc.start()
     try:
@@ -233,9 +282,9 @@ def test_laplacian_holds_at_most_two_vectors():
     assert held <= 2 * 8 * g.n
 
 
-@pytest.mark.parametrize("args", [["-c", "import gsdenoise"],
-                                  ["-m", "gsdenoise", "--version"]])
-def test_scipy_is_not_imported_until_a_product_needs_it(args):
+def _run(args):
+    """Run a fresh interpreter on this source tree under -X importtime;
+    returns its stdout and the modules it imported."""
     src = str(Path(gsdenoise.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -244,5 +293,78 @@ def test_scipy_is_not_imported_until_a_product_needs_it(args):
                          timeout=120)
     imported = {line.rsplit("|", 1)[-1].strip()
                 for line in run.stderr.splitlines() if "|" in line}
+    return run.stdout, imported
+
+
+@pytest.mark.parametrize("args", [["-c", "import gsdenoise"],
+                                  ["-m", "gsdenoise", "--version"]])
+def test_scipy_is_not_imported_until_a_product_needs_it(args):
+    _, imported = _run(args)
     assert "gsdenoise" in imported
     assert not any(m.split(".")[0] == "scipy" for m in imported)
+
+
+@pytest.fixture
+def grid_files(tmp_path):
+    """A small grid's edge list, a signal on it and its weight cache."""
+    g = grid_graph(12, 10)
+    paths = [str(tmp_path / name) for name in ("g.txt", "f.txt", "w.txt")]
+    write_edgelist(g, paths[0])
+    write_signal(paths[1], np.random.default_rng(3).standard_normal(g.n))
+    assert main(["weights", paths[0], "-o", paths[2], "--N", "2"]) == 0
+    return paths
+
+
+def test_sanitize_imports_no_scipy(grid_files, tmp_path):
+    _, imported = _run(["-m", "gsdenoise", "sanitize", grid_files[1], "-o",
+                        str(tmp_path / "noisy.txt"), "--epsilon", "1"])
+    assert "gsdenoise.cli" in imported
+    assert not any(m.split(".")[0] == "scipy" for m in imported)
+
+
+def test_denoise_imports_neither_scipy_sparse_nor_f2py(grid_files, tmp_path):
+    gpath, fpath, wpath = grid_files
+    out, imported = _run(["-m", "gsdenoise", "denoise", gpath, fpath, "-o",
+                          str(tmp_path / "out.txt"), "--sigma", "1.0",
+                          "--weights", wpath, "--N", "2"])
+    assert "cache=hit" in out.splitlines()
+    assert "gsdenoise.cli" in imported
+    assert not imported & {"scipy.sparse", "numpy.f2py"}
+
+
+def test_weights_and_fast_transforms_import_neither_scipy_sparse_nor_f2py():
+    _, imported = _run(["-c", textwrap.dedent("""
+        import numpy as np
+        from gsdenoise import (PartitionOfUnity, estimate_diagonal_weights,
+                               grid_graph, laplacian, sgwt_forward_fast,
+                               sgwt_inverse_fast)
+        L = laplacian(grid_graph(12, 10))
+        pou = PartitionOfUnity.for_operator(L)
+        estimate_diagonal_weights(L, pou, K=20, N=2)
+        coeffs = sgwt_forward_fast(L, np.ones(L.n), pou, K=20)
+        sgwt_inverse_fast(L, coeffs, pou, K=20)
+        assert L.matvec_count > 0
+        """)])
+    assert not imported & {"scipy.sparse", "numpy.f2py"}
+
+
+def test_scipy_sparse_imports_after_a_product():
+    # the kernel's own load leaves no sys.modules entry that a later
+    # import of scipy.sparse would reuse without binding it
+    _run(["-c", textwrap.dedent("""
+        import sys
+        import numpy as np
+        from gsdenoise._kernels import csr_matvec
+        from gsdenoise.graph import is_connected, random_connected_graph
+        g = random_connected_graph(60, seed=1)
+        x = np.random.default_rng(0).standard_normal(g.n)
+        y = g.adj_matvec(x)
+        assert "scipy.sparse" not in sys.modules
+        import scipy.sparse
+        from scipy.sparse import csr_array
+        assert callable(scipy.sparse._sparsetools.csr_matvec)
+        A = csr_array((g.weights, g.indices, g.offsets), shape=(g.n, g.n))
+        assert np.array_equal(A @ x, y)
+        assert np.array_equal(csr_matvec(A, x), y)
+        assert is_connected(g)
+        """)])

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import tracemalloc
 
@@ -434,6 +435,23 @@ def test_cli_weights_then_denoise_hits_cache(workspace, capsys):
     assert "cache=mismatch-recomputed" in captured.out
     assert "bound_source=weights" in captured.out
     assert "warning" in captured.err
+
+
+def test_cli_denoise_prints_io_stage_times(workspace, capsys):
+    tmp, g, gpath = workspace
+    fpath, wpath, opath = (str(tmp / x) for x in ("f.txt", "w.txt", "o.txt"))
+    main(["synth", gpath, "-o", fpath])
+    main(["weights", gpath, "-o", wpath])
+    capsys.readouterr()
+    assert main(["denoise", gpath, fpath, "-o", opath, "--sigma", "1.0",
+                 "--weights", wpath]) == 0
+    fields = dict(line.split("=", 1)
+                  for line in capsys.readouterr().out.splitlines())
+    for stage in ("read_graph", "read_signal", "load_weights", "write",
+                  "setup", "forward", "weights", "select", "apply",
+                  "inverse"):
+        ms = float(fields[f"wall_ms_{stage}"])
+        assert math.isfinite(ms) and ms >= 0
 
 
 def test_cli_config_flags_are_the_config_fields():
