@@ -51,7 +51,6 @@ from .sure import (
 from .threshold import (
     ThresholdPolicy,
     apply_policy,
-    candidate_grid,
     js_derivative,
     js_threshold,
     select_thresholds_sure,

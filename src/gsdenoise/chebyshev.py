@@ -24,6 +24,7 @@ import functools
 import numpy as np
 
 from .frame import FrameCoefficients
+from .signals import as_signal
 
 # Chebyshev vectors held by the analysis recurrence and added into every
 # scale by one matrix product. 16 would add 24 MB of peak RSS on a 500x500
@@ -174,10 +175,7 @@ def apply_filter(L, rho, f, K=100, jackson=True):
     theta = chebyshev_coefficients(rho, L.interval, K)
     if jackson:
         theta = theta * jackson_damping(K)
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (L.n,):
-        raise ValueError(f"expected signal of length {L.n}, got {f.shape}")
-    return _clenshaw(L, theta[None], f[None])
+    return _clenshaw(L, theta[None], as_signal(f, L.n)[None])
 
 
 def sgwt_forward_fast(L, f, pou, K=100, jackson=True):
@@ -187,9 +185,7 @@ def sgwt_forward_fast(L, f, pou, K=100, jackson=True):
     recurrence (K matvecs) and accumulated into every scale with that
     scale's coefficients, so adding scales costs O(nK) each, not O(mK).
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (L.n,):
-        raise ValueError(f"expected signal of length {L.n}, got {f.shape}")
+    f = as_signal(f, L.n)
     theta = band_coefficients(L, pou, K, jackson)
     return FrameCoefficients(_analysis(L, theta, f).ravel(), L.n, pou.J)
 

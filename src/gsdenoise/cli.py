@@ -11,14 +11,12 @@ import argparse
 import csv
 import dataclasses
 import sys
-import time
-from contextlib import contextmanager
 
 import numpy as np
 
 from .graph import laplacian, read_edgelist
 from .frame import PartitionOfUnity
-from .pipeline import PipelineConfig, denoise_pipeline
+from .pipeline import PipelineConfig, denoise_pipeline, timed
 from .privacy import MECHANISMS, PrivacyParams, calibrate_sigma, sanitize
 from .signals import SignalSpec, mse, read_signal, snr, synth_signal, write_signal
 from .sure import estimate_diagonal_weights, load_weights, save_weights
@@ -165,41 +163,38 @@ def _cmd_sanitize(args):
     return 0
 
 
+def _estimate_weights(config, g, L):
+    """The weight estimate that denoise_pipeline makes for config on g and
+    its operator L."""
+    pou = PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
+                                        c=config.c)
+    return estimate_diagonal_weights(
+        L, pou, K=config.K, jackson=config.jackson, N=config.N,
+        dist=config.distribution, seed=config.seed,
+        graph_hash=g.content_hash())
+
+
 def _cmd_weights(args):
     config = _config_from(args)
     config.validate()
     g = read_edgelist(args.graph)
-    L = laplacian(g, config.variant)
-    pou = PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
-                                        c=config.c)
-    est = estimate_diagonal_weights(
-        L, pou, K=config.K, jackson=config.jackson, N=config.N,
-        dist=config.distribution, seed=config.seed,
-        graph_hash=g.content_hash())
+    est = _estimate_weights(config, g, laplacian(g, config.variant))
     save_weights(args.output, est)
     print(f"n={est.n} J={est.J} N={est.N} file={args.output}")
     return 0
 
 
-@contextmanager
-def _timed(timings, stage):
-    """Record the wall time of the block, in ms, as timings[stage]."""
-    t0 = time.perf_counter()
-    yield
-    timings[stage] = 1e3 * (time.perf_counter() - t0)
-
-
 def _cmd_denoise(args):
     io_ms = {}
-    with _timed(io_ms, "read_graph"):
+    with timed(io_ms, "read_graph"):
         g = read_edgelist(args.graph)
-    with _timed(io_ms, "read_signal"):
+    with timed(io_ms, "read_signal"):
         f, _ = read_signal(args.signal, graph=g)
-    with _timed(io_ms, "load_weights"):
+    with timed(io_ms, "load_weights"):
         cached = load_weights(args.weights) if args.weights else None
     config = _config_from(args, sigma=args.sigma)
     fhat, report = denoise_pipeline(g, f, config, weights=cached)
-    with _timed(io_ms, "write"):
+    with timed(io_ms, "write"):
         write_signal(args.output, fhat,
                      header={"sigma": repr(args.sigma), "seed": args.seed,
                              "sure": repr(report["sure"])})
@@ -228,6 +223,8 @@ def _cmd_eval(args):
 def _cmd_bench(args):
     if (args.epsilon is None) == (args.sigma is None):
         raise ValueError("bench sweeps exactly one of --epsilon or --sigma")
+    config = _config_from(args)
+    config.validate()
     g = read_edgelist(args.graph)
     f = synth_signal(g, SignalSpec(args.p, args.k, seed=args.signal_seed))
     if args.epsilon is not None:
@@ -236,7 +233,10 @@ def _cmd_bench(args):
             for eps in args.epsilon]
     else:
         levels = [("", sig) for sig in args.sigma]
-    L = laplacian(g, args.variant)
+    L = laplacian(g, config.variant)
+    # deterministic in (graph, config), so one estimate serves every noise
+    # level and repetition
+    weights = _estimate_weights(config, g, L)
     with open(args.output, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(BENCH_COLUMNS)
@@ -244,11 +244,11 @@ def _cmd_bench(args):
             for run in range(args.reps):
                 # (seed, k) keys probe k of the weight estimate; the
                 # trailing 1 keeps run r's noise apart from probe r
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((args.seed, run, 1)))
-                noisy = f + sigma * rng.standard_normal(g.n)
-                config = _config_from(args, sigma=sigma)
-                fhat, report = denoise_pipeline(g, noisy, config, operator=L)
+                noisy, _ = sanitize(f, sigma, seed=np.random.SeedSequence(
+                    (args.seed, run, 1)))
+                fhat, report = denoise_pipeline(
+                    g, noisy, dataclasses.replace(config, sigma=sigma),
+                    weights=weights, operator=L)
                 t = report["timings_ms"]
                 out.writerow([run, eps, repr(sigma),
                               f"{snr(f, noisy):.6f}", f"{snr(f, fhat):.6f}",

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import DENSE_CAP
+from .signals import as_signal
 
 POU_KINDS = ("linear", "smooth")
 FRAME_CAP = 200  # the most nodes the dense frame matrix is formed for
@@ -218,9 +219,7 @@ def sgwt_forward_exact(L, f, pou, eig=None):
     Block j is sqrt(psi_j)(L) f. Pass a precomputed eigendecomposition when
     transforming many signals on the same operator.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != (L.n,):
-        raise ValueError(f"expected signal of length {L.n}, got {f.shape}")
+    f = as_signal(f, L.n)
     if eig is None:
         eig = exact_eigendecomposition(L)
     bands = pou.sqrt_bands(eig.eigenvalues)

@@ -28,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import CSR, csr_matvec
+from .signals import as_signal
 
 VARIANTS = ("unnormalized", "normalized", "random_walk")
 DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
@@ -87,12 +88,8 @@ class SparseGraph:
 
     def adj_matvec(self, x):
         """Weighted adjacency product W @ x, into a new array."""
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected signal of length {self.n}, "
-                             f"got shape {x.shape}")
         return csr_matvec(CSR(self.weights, self.indices, self.offsets,
-                              (self.n, self.n)), x)
+                              (self.n, self.n)), as_signal(x, self.n))
 
     def label_index(self):
         """Mapping from node label to dense index."""

@@ -17,14 +17,13 @@ bound agrees with the weights' own partition and lies under the proven cap.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-
-import numpy as np
 
 from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
 from .frame import POU_KINDS, PartitionOfUnity
 from .graph import VARIANTS, laplacian, spectral_cap
-from .signals import require_finite
+from .signals import as_signal, require_finite, require_sigma
 from .sure import (DISTRIBUTIONS, WEIGHT_FINGERPRINT,
                    estimate_diagonal_weights, sure_value)
 from .threshold import BETA_MAX, apply_policy, select_thresholds_sure
@@ -81,8 +80,8 @@ class PipelineConfig:
             raise ValueError("N must be at least 1")
         if not 1 <= self.beta <= BETA_MAX:
             raise ValueError(f"beta must lie in [1, {BETA_MAX}]")
-        if self.sigma is not None and not 0 < self.sigma < np.inf:
-            raise ValueError("sigma must be positive and finite when given")
+        if self.sigma is not None:
+            require_sigma(self.sigma)
 
 
 def weight_fingerprint(graph_hash, pou, config):
@@ -143,6 +142,20 @@ def _peak_rss_mb():
     return None
 
 
+@contextmanager
+def timed(timings, stage, matvecs=None, L=None):
+    """Record the wall time of the block, in ms, as timings[stage], and
+    with an operator L, the Laplacian matvecs it ran as matvecs[stage]: a
+    delta, since the counter is never reset, as callers may be counting
+    too."""
+    t0 = time.perf_counter()
+    m0 = None if L is None else L.matvec_count
+    yield
+    timings[stage] = 1e3 * (time.perf_counter() - t0)
+    if L is not None:
+        matvecs[stage] = L.matvec_count - m0
+
+
 def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     """Denoise a signal; returns (estimate, report).
 
@@ -169,87 +182,73 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     if config.sigma is None:
         raise ValueError("config.sigma is required for denoising; pass the "
                          "noise scale published with the signal")
-    noisy = np.ascontiguousarray(noisy, dtype=np.float64)
-    if noisy.shape != (graph.n,):
-        raise ValueError(f"signal length {noisy.size} does not match "
-                         f"graph with {graph.n} nodes")
+    noisy = as_signal(noisy, graph.n)
     require_finite(noisy)
     report = {"warnings": []}
-    timings = {}
+    timings, matvecs = {}, {}
 
-    t0 = time.perf_counter()
-    graph_hash = graph.content_hash()
-    if operator is None:
-        lambda_ub = _cached_bound(weights, graph, graph_hash, config.variant,
-                                  report["warnings"])
-        source = "lanczos" if lambda_ub is None else "weights"
-        L = laplacian(graph, config.variant, lambda_ub=lambda_ub)
-    else:
-        if operator.graph is not graph or operator.variant != config.variant:
-            raise ValueError("operator does not match the graph and variant")
-        L = operator
-        source = "operator"
-    report["bound"] = {"source": source, "matvecs": L.bound_matvecs,
-                       "ms": L.bound_ms}
-    pou = PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
-                                        c=config.c)
-    timings["setup"] = 1e3 * (time.perf_counter() - t0)
-
-    # matvecs are deltas: the counter is never reset, as callers may be
-    # counting too
-    matvecs = {}
-    t0, m0 = time.perf_counter(), L.matvec_count
-    expected = weight_fingerprint(graph_hash, pou, config)
-    if weights is not None and weights.fingerprint() == expected:
-        report["cache"] = "hit"
-    else:
-        if weights is not None:
-            report["warnings"].append(
-                "cached weights do not match the current configuration; "
-                f"recomputed (cache {weights.fingerprint()!r} vs expected "
-                f"{expected!r})")
-            report["cache"] = "mismatch-recomputed"
+    with timed(timings, "setup"):
+        graph_hash = graph.content_hash()
+        if operator is None:
+            lambda_ub = _cached_bound(weights, graph, graph_hash,
+                                      config.variant, report["warnings"])
+            source = "lanczos" if lambda_ub is None else "weights"
+            L = laplacian(graph, config.variant, lambda_ub=lambda_ub)
         else:
-            report["cache"] = "miss"
-        weights = estimate_diagonal_weights(
-            L, pou, K=config.K, jackson=config.jackson, N=config.N,
-            dist=config.distribution, seed=config.seed,
-            graph_hash=graph_hash)
-    timings["weights"] = 1e3 * (time.perf_counter() - t0)
-    matvecs["weights"] = L.matvec_count - m0
+            if (operator.graph is not graph
+                    or operator.variant != config.variant):
+                raise ValueError("operator does not match the graph and "
+                                 "variant")
+            L = operator
+            source = "operator"
+        report["bound"] = {"source": source, "matvecs": L.bound_matvecs,
+                           "ms": L.bound_ms}
+        pou = PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
+                                            c=config.c)
+
+    with timed(timings, "weights", matvecs, L):
+        expected = weight_fingerprint(graph_hash, pou, config)
+        if weights is not None and weights.fingerprint() == expected:
+            report["cache"] = "hit"
+        else:
+            if weights is not None:
+                report["warnings"].append(
+                    "cached weights do not match the current configuration; "
+                    f"recomputed (cache {weights.fingerprint()!r} vs "
+                    f"expected {expected!r})")
+                report["cache"] = "mismatch-recomputed"
+            else:
+                report["cache"] = "miss"
+            weights = estimate_diagonal_weights(
+                L, pou, K=config.K, jackson=config.jackson, N=config.N,
+                dist=config.distribution, seed=config.seed,
+                graph_hash=graph_hash)
 
     # after the weights, so that the step matrix their estimate builds is
     # never held beside the J + 1 coefficient blocks. The zero-copy step
     # here keeps the coefficients bitwise those of a bare forward
     # transform: each threshold is one of their magnitudes, so one ulp
     # would move a kink term of SURE.
-    t0, m0 = time.perf_counter(), L.matvec_count
-    coeffs = sgwt_forward_fast(L, noisy, pou, K=config.K,
-                               jackson=config.jackson)
-    timings["forward"] = 1e3 * (time.perf_counter() - t0)
-    matvecs["forward"] = L.matvec_count - m0
+    with timed(timings, "forward", matvecs, L):
+        coeffs = sgwt_forward_fast(L, noisy, pou, K=config.K,
+                                   jackson=config.jackson)
 
-    t0 = time.perf_counter()
-    policy = select_thresholds_sure(coeffs, weights, config.sigma,
-                                    beta=config.beta)
-    timings["select"] = 1e3 * (time.perf_counter() - t0)
+    with timed(timings, "select"):
+        policy = select_thresholds_sure(coeffs, weights.diag, config.sigma,
+                                        beta=config.beta)
 
-    t0 = time.perf_counter()
-    thresholded, derivs = apply_policy(coeffs, policy)
-    sure = sure_value(coeffs, thresholded.values, derivs, config.sigma,
-                      weights.diag)
-    timings["apply"] = 1e3 * (time.perf_counter() - t0)
+    with timed(timings, "apply"):
+        thresholded, derivs = apply_policy(coeffs, policy)
+        sure = sure_value(coeffs, thresholded, derivs, config.sigma,
+                          weights.diag)
 
     # freed first, so that the step matrix takes their place: the
     # synthesis's K + 1 steps, on the operator's own interval, then run on
     # it below the peak of the stages above
     del coeffs, derivs
-    t0, m0 = time.perf_counter(), L.matvec_count
-    with L.assembled():
+    with timed(timings, "inverse", matvecs, L), L.assembled():
         estimate = sgwt_inverse_fast(L, thresholded, pou, K=config.K,
                                      jackson=config.jackson)
-    timings["inverse"] = 1e3 * (time.perf_counter() - t0)
-    matvecs["inverse"] = L.matvec_count - m0
 
     report.update(
         thresholds=[float(t) for t in policy.thresholds],

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import require_finite
+from .signals import require_finite, require_sigma
 
 MECHANISMS = ("classical", "analytic")
-BISECTION_TOL = 1e-9  # relative width of analytic_sigma's final bracket
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,9 @@ def analytic_sigma(params):
 
     Bisects on s = sigma/Delta between 1e-6 and twice the classical formula
     value (evaluated regardless of the classical domain restriction, since
-    it always upper-bounds the analytic scale). Returns the upper end of the
-    final bracket, so the condition is satisfied; bisection continues past
-    a bracket of relative width BISECTION_TOL until the condition value at
-    that endpoint sits within 1e-12 of delta, i.e. the returned sigma is
-    minimal up to that slack.
+    it always upper-bounds the analytic scale) until no float lies between
+    the ends of the bracket. Returns the upper end, so the condition holds
+    there and fails at the next float below it.
     """
     if not params.epsilon > 0:
         raise ValueError("analytic calibration requires epsilon > 0")
@@ -106,16 +103,14 @@ def analytic_sigma(params):
         raise ValueError(
             f"bisection bracket failure: condition({lo})={c_lo}, "
             f"condition({hi})={c_hi}, delta={delta}")
-    while (hi - lo) > BISECTION_TOL * hi or c_hi < delta - 1e-12:
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        c_mid = _analytic_condition(mid, eps)
-        if c_mid <= delta:
-            hi, c_hi = mid, c_mid
+        if not lo < mid < hi:
+            return hi * params.sensitivity
+        if _analytic_condition(mid, eps) <= delta:
+            hi = mid
         else:
             lo = mid
-    return hi * params.sensitivity
 
 
 def calibrate_sigma(params):
@@ -131,8 +126,7 @@ def sanitize(f, sigma, seed=0):
     sigma is returned alongside because post-processing (the denoiser) is
     allowed to use it: privacy is already paid for by the noise.
     """
-    if not 0 < sigma < math.inf:
-        raise ValueError("sigma must be positive and finite")
+    require_sigma(sigma)
     f = np.asarray(f, dtype=np.float64)
     require_finite(f)
     rng = np.random.default_rng(seed)

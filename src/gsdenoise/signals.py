@@ -70,12 +70,39 @@ def mse(a, b):
     return float(d @ d / d.size)
 
 
+def as_signal(f, n):
+    """f as a C-contiguous float64 vector, refused unless its shape is
+    (n,)."""
+    f = np.asarray(f, dtype=np.float64)
+    if f.shape != (n,):
+        raise ValueError(f"expected signal of length {n}, got shape "
+                         f"{f.shape}")
+    return np.ascontiguousarray(f)
+
+
 def require_finite(f):
     """Refuse a signal with a non-finite sample, naming the first."""
     if not np.isfinite(f).all():
         i = int(np.argmin(np.isfinite(f)))
         raise ValueError(f"signal sample {i} is {f[i]!r}; every sample "
                          "must be finite")
+
+
+def require_sigma(sigma):
+    """Refuse a noise scale that is not positive and finite."""
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+
+
+def require_weights(w):
+    """Refuse a float array of SURE weights with an entry that is negative
+    or not finite, naming the first."""
+    # reductions, not elementwise masks, on the accepting path: a NaN makes
+    # min() NaN, which fails the comparison
+    if w.size and not (w.min() >= 0 and w.max() < np.inf):
+        i = int(np.argmax(~((w >= 0) & (w < np.inf))))
+        raise ValueError("weights must be finite and nonnegative; "
+                         f"entry {i} is {w[i]!r}")
 
 
 def write_signal(path, values, header=None):

@@ -14,8 +14,8 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from . import chebyshev, frame
-from .signals import read_signal, write_signal
+from . import chebyshev
+from .signals import read_signal, require_sigma, require_weights, write_signal
 
 DISTRIBUTIONS = ("rademacher", "gaussian")
 # everything a weight estimate depends on, by WeightEstimate's field names
@@ -82,13 +82,7 @@ class WeightEstimate:
         self.diag = np.ascontiguousarray(self.diag, dtype=np.float64)
         if self.diag.shape != (self.n * (self.J + 1),):
             raise ValueError("weight vector length does not match n(J+1)")
-        # reductions, not elementwise masks, on the accepting path: a NaN
-        # makes min() NaN, which fails the comparison
-        if self.diag.size and not (self.diag.min() >= 0
-                                   and self.diag.max() < np.inf):
-            i = int(np.argmax(~((self.diag >= 0) & (self.diag < np.inf))))
-            raise ValueError("weight entries must be finite and nonnegative; "
-                             f"entry {i} is {self.diag[i]!r}")
+        require_weights(self.diag)
 
     def fingerprint(self):
         return WEIGHT_FINGERPRINT.format_map(vars(self))
@@ -133,14 +127,13 @@ def sure_value(coeffs, thresholded, derivs, sigma, weights_diag):
     """Stein unbiased risk estimate for a coordinate-wise thresholding map.
 
     -n sigma^2 + ||h(F) - F||^2 + 2 sigma^2 sum_i gamma2_ii d_i h_i(F),
-    where n is the node count (not the coefficient count). The residual is
+    where n is the node count (not the coefficient count), from the
+    coefficients F and h(F), both FrameCoefficients. The residual is
     summed one scale block at a time, into one signal-sized buffer.
     """
-    if not 0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
+    require_sigma(sigma)
     vals = coeffs.values
-    thr = thresholded.values if isinstance(thresholded, frame.FrameCoefficients) \
-        else np.asarray(thresholded, dtype=np.float64)
+    thr = thresholded.values
     derivs = np.asarray(derivs, dtype=np.float64)
     weights_diag = np.asarray(weights_diag, dtype=np.float64)
     if not (vals.shape == thr.shape == derivs.shape == weights_diag.shape):

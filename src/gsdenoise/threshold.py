@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import FrameCoefficients
+from .signals import require_sigma, require_weights
 
 BETA_MAX = 100.0
 
@@ -89,18 +90,11 @@ def js_derivative(x, t, beta=2.0):
 PERCENTILES = np.linspace(0.0, 100.0, 101)
 
 
-def candidate_grid(scale_coeffs):
-    """Sorted candidate thresholds for one scale's coefficient block.
-
-    The empirical PERCENTILES of the absolute coefficients (taken as order
-    statistics, so every percentile is an observed magnitude),
-    deduplicated, with 0 and +inf sentinels.
-    """
-    return _grid(np.sort(np.abs(np.asarray(scale_coeffs, dtype=np.float64))))
-
-
 def _grid(a):
-    """candidate_grid of a block from its magnitudes a, sorted ascending.
+    """Sorted candidate thresholds of a block from its magnitudes a, sorted
+    ascending: the PERCENTILES of a (taken as order statistics, so every
+    percentile is an observed magnitude), deduplicated, with 0 and +inf
+    sentinels.
 
     The percentile q is the order statistic at rank floor((n - 1) q / 100),
     with q / 100 rounded first: the rank np.percentile(method="lower")
@@ -215,24 +209,19 @@ def _scale_objectives(a, w, sigma, t, beta):
 
 
 def select_thresholds_sure(coeffs, weights, sigma, beta=2.0):
-    """Level-dependent thresholds minimizing SURE scale by scale.
+    """Level-dependent thresholds minimizing SURE scale by scale, given the
+    Gram diagonal weights, one per coefficient.
 
     Coordinate-wise SURE is additive over coefficients, so each scale's
     threshold decouples and is found on its own candidate grid; ties break
     toward the smallest candidate.
     """
     _check_beta(beta)
-    if not 0 < sigma < np.inf:
-        raise ValueError("sigma must be positive and finite")
-    wdiag = weights.diag if hasattr(weights, "diag") else np.asarray(
-        weights, dtype=np.float64)
+    require_sigma(sigma)
+    wdiag = np.asarray(weights, dtype=np.float64)
     if wdiag.shape != coeffs.values.shape:
         raise ValueError("weights length does not match coefficients")
-    ok = (wdiag >= 0) & (wdiag < np.inf)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ValueError("weights must be finite and nonnegative; "
-                         f"entry {i} is {wdiag[i]!r}")
+    require_weights(wdiag)
     thresholds = np.empty(coeffs.J + 1)
     for j in range(coeffs.J + 1):
         a, wj = _by_magnitude(coeffs.block(j),

@@ -536,6 +536,41 @@ def test_cli_bench_direct_sigma_leaves_epsilon_blank(workspace):
     assert {r[2] for r in rows[1:]} == {"0.5", "1.5"}
 
 
+def test_cli_bench_estimates_the_weights_once(workspace, monkeypatch):
+    # every row still reports what a call with fresh weights gives, on the
+    # noise run r has always drawn
+    tmp, g, gpath = workspace
+    out = str(tmp / "bench.csv")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_diagonal_weights(*args, **kwargs)
+
+    monkeypatch.setattr("gsdenoise.cli.estimate_diagonal_weights", counted)
+    monkeypatch.setattr("gsdenoise.pipeline.estimate_diagonal_weights",
+                        counted)
+    assert main(["bench", gpath, "-o", out, "--reps", "2", "--sigma", "0.5",
+                 "--sigma", "1.5", "--K", "30", "--N", "3"]) == 0
+    assert len(calls) == 1
+    g = read_edgelist(gpath)
+    f = synth_signal(g, SignalSpec(0.01, 4))
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        sigma = float(row["sigma"])
+        rng = np.random.default_rng(
+            np.random.SeedSequence((0, int(row["run"]), 1)))
+        noisy = f + sigma * rng.standard_normal(g.n)
+        fhat, report = denoise_pipeline(
+            g, noisy, PipelineConfig(sigma=sigma, K=30, N=3))
+        assert report["cache"] == "miss"
+        assert row["snr_in"] == f"{snr(f, noisy):.6f}"
+        assert row["snr_out"] == f"{snr(f, fhat):.6f}"
+        assert row["sure"] == repr(report["sure"])
+
+
 def test_cli_bench_noise_is_not_a_weight_probe(workspace, monkeypatch):
     # run r's noise and probe r of the weight estimate come from different
     # generator keys, so the noise is not the vector the weights are made of

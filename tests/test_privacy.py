@@ -88,6 +88,14 @@ def test_condition_holds_with_near_equality_at_the_returned_scale():
             assert delta - 1e-12 <= c <= delta
 
 
+def test_returned_scale_is_the_least_float_meeting_the_condition():
+    for eps in (0.2, 1.0, 4.0):
+        for delta in (1e-8, 1e-4, 1e-2):
+            s = analytic_sigma(PrivacyParams(eps, delta, 1.0))
+            assert _analytic_condition(s, eps) <= delta
+            assert _analytic_condition(math.nextafter(s, 0), eps) > delta
+
+
 def test_calibrate_dispatches_on_mechanism():
     pa = PrivacyParams(0.5, 1e-6, 1.0, "analytic")
     pc = PrivacyParams(0.5, 1e-6, 1.0, "classical")

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdenoise.graph import build_graph, grid_graph, random_connected_graph
+from gsdenoise.chebyshev import apply_filter, sgwt_forward_fast
+from gsdenoise.frame import PartitionOfUnity, sgwt_forward_exact
+from gsdenoise.graph import build_graph, grid_graph, laplacian, \
+    random_connected_graph
+from gsdenoise.pipeline import PipelineConfig, denoise_pipeline
 from gsdenoise.signals import (
     SignalSpec,
     mse,
@@ -154,3 +158,24 @@ def test_signal_file_bytes_match_the_per_value_writer(tmp_path):
         write_signal(path, values, header={"sigma": 2.5})
         assert path.read_text() == "# sigma = 2.5\n" + "".join(
             f"{float(v)!r}\n" for v in values)
+
+
+@pytest.mark.parametrize("entry", ["adj_matvec", "apply_filter",
+                                   "sgwt_forward_fast", "sgwt_forward_exact",
+                                   "denoise_pipeline"])
+@pytest.mark.parametrize("shape", [(11,), (12, 1)])
+def test_signal_entry_points_refuse_a_wrong_length(entry, shape):
+    g = grid_graph(4, 3)
+    L = laplacian(g)
+    pou = PartitionOfUnity.for_operator(L)
+    call = {
+        "adj_matvec": g.adj_matvec,
+        "apply_filter": lambda f: apply_filter(L, np.exp, f, K=5),
+        "sgwt_forward_fast": lambda f: sgwt_forward_fast(L, f, pou, K=5),
+        "sgwt_forward_exact": lambda f: sgwt_forward_exact(L, f, pou),
+        "denoise_pipeline": lambda f: denoise_pipeline(
+            g, f, PipelineConfig(sigma=1.0, K=5, N=2)),
+    }[entry]
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected signal of length 12, got shape {shape}")):
+        call(np.ones(shape))

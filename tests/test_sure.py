@@ -212,18 +212,19 @@ def test_sure_of_identity_rule_is_noise_energy():
     vals = F @ np.random.default_rng(3).standard_normal(L.n)
     coeffs = FrameCoefficients(vals, L.n, pou.J)
     sigma = 0.7
-    val = sure_value(coeffs, vals, np.ones_like(vals), sigma, wdiag)
+    val = sure_value(coeffs, coeffs, np.ones_like(vals), sigma, wdiag)
     assert val == pytest.approx(L.n * sigma ** 2, rel=1e-12)
 
 
 def test_sure_value_validates_inputs():
     c = FrameCoefficients(np.ones(6), 6, 0)
+    h = FrameCoefficients(np.ones(6), 6, 0)
     with pytest.raises(ValueError):
-        sure_value(c, np.ones(6), np.ones(5), 1.0, np.ones(6))
+        sure_value(c, h, np.ones(5), 1.0, np.ones(6))
     with pytest.raises(ValueError):
-        sure_value(c, np.ones(6), np.ones(6), 0.0, np.ones(6))
+        sure_value(c, h, np.ones(6), 0.0, np.ones(6))
     with pytest.raises(ValueError, match="finite"):
-        sure_value(c, np.ones(6), np.ones(6), np.inf, np.ones(6))
+        sure_value(c, h, np.ones(6), np.inf, np.ones(6))
 
 
 @pytest.mark.parametrize("dist", ["rademacher", "gaussian"])

@@ -17,9 +17,9 @@ from gsdenoise.sure import estimate_diagonal_weights
 from gsdenoise.threshold import (
     ThresholdPolicy,
     _by_magnitude,
+    _grid,
     _scale_objectives,
     apply_policy,
-    candidate_grid,
     js_derivative,
     js_threshold,
     select_thresholds_sure,
@@ -95,15 +95,15 @@ def test_threshold_monotone_in_t():
 
 
 def test_candidate_grid_contents():
-    grid = candidate_grid(np.array([2.0, -2.0]))
+    grid = _grid(np.sort(np.abs(np.array([2.0, -2.0]))))
     assert np.array_equal(grid, [0.0, 2.0, np.inf])
-    pair = candidate_grid(np.array([0.5, -3.0]))
+    pair = _grid(np.sort(np.abs(np.array([0.5, -3.0]))))
     assert np.array_equal(pair, [0.0, 0.5, 3.0, np.inf])
     # 0, then the 101 percentiles of 1000 distinct positive magnitudes,
     # then inf
-    assert candidate_grid(np.arange(1.0, 1001.0)).size == 103
-    assert np.all(np.diff(candidate_grid(
-        np.random.default_rng(0).standard_normal(40))) > 0)
+    assert _grid(np.sort(np.abs(np.arange(1.0, 1001.0)))).size == 103
+    assert np.all(np.diff(_grid(np.sort(np.abs(
+        np.random.default_rng(0).standard_normal(40))))) > 0)
 
 
 def test_selection_matches_bruteforce_over_all_magnitudes():
@@ -245,12 +245,12 @@ def test_grid_thresholds_equal_the_reference_path_bitwise():
         sigma = calibrate_sigma(PrivacyParams(epsilon, 1e-6))
         noisy, sigma = sanitize(f, sigma, seed=100 + i)
         coeffs = sgwt_forward_fast(L, noisy, pou)
-        policy = select_thresholds_sure(coeffs, weights, sigma)
+        policy = select_thresholds_sure(coeffs, weights.diag, sigma)
         want = np.empty(coeffs.J + 1)
         for j in range(coeffs.J + 1):
             x = coeffs.block(j)
             a, w = _by_magnitude(x, weights.diag[j * g.n:(j + 1) * g.n])
-            grid = candidate_grid(x)
+            grid = _grid(np.sort(np.abs(x)))
             want[j] = grid[int(np.argmin(_scale_objectives_reference(
                 a, w, sigma, grid, policy.beta)))]
         assert policy.thresholds.tobytes() == want.tobytes()
@@ -265,7 +265,7 @@ def test_candidates_are_numpys_lower_percentiles(n, distinct, seed):
     x = rng.choice(np.append(0.0, rng.standard_normal(distinct)), n)
     qs = np.percentile(np.abs(x), np.linspace(0.0, 100.0, 101),
                        method="lower")
-    assert np.array_equal(candidate_grid(x),
+    assert np.array_equal(_grid(np.sort(np.abs(x))),
                           np.unique(np.concatenate([[0.0], qs, [np.inf]])))
 
 
@@ -284,7 +284,7 @@ def test_selected_thresholds_are_the_bruteforce_argmin_over_the_grid(beta, n):
     policy = select_thresholds_sure(coeffs, wdiag, sigma, beta=beta)
     for j in range(J + 1):
         x, w = coeffs.block(j), wdiag[j * n:(j + 1) * n]
-        grid = candidate_grid(x)
+        grid = _grid(np.sort(np.abs(x)))
         objs = [_objective_reference(x, w, sigma, t, beta) for t in grid]
         assert policy.thresholds[j] == grid[int(np.argmin(objs))]
 
