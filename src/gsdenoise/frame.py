@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import DENSE_CAP
-from .signals import as_signal
+from .signals import as_signal, require_choice, require_positive
 
 POU_KINDS = ("linear", "smooth")
 FRAME_CAP = 200  # the most nodes the dense frame matrix is formed for
@@ -43,6 +43,22 @@ def _smooth_step(u, c):
     return out
 
 
+def require_window(kind, b, c):
+    """Refuse an unknown window kind, b not above 1 or c not positive."""
+    require_choice("window kind", kind, POU_KINDS)
+    if not b > 1:
+        raise ValueError("dilation base b must exceed 1")
+    if not c > 0:
+        raise ValueError("smoothness parameter c must be positive")
+
+
+def require_base(variant, b):
+    """Refuse b above 2 for the normalized and random-walk variants."""
+    if variant in ("normalized", "random_walk") and b > 2.0:
+        raise ValueError(f"b={b} not allowed for the {variant} variant; "
+                         "choose b in (1, 2]")
+
+
 @dataclass(frozen=True)
 class PartitionOfUnity:
     """Plateau window and its dilated band family on [0, lambda_ub].
@@ -51,8 +67,8 @@ class PartitionOfUnity:
     to 1 on [0, 1/b], affine down to 0 at 1; "smooth" uses the C-infinity
     bump machinery g_c, with its transition profile mapped onto the same
     band (1/b, 1) so the plateau covers [0, 1/b] exactly for every b. The
-    scale count J satisfies J = floor(log lambda_ub / log b) + 2, clamped at
-    0 for spectra already inside the plateau.
+    bands sum to omega(x / b^J), 1 on [0, b^(J-1)], and J is the fewest that
+    cover the interval, max(0, ceil(log_b lambda_ub) + 1), so none is 0 on it.
     """
 
     kind: str
@@ -62,29 +78,24 @@ class PartitionOfUnity:
     J: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in POU_KINDS:
-            raise ValueError(f"unknown window kind {self.kind!r}; "
-                             f"expected one of {POU_KINDS}")
-        if not self.b > 1:
-            raise ValueError("dilation base b must exceed 1")
-        if not self.lambda_ub > 0:
-            raise ValueError("lambda_ub must be positive")
-        if not self.c > 0:
-            raise ValueError("smoothness parameter c must be positive")
-        J = math.floor(math.log(self.lambda_ub) / math.log(self.b)) + 2
-        object.__setattr__(self, "J", max(J, 0))
+        require_window(self.kind, self.b, self.c)
+        require_positive("lambda_ub", self.lambda_ub)
+        # the log's rounding can miss by one; the exact tests settle it
+        J = max(math.ceil(math.log(self.lambda_ub, self.b)) + 1, 0)
+        while self.lambda_ub > self.b ** (J - 1):
+            J += 1
+        while J > 0 and self.lambda_ub <= self.b ** (J - 2):
+            J -= 1
+        object.__setattr__(self, "J", J)
 
     @classmethod
     def for_operator(cls, L, kind="linear", b=2.0, c=1.0):
         """Build the partition for a Laplacian operator.
 
-        The normalized and random-walk variants restrict b to (1, 2] so the
-        decomposition keeps more than 3 scales on their [0, 2] spectrum.
+        The normalized and random-walk variants, with spectrum in [0, 2],
+        restrict b to (1, 2]; b = 2 and the bound 2 give J = 2.
         """
-        if L.variant in ("normalized", "random_walk") and b > 2.0:
-            raise ValueError(
-                f"b={b} not allowed for the {L.variant} variant; "
-                "choose b in (1, 2]")
+        require_base(L.variant, b)
         return cls(kind, b, L.lambda_ub, c=c)
 
     def omega(self, x):
@@ -99,9 +110,7 @@ class PartitionOfUnity:
             u = self.c * (1.0 - x) / (1.0 - binv)
             out = np.where(x <= binv, 1.0,
                            np.where(x >= 1.0, 0.0, _smooth_step(u, self.c)))
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
     def psi(self, j, x):
         """Band j of the partition; the J + 1 bands sum to 1 on the interval."""
@@ -197,17 +206,14 @@ def exact_eigendecomposition(L):
             "use the Chebyshev fast transform at this scale")
     W = g.to_dense_adjacency()
     deg = L.degrees
+    pre = post = None
     if L.variant == "unnormalized":
         M = np.diag(deg) - W
-        pre = post = None
     else:
         isd = 1.0 / np.sqrt(deg)
         M = np.eye(g.n) - isd[:, None] * W * isd[None, :]
-        if L.variant == "normalized":
-            pre = post = None
-        else:
-            pre = np.sqrt(deg)
-            post = isd
+        if L.variant == "random_walk":
+            pre, post = np.sqrt(deg), isd
     vals, vecs = np.linalg.eigh(M)
     order = np.argsort(vals)[::-1]  # descending
     return EigenDecomposition(vals[order], vecs[:, order], pre=pre, post=post)
@@ -223,10 +229,9 @@ def sgwt_forward_exact(L, f, pou, eig=None):
     if eig is None:
         eig = exact_eigendecomposition(L)
     bands = pou.sqrt_bands(eig.eigenvalues)
-    out = np.empty((pou.J + 1) * L.n)
-    for j in range(pou.J + 1):
-        out[j * L.n:(j + 1) * L.n] = eig.apply_filter(bands[j], f)
-    return FrameCoefficients(out, L.n, pou.J)
+    return FrameCoefficients(
+        np.concatenate([eig.apply_filter(band, f) for band in bands]), L.n,
+        pou.J)
 
 
 def sgwt_inverse_exact(L, coeffs, pou, eig=None):
@@ -240,10 +245,8 @@ def sgwt_inverse_exact(L, coeffs, pou, eig=None):
     if eig is None:
         eig = exact_eigendecomposition(L)
     bands = pou.sqrt_bands(eig.eigenvalues)
-    out = np.zeros(L.n)
-    for j in range(pou.J + 1):
-        out += eig.apply_filter(bands[j], coeffs.block(j))
-    return out
+    return sum(eig.apply_filter(band, block)
+               for band, block in zip(bands, coeffs.as_blocks()))
 
 
 def frame_matrix_exact(L, pou):
@@ -256,7 +259,4 @@ def frame_matrix_exact(L, pou):
         raise ValueError(f"frame matrix refused for n={L.n} > {FRAME_CAP}")
     eig = exact_eigendecomposition(L)
     bands = pou.sqrt_bands(eig.eigenvalues)
-    F = np.empty(((pou.J + 1) * L.n, L.n))
-    for j in range(pou.J + 1):
-        F[j * L.n:(j + 1) * L.n] = eig.filter_matrix(bands[j])
-    return F
+    return np.concatenate([eig.filter_matrix(band) for band in bands])

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import CSR, csr_matvec
-from .signals import as_signal
+from .signals import as_signal, require_choice, require_positive
 
 VARIANTS = ("unnormalized", "normalized", "random_walk")
 DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
@@ -98,7 +98,12 @@ class SparseGraph:
         return {str(lab): i for i, lab in enumerate(self.labels)}
 
     def content_hash(self):
-        """Short hash of the graph content, used for cache fingerprints."""
+        """Short hash of the graph content, for cache fingerprints; made once,
+        as the graph is immutable."""
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self):
         h = hashlib.sha256()
         h.update(str(self.n).encode())
         h.update(self.offsets.tobytes())
@@ -158,11 +163,7 @@ def build_graph(edge_records):
     labels = []
     us, vs, ws = [], [], []
     for rec in edge_records:
-        if len(rec) == 2:
-            u, v = rec
-            w = 1.0
-        else:
-            u, v, w = rec
+        u, v, w = rec if len(rec) == 3 else (*rec, 1.0)
         w = float(w)
         _check_record(rec, u, v, w)
         for node in (u, v):
@@ -513,9 +514,7 @@ class LaplacianOperator:
     bound_ms: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; "
-                             f"expected one of {VARIANTS}")
+        require_choice("variant", self.variant, VARIANTS)
         deg = self.graph.degrees
         if deg.min() <= 0:
             bad = int(np.argmin(deg))
@@ -652,6 +651,7 @@ def laplacian(g, variant="unnormalized", lambda_ub=None):
     When lambda_ub is not supplied it is computed by Lanczos via
     :func:`estimate_spectral_bound`, whose matvecs and wall time are kept in
     ``bound_matvecs`` and ``bound_ms``; the matvec counter then restarts.
+    A bound that is not positive and finite is refused.
     """
     L = LaplacianOperator(g, variant)
     if lambda_ub is None:
@@ -661,6 +661,7 @@ def laplacian(g, variant="unnormalized", lambda_ub=None):
         L.bound_matvecs = L.matvec_count
         L.reset_matvec_count()
     L.lambda_ub = float(lambda_ub)
+    require_positive("lambda_ub", L.lambda_ub)
     return L
 
 

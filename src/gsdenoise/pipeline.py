@@ -18,15 +18,16 @@ bound agrees with the weights' own partition and lies under the proven cap.
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
-from .frame import POU_KINDS, PartitionOfUnity
+from .frame import POU_KINDS, PartitionOfUnity, require_base, require_window
 from .graph import VARIANTS, laplacian, spectral_cap
-from .signals import as_signal, require_finite, require_sigma
+from .signals import (as_signal, require_choice, require_finite,
+                      require_positive)
 from .sure import (DISTRIBUTIONS, WEIGHT_FINGERPRINT,
-                   estimate_diagonal_weights, sure_value)
-from .threshold import BETA_MAX, apply_policy, select_thresholds_sure
+                   estimate_diagonal_weights, require_probes, sure_value)
+from .threshold import apply_policy, require_beta, select_thresholds_sure
 
 
 def _field(default, help, choices=None):
@@ -61,27 +62,17 @@ class PipelineConfig:
                           "draw")
 
     def validate(self):
-        """Check every field against the module preconditions up front."""
-        for f in fields(self):
-            value, choices = getattr(self, f.name), f.metadata["choices"]
-            if choices is not None and value not in choices:
-                raise ValueError(f"unknown {f.name} {value!r}; expected one "
-                                 f"of {choices}")
-        if not self.b > 1:
-            raise ValueError("b must exceed 1")
-        if self.variant in ("normalized", "random_walk") and self.b > 2:
-            raise ValueError(f"variant {self.variant!r} requires b in "
-                             "(1, 2]")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        """Check every field up front, by the checks of the modules that
+        own them; K alone is checked here, as the transforms take K = 0."""
+        require_choice("variant", self.variant, VARIANTS)
+        require_window(self.kind, self.b, self.c)
+        require_base(self.variant, self.b)
         if self.K < 1:
             raise ValueError("K must be at least 1")
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
-        if not 1 <= self.beta <= BETA_MAX:
-            raise ValueError(f"beta must lie in [1, {BETA_MAX}]")
+        require_probes(self.N, self.distribution)
+        require_beta(self.beta)
         if self.sigma is not None:
-            require_sigma(self.sigma)
+            require_positive("sigma", self.sigma)
 
 
 def weight_fingerprint(graph_hash, pou, config):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import require_finite, require_sigma
+from .signals import require_choice, require_finite, require_positive
 
 MECHANISMS = ("classical", "analytic")
 
@@ -37,11 +37,8 @@ class PrivacyParams:
     mechanism: str = "analytic"
 
     def __post_init__(self):
-        if self.mechanism not in MECHANISMS:
-            raise ValueError(f"unknown mechanism {self.mechanism!r}; "
-                             f"expected one of {MECHANISMS}")
-        if not 0 < self.sensitivity < math.inf:
-            raise ValueError("sensitivity must be positive and finite")
+        require_choice("mechanism", self.mechanism, MECHANISMS)
+        require_positive("sensitivity", self.sensitivity)
         if self.mechanism == "classical":
             if not 0 < self.epsilon <= 1:
                 raise ValueError("classical mechanism requires epsilon in "
@@ -126,7 +123,7 @@ def sanitize(f, sigma, seed=0):
     sigma is returned alongside because post-processing (the denoiser) is
     allowed to use it: privacy is already paid for by the noise.
     """
-    require_sigma(sigma)
+    require_positive("sigma", sigma)
     f = np.asarray(f, dtype=np.float64)
     require_finite(f)
     rng = np.random.default_rng(seed)

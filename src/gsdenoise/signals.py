@@ -88,10 +88,18 @@ def require_finite(f):
                          "must be finite")
 
 
-def require_sigma(sigma):
-    """Refuse a noise scale that is not positive and finite."""
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+def require_positive(name, value):
+    """Refuse a value, such as a noise scale or a spectral bound, that is
+    not positive and finite, naming it."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_choice(name, value, choices):
+    """Refuse a value that is not one of choices, naming it."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}; expected one of "
+                         f"{choices}")
 
 
 def require_weights(w):

@@ -15,7 +15,8 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from . import chebyshev
-from .signals import read_signal, require_sigma, require_weights, write_signal
+from .signals import (read_signal, require_choice, require_positive,
+                      require_weights, write_signal)
 
 DISTRIBUTIONS = ("rademacher", "gaussian")
 # everything a weight estimate depends on, by WeightEstimate's field names
@@ -27,12 +28,15 @@ SURE_VARIANCE_CAP = 150  # the most coefficients, n(J+1), for that oracle
 
 def _eps_sq_moments(dist):
     """(V[eps^2], E[eps^2]^2) for a unit-variance probe distribution."""
-    if dist == "rademacher":
-        return 0.0, 1.0
-    if dist == "gaussian":
-        return 2.0, 1.0
-    raise ValueError(f"unknown distribution {dist!r}; "
-                     f"expected one of {DISTRIBUTIONS}")
+    require_choice("distribution", dist, DISTRIBUTIONS)
+    return (0.0, 1.0) if dist == "rademacher" else (2.0, 1.0)
+
+
+def require_probes(N, dist):
+    """Refuse a probe count below 1 or an unknown probe distribution."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    require_choice("distribution", dist, DISTRIBUTIONS)
 
 
 def draw_probe(n, dist, seed, k):
@@ -41,7 +45,7 @@ def draw_probe(n, dist, seed, k):
     The generator is keyed by (seed, k), so probe k is the same whether N was
     5 or 50 and runs can be extended or parallelized deterministically.
     """
-    _eps_sq_moments(dist)  # validate the name
+    require_choice("distribution", dist, DISTRIBUTIONS)
     rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
     if dist == "rademacher":
         return 2.0 * rng.integers(0, 2, size=n).astype(np.float64) - 1.0
@@ -76,9 +80,7 @@ class WeightEstimate:
     def __post_init__(self):
         if self.lambda_ub is not None:
             self.lambda_ub = float(self.lambda_ub)
-            if not 0 < self.lambda_ub < np.inf:
-                raise ValueError("lambda_ub must be finite and positive, got "
-                                 f"{self.lambda_ub!r}")
+            require_positive("lambda_ub", self.lambda_ub)
         self.diag = np.ascontiguousarray(self.diag, dtype=np.float64)
         if self.diag.shape != (self.n * (self.J + 1),):
             raise ValueError("weight vector length does not match n(J+1)")
@@ -104,8 +106,7 @@ def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=10,
     ``L.assembled``: each is one CSR product over the step matrix, built
     once here and dropped on return.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    require_probes(N, dist)
     with L.assembled():
         acc = np.zeros(L.n * (pou.J + 1))
         for k in range(N):
@@ -131,7 +132,7 @@ def sure_value(coeffs, thresholded, derivs, sigma, weights_diag):
     coefficients F and h(F), both FrameCoefficients. The residual is
     summed one scale block at a time, into one signal-sized buffer.
     """
-    require_sigma(sigma)
+    require_positive("sigma", sigma)
     vals = coeffs.values
     thr = thresholded.values
     derivs = np.asarray(derivs, dtype=np.float64)

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import FrameCoefficients
-from .signals import require_sigma, require_weights
+from .signals import require_positive, require_weights
 
 BETA_MAX = 100.0
 
 
-def _check_beta(beta):
+def require_beta(beta):
+    """Refuse a shrinkage exponent outside [1, BETA_MAX]."""
     if not 1.0 <= beta <= BETA_MAX:
         raise ValueError(f"beta must lie in [1, {BETA_MAX}], got {beta}")
 
@@ -55,7 +56,7 @@ def _shrink(x, t, beta, out, slope):
 
 def _shrink_new(x, t, beta):
     """(tau(x, t), its derivative) as new arrays, floats for scalar x."""
-    _check_beta(beta)
+    require_beta(beta)
     if t < 0:
         raise ValueError("threshold must be nonnegative")
     x = np.asarray(x, dtype=np.float64)
@@ -115,7 +116,7 @@ class ThresholdPolicy:
     thresholds: np.ndarray
 
     def __post_init__(self):
-        _check_beta(self.beta)
+        require_beta(self.beta)
         self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
         if np.any(self.thresholds < 0):
             raise ValueError("thresholds must be nonnegative")
@@ -216,8 +217,8 @@ def select_thresholds_sure(coeffs, weights, sigma, beta=2.0):
     threshold decouples and is found on its own candidate grid; ties break
     toward the smallest candidate.
     """
-    _check_beta(beta)
-    require_sigma(sigma)
+    require_beta(beta)
+    require_positive("sigma", sigma)
     wdiag = np.asarray(weights, dtype=np.float64)
     if wdiag.shape != coeffs.values.shape:
         raise ValueError("weights length does not match coefficients")

@@ -269,6 +269,16 @@ def test_paired_clenshaw_matches_per_step_reference(K, rows, side, assembled):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def test_grid_frame_has_no_zero_band():
+    # the grid's bound is its Gershgorin cap 8 = 2^3, which four bands
+    # cover; a fifth would be 0 on the whole interval
+    L = laplacian(grid_graph(300, 300))
+    pou = PartitionOfUnity.for_operator(L)
+    theta = band_coefficients(L, pou, 100)
+    assert theta.shape == (pou.J + 1, 101) and pou.J == 4
+    assert np.all(np.any(theta != 0, axis=1))
+
+
 def test_transforms_peak_memory_in_signal_vectors():
     # the analysis holds J + 1 outputs, a ring of 4 Chebyshev vectors, a
     # step's product and the step's cached vector (12 measured); the

@@ -14,6 +14,7 @@ from gsdenoise.frame import (
     sgwt_inverse_exact,
 )
 from gsdenoise.graph import laplacian, random_connected_graph
+from gsdenoise.sure import WeightEstimate
 
 VARIANTS = ("unnormalized", "normalized", "random_walk")
 
@@ -42,13 +43,35 @@ def test_smooth_window_edges():
 
 
 def test_scale_count_formula_and_clamp():
-    assert PartitionOfUnity("linear", 2.0, 1.0).J == 2
-    assert PartitionOfUnity("linear", 2.0, 8.0).J == 5
+    # at an exact power of b, b^(J-1) = lambda_ub already covers it
+    assert PartitionOfUnity("linear", 2.0, 1.0).J == 1
+    assert PartitionOfUnity("linear", 2.0, 8.0).J == 4
     # lambda_ub below b^-2: the formula would go negative, clamps to 0
     assert PartitionOfUnity("linear", 4.0, 0.05).J == 0
     sums = _partition_sum(PartitionOfUnity("linear", 4.0, 0.05),
                           np.linspace(0, 0.05, 50))
     assert np.allclose(sums, 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["linear", "smooth"])
+@pytest.mark.parametrize("b", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("k", range(-2, 5))
+@pytest.mark.parametrize("rel", [-1e-9, 0.0, 1e-9])
+def test_fewest_bands_cover_the_interval(kind, b, k, rel):
+    # the bands sum to omega(x / b^J), 1 on [0, b^(J-1)]; psi_J rises from 0
+    # past b^(J-2), so with the fewest bands it is positive near lambda_ub
+    lam = b ** k * (1.0 + rel)
+    pou = PartitionOfUnity(kind, b, lam)
+    x = np.linspace(0.0, lam, 1001)
+    assert np.allclose(_partition_sum(pou, x), 1.0, rtol=0, atol=1e-12)
+    if pou.J == 0:
+        return
+    assert lam > b ** (pou.J - 2)
+    # the smooth window leaves its plateau as 1 - exp(-1 / (c - u)) does,
+    # which rounds to 1 within 1e-9 of it: there psi_J is positive only in
+    # exact arithmetic
+    if kind == "linear" or rel <= 0:
+        assert pou.psi(pou.J, x).max() > 0
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth"])
@@ -85,6 +108,17 @@ def test_parameter_validation():
         PartitionOfUnity("linear", 1.0, 1.0)
     with pytest.raises(ValueError):
         PartitionOfUnity("linear", 2.0, -1.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_bound_must_be_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="lambda_ub"):
+        PartitionOfUnity("linear", 2.0, bad)
+    with pytest.raises(ValueError, match="lambda_ub"):
+        laplacian(random_connected_graph(20, seed=0), lambda_ub=bad)
+    with pytest.raises(ValueError, match="lambda_ub"):
+        WeightEstimate(np.ones(4), 4, 0, 1, "rademacher", 0, 10, True,
+                       lambda_ub=bad)
 
 
 def test_coefficient_blocks_are_views():

@@ -1,5 +1,6 @@
 """Graph container, Laplacian operators, and the spectral bound."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -235,6 +236,20 @@ def test_random_graph_tree_parents_drawn_as_one_per_call(n, weighted):
                 .content_hash())
 
 
+def test_content_hash_is_computed_once(monkeypatch):
+    g = grid_graph(20, 20)
+    made = []
+    sha256 = hashlib.sha256
+
+    def counted(*args):
+        made.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    first, second = g.content_hash(), g.content_hash()
+    assert len(made) == 1 and first == second
+
+
 def test_content_hash_tracks_structure_and_weights():
     a = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
     b = build_graph([(0, 1, 1.0), (1, 2, 2.0)])
@@ -336,9 +351,9 @@ def test_grid_bound_is_the_cap_in_tens_of_matvecs():
         L = laplacian(grid_graph(side, side))
         assert L.lambda_ub == 8.0
         assert L.bound_matvecs <= most
-        # log(8) / log(2) is exactly 3, so J is 5, that of any bound in
-        # [8, 16), such as the grids' lambda_max times 1.01
-        assert PartitionOfUnity.for_operator(L).J == 5
+        # 8 is 2^3, so four bands cover [0, 8]: J is 4, that of any bound
+        # in (4, 8], such as the grids' lambda_max
+        assert PartitionOfUnity.for_operator(L).J == 4
 
 
 def test_spectral_bound_repr_independent_of_blas_threads():

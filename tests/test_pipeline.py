@@ -57,6 +57,33 @@ def test_config_validation_covers_every_field():
     PipelineConfig().validate()
 
 
+def test_config_validation_raises_where_its_modules_do():
+    # each precondition has one raise site: validate calls the check of
+    # the module that owns the field, so the message is the module's
+    L = laplacian(grid_graph(3, 3), "normalized")
+    owners = [
+        (dict(variant="fancy"), lambda: laplacian(grid_graph(3, 3), "fancy")),
+        (dict(kind="boxcar"), lambda: PartitionOfUnity("boxcar", 2.0, 1.0)),
+        (dict(b=1.0), lambda: PartitionOfUnity("linear", 1.0, 1.0)),
+        (dict(variant="normalized", b=2.5),
+         lambda: PartitionOfUnity.for_operator(L, b=2.5)),
+        (dict(c=0.0), lambda: PartitionOfUnity("linear", 2.0, 1.0, c=0.0)),
+        (dict(N=0), lambda: estimate_diagonal_weights(
+            L, PartitionOfUnity.for_operator(L), N=0)),
+        (dict(distribution="uniform"),
+         lambda: draw_probe(9, "uniform", 0, 0)),
+        (dict(beta=0.5), lambda: ThresholdPolicy(0.5, [0.0])),
+        (dict(sigma=np.inf), lambda: sure_value(None, None, None, np.inf,
+                                                None)),
+    ]
+    for kwargs, owner in owners:
+        with pytest.raises(ValueError) as want:
+            owner()
+        with pytest.raises(ValueError) as got:
+            PipelineConfig(**kwargs).validate()
+        assert str(got.value) == str(want.value), kwargs
+
+
 def test_sigma_is_required():
     g, f = _graph_and_signal(40)
     with pytest.raises(ValueError, match="sigma"):
@@ -129,6 +156,27 @@ def _weights_for(g, cfg, variant=None, graph_hash=None):
     return estimate_diagonal_weights(
         L, pou, K=cfg.K, N=cfg.N, seed=cfg.seed,
         graph_hash=g.content_hash() if graph_hash is None else graph_hash)
+
+
+def test_cache_with_the_earlier_band_count_is_recomputed():
+    # the grid's bound is its cap 8 = 2^3, so J is 4; the earlier count,
+    # floor(log_2 8) + 2, gave J = 5 and a sixth block of zeros
+    g = grid_graph(12, 10)
+    noisy = np.random.default_rng(2).standard_normal(g.n)
+    cfg = PipelineConfig(sigma=1.0)
+    fresh = _weights_for(g, cfg)
+    assert fresh.J == 4 and ",J=4" in fresh.pou
+    old = dataclasses.replace(
+        fresh, diag=np.concatenate([fresh.diag, np.zeros(g.n)]), J=5,
+        pou=fresh.pou.replace(",J=4", ",J=5"))
+    fhat_old, report = denoise_pipeline(g, noisy, cfg, weights=old)
+    assert report["cache"] == "mismatch-recomputed"
+    assert any("do not match" in w for w in report["warnings"])
+    assert report["bound"]["source"] == "weights"  # the bound is still 8
+    fhat, fresh_report = denoise_pipeline(g, noisy, cfg, weights=fresh)
+    assert fresh_report["cache"] == "hit"
+    assert np.array_equal(fhat_old, fhat)
+    assert len(report["thresholds"]) == 5
 
 
 @pytest.mark.parametrize("variant",
@@ -294,8 +342,8 @@ def test_reported_sure_is_that_of_a_bare_forward_transform(variant):
 
 def test_pipeline_peak_memory_in_signal_vectors():
     # a cold request peaks in apply: coefficients, weights, thresholded
-    # values, derivatives and a block's magnitudes and masks (27.3 vectors
-    # measured; 20.3 with the operator and weights passed in). The
+    # values, derivatives and a block's magnitudes and masks (22.3 vectors
+    # measured, J = 4; 17.3 with the operator and weights passed in). The
     # synthesis's step matrix is built after the coefficients and
     # derivatives are freed.
     config = PipelineConfig(N=2, sigma=1.0)

@@ -109,14 +109,14 @@ def test_assembled_weights_match_zero_copy_steps(variant):
 
 def test_weights_peak_memory_in_signal_vectors():
     # N probes on a 6.5-vector step matrix: the sum of squares, a probe's
-    # J + 1 outputs, a ring of 4 and the probe itself (23.8 measured)
+    # J + 1 outputs, a ring of 4 and the probe itself (21.7 measured)
     small = laplacian(grid_graph(3, 3))  # loads the kernel
     estimate_diagonal_weights(small, PartitionOfUnity.for_operator(small),
                               K=5, N=1)
     g = grid_graph(300, 300)
     L = laplacian(g)  # a fresh operator: nothing assembled, no step cached
     pou = PartitionOfUnity.for_operator(L)
-    assert pou.J == 5
+    assert pou.J == 4  # the bound is 8 = 2^3, which four bands cover
     band_coefficients(L, pou, K=100)
     tracemalloc.start()
     try:
