@@ -37,9 +37,9 @@ def _field(default, help, choices=None):
 
 @dataclass
 class PipelineConfig:
-    """Every tunable of the denoising chain, with the defaults used
-    throughout the experiments (degree-100 Chebyshev with Jackson damping,
-    10 Rademacher probes, quadratic shrinkage exponent).
+    """Every tunable of the denoising chain, with its default: degree-100
+    Chebyshev with Jackson damping, 5 Rademacher probes (the earlier
+    experiments used 10) and the quadratic shrinkage exponent.
 
     The command line makes one flag of each field but sigma, with the type,
     default, help and choices given here.
@@ -52,7 +52,7 @@ class PipelineConfig:
     K: int = _field(100, "Chebyshev polynomial degree")
     jackson: bool = _field(True, "Jackson damping of the Chebyshev "
                                  "coefficients")
-    N: int = _field(10, "Monte-Carlo probe count for the SURE weights")
+    N: int = _field(5, "Monte-Carlo probe count for the SURE weights")
     distribution: str = _field("rademacher", "probe distribution",
                                DISTRIBUTIONS)
     beta: float = _field(2.0, "thresholding exponent (1 = soft)")

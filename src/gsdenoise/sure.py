@@ -98,7 +98,7 @@ _FIELDS = {field.name: field for field in fields(WeightEstimate)
            if field.name != "diag"}
 
 
-def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=10,
+def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=5,
                               dist="rademacher", seed=0, graph_hash=""):
     """Monte-Carlo Gram diagonal, O(N (mK + n(J+1)K)) with the fast transform.
 

@@ -272,7 +272,7 @@ def test_end_to_end_denoising_gain():
     f = synth_signal(g, SignalSpec(0.01, 4, seed=0))
     L = laplacian(g)
     pou = PartitionOfUnity.for_operator(L)
-    est = estimate_diagonal_weights(L, pou, N=10, seed=0,
+    est = estimate_diagonal_weights(L, pou, N=PipelineConfig.N, seed=0,
                                     graph_hash=g.content_hash())
     norm_f = np.linalg.norm(f)
     for target_db in (-5.0, 0.0, 5.0):
@@ -302,10 +302,11 @@ def test_million_node_smoke():
 
     L = laplacian(g)
     pou = PartitionOfUnity.for_operator(L)
-    est = estimate_diagonal_weights(L, pou, N=10, seed=0,
+    config = PipelineConfig(sigma=sigma)
+    est = estimate_diagonal_weights(L, pou, N=config.N, seed=0,
                                     graph_hash=g.content_hash())
-    fhat, report = denoise_pipeline(g, noisy, PipelineConfig(sigma=sigma),
-                                    weights=est, operator=L)
+    fhat, report = denoise_pipeline(g, noisy, config, weights=est,
+                                    operator=L)
     assert report["cache"] == "hit"
     assert fhat.shape == (g.n,)
     assert np.all(np.isfinite(fhat))

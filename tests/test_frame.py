@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsdenoise.chebyshev import chebyshev_coefficients
 from gsdenoise.frame import (
     FrameCoefficients,
     PartitionOfUnity,
@@ -51,6 +52,13 @@ def test_scale_count_formula_and_clamp():
     sums = _partition_sum(PartitionOfUnity("linear", 4.0, 0.05),
                           np.linspace(0, 0.05, 50))
     assert np.allclose(sums, 1.0, atol=1e-12)
+    # the smooth window leaves its plateau as 1 - exp(-1 / (c - u)) does,
+    # which rounds to 1 there: four bands already sum to 1.0 on [0, 8.2]
+    for lam in (8.1, 8.2):
+        pou = PartitionOfUnity("smooth", 2.0, lam)
+        assert pou.J == 4
+        rows = chebyshev_coefficients(pou.sqrt_bands, lam, 100)
+        assert np.all(np.any(rows != 0, axis=1))
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth"])
@@ -67,11 +75,7 @@ def test_fewest_bands_cover_the_interval(kind, b, k, rel):
     if pou.J == 0:
         return
     assert lam > b ** (pou.J - 2)
-    # the smooth window leaves its plateau as 1 - exp(-1 / (c - u)) does,
-    # which rounds to 1 within 1e-9 of it: there psi_J is positive only in
-    # exact arithmetic
-    if kind == "linear" or rel <= 0:
-        assert pou.psi(pou.J, x).max() > 0
+    assert pou.psi(pou.J, x).max() > 0
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth"])

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import math
 import os
 import tracemalloc
@@ -10,7 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gsdenoise.chebyshev import sgwt_forward_fast
+from gsdenoise.chebyshev import (apply_filter, band_coefficients,
+                                 sgwt_forward_fast, sgwt_inverse_fast)
 from gsdenoise.cli import _build_parser, main
 from gsdenoise.frame import POU_KINDS, PartitionOfUnity
 from gsdenoise.graph import (
@@ -28,7 +30,9 @@ from gsdenoise.signals import SignalSpec, read_signal, snr, synth_signal, \
     write_signal
 from gsdenoise.sure import DISTRIBUTIONS, draw_probe, \
     estimate_diagonal_weights, load_weights, save_weights, sure_value
-from gsdenoise.threshold import ThresholdPolicy, apply_policy
+from gsdenoise.threshold import (ThresholdPolicy, apply_policy,
+                                 js_derivative, js_threshold,
+                                 select_thresholds_sure)
 
 
 def _graph_and_signal(n=120, seed=3):
@@ -82,6 +86,30 @@ def test_config_validation_raises_where_its_modules_do():
         with pytest.raises(ValueError) as got:
             PipelineConfig(**kwargs).validate()
         assert str(got.value) == str(want.value), kwargs
+
+
+def test_library_defaults_mirror_the_config():
+    # a library default that mirrors a config field is that field's default,
+    # so a library call and a default pipeline run do the same work
+    config = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+    chebyshev = {"K": "K", "jackson": "jackson"}
+    mirrors = [
+        (sgwt_forward_fast, chebyshev),
+        (sgwt_inverse_fast, chebyshev),
+        (apply_filter, chebyshev),
+        (band_coefficients, {"jackson": "jackson"}),  # K has no default
+        (estimate_diagonal_weights, dict(chebyshev, N="N",
+                                         dist="distribution", seed="seed")),
+        (PartitionOfUnity.for_operator, {"kind": "kind", "b": "b", "c": "c"}),
+        (laplacian, {"variant": "variant"}),
+        (select_thresholds_sure, {"beta": "beta"}),
+        (js_threshold, {"beta": "beta"}),
+        (js_derivative, {"beta": "beta"}),
+    ]
+    for fn, fields in mirrors:
+        params = inspect.signature(fn).parameters
+        for param, name in fields.items():
+            assert params[param].default == config[name], (fn.__name__, param)
 
 
 def test_sigma_is_required():
@@ -440,8 +468,9 @@ def test_cli_synth_sanitize_denoise_eval(workspace, capsys):
     out = capsys.readouterr().out
     assert "cache=miss" in out and "sure=" in out
     assert "wall_ms_forward=" in out
-    assert "matvecs_weights=1000\nmatvecs_forward=100\nmatvecs_inverse=101\n" \
-        in out
+    weights = PipelineConfig.N * PipelineConfig.K
+    assert (f"matvecs_weights={weights}\nmatvecs_forward=100\n"
+            "matvecs_inverse=101\n") in out
     assert "\npeak_rss_mb=" in out
 
     assert main(["eval", fpath, dpath]) == 0
@@ -478,7 +507,8 @@ def test_cli_weights_then_denoise_hits_cache(workspace, capsys):
     # a cache built under different settings is refused and recomputed;
     # its bound, which depends on the graph and variant alone, is reused
     assert main(["denoise", gpath, fpath, "-o", opath, "--sigma", "1.0",
-                 "--weights", wpath, "--N", "5"]) == 0
+                 "--weights", wpath,
+                 "--N", str(PipelineConfig.N + 1)]) == 0
     captured = capsys.readouterr()
     assert "cache=mismatch-recomputed" in captured.out
     assert "bound_source=weights" in captured.out
