@@ -1,6 +1,6 @@
 """Eigendecomposition-free spectral filtering via Chebyshev recurrences.
 
-Filters rho on the operator's spectral interval [0, L.interval] are
+Filters rho on the operator's spectral interval [0, L.lambda_ub] are
 expanded in shifted Chebyshev polynomials and applied through the
 three-term recurrence, so a degree-K filter costs K + 1 Laplacian
 applications and O(n) extra memory.
@@ -11,7 +11,7 @@ synthesis cost at O(mK + n(J+1)K) instead of J + 1 separate filter runs.
 
 Every filter application is one of two loops over the same step,
 ``LaplacianOperator.matvec(x, prev=y, step=True)`` = 2 Lt x - y with
-Lt = (2 / L.interval) L - I: the analysis recurrence (:func:`_analysis`),
+Lt = (2 / L.lambda_ub) L - I: the analysis recurrence (:func:`_analysis`),
 which adds a ring of Chebyshev vectors into every scale by one matrix
 product, and Clenshaw's recurrence (:func:`_clenshaw`) on two buffers,
 which forms the scale mixtures of two steps by one matrix product;
@@ -24,6 +24,7 @@ import functools
 import numpy as np
 
 from .frame import FrameCoefficients
+from .graph import require_bound
 from .signals import as_signal
 
 # Chebyshev vectors held by the analysis recurrence and added into every
@@ -82,13 +83,14 @@ def chebyshev_coefficients(rho, interval_ub, K):
 
 
 def band_coefficients(L, pou, K, jackson=True):
-    """Coefficients of the frame's filters on L.interval, (J + 1, K + 1).
+    """Coefficients of the frame's filters on [0, L.lambda_ub], (J + 1, K + 1).
 
     One row per scale, damped when jackson is enabled. The undamped rows
     are computed once per partition, K and interval; the array returned is
     read-only, so no caller can change what later transforms use.
     """
-    theta = _band_coefficients(pou, K, L.interval)
+    require_bound(L)
+    theta = _band_coefficients(pou, K, L.lambda_ub)
     if jackson:
         theta = theta * jackson_damping(K)
         theta.flags.writeable = False
@@ -104,7 +106,7 @@ def _band_coefficients(pou, K, interval_ub):
 
 def _analysis(L, theta, f):
     """theta @ [T_0(Lt) f, ..., T_K(Lt) f], one row per filter, in K
-    matvecs, with Lt = (2 / L.interval) L - I.
+    matvecs, with Lt = (2 / L.lambda_ub) L - I.
 
     The Chebyshev vectors go round a ring of RING rows; each time the ring
     is full, one matrix product, taken SLAB columns at a time, adds it into
@@ -138,7 +140,7 @@ def _gemm_add(a, b, out):
 
 def _clenshaw(L, theta, blocks):
     """sum_k T_k(Lt) u_k with u_k = theta[:, k] @ blocks, in K + 1 matvecs,
-    with Lt = (2 / L.interval) L - I.
+    with Lt = (2 / L.lambda_ub) L - I.
 
     Clenshaw's recurrence b_k = 2 Lt b_(k+1) - b_(k+2) + u_k runs in place
     on two buffers, b_k in row k % 2 of b; the sum is Lt b_1 - b_2 + u_0.
@@ -165,14 +167,15 @@ def _clenshaw(L, theta, blocks):
 
 
 def apply_filter(L, rho, f, K=100, jackson=True):
-    """Apply the filter rho(L), expanded to degree K on L.interval, with the
-    Clenshaw recurrence.
+    """Apply the filter rho(L), expanded to degree K on [0, L.lambda_ub],
+    with the Clenshaw recurrence.
 
     Performs exactly K + 1 Laplacian matvecs. The shifted operator
-    Lt = (2 / L.interval) L - I is applied through the operator's step and
+    Lt = (2 / L.lambda_ub) L - I is applied through the operator's step and
     is never formed here.
     """
-    theta = chebyshev_coefficients(rho, L.interval, K)
+    require_bound(L)
+    theta = chebyshev_coefficients(rho, L.lambda_ub, K)
     if jackson:
         theta = theta * jackson_damping(K)
     return _clenshaw(L, theta[None], as_signal(f, L.n)[None])

@@ -6,11 +6,13 @@ O(m + n) per application, with one sparse kernel, scipy's compiled CSR
 product (``_kernels.csr_matvec``), over the graph's own arrays, or as one
 Chebyshev step on the operator's own interval; the Monte-Carlo weights and
 a request's synthesis materialize the shifted operator of their steps, for
-the length of that run (``LaplacianOperator.assembled``). Each operator carries a bound on its
-largest eigenvalue: Lanczos's top Ritz value times 1.01, capped by
-Gershgorin's proven bound (2 max(degrees), or 2 for the normalized and
-random-walk variants). Lanczos stops early, and returns the cap, as soon
-as the estimate reaches it: 12 matvecs on the 300x300 grid.
+the length of that run (``LaplacianOperator.assembled``). Each operator
+carries a bound ``lambda_ub`` on its largest eigenvalue, the right end of
+its Chebyshev interval: the proven cap 2 for the normalized and
+random-walk variants, whose spectrum lies in [0, 2]; for the unnormalized
+one, Lanczos's top Ritz value times 1.01, capped by Gershgorin's proven
+2 max(degrees). Lanczos stops early, and returns the cap, as soon as the
+estimate reaches it: 12 matvecs on the 300x300 grid.
 
 Graphs come from records (``build_graph``), from CSR arrays (``from_csr``),
 from the generators, or from text edge lists (``read_edgelist``), which
@@ -63,6 +65,10 @@ class SparseGraph:
             raise ValueError("offsets must be monotone")
         if self.indices.size != self.weights.size:
             raise ValueError("indices and weights length mismatch")
+        # the CSR kernel reads x[indices] unchecked
+        if self.indices.size and not (0 <= self.indices.min()
+                                      and self.indices.max() < self.n):
+            raise ValueError("column indices must lie in [0, n)")
 
     @property
     def m(self):
@@ -492,7 +498,7 @@ class LaplacianOperator:
     never exceeds the proven cap of :func:`spectral_cap`.
     ``bound_matvecs`` and ``bound_ms`` record what :func:`laplacian` paid
     to estimate it, 0 when the bound was supplied. Every Chebyshev step,
-    and so every filter expansion, runs on [0, :attr:`interval`].
+    and so every filter expansion, runs on [0, lambda_ub].
 
     Every variant is held in one form, L x = diag x - post (W (pre x)), with
     diag, post and pre scalars or n-vectors (post and pre None for 1), so
@@ -537,28 +543,18 @@ class LaplacianOperator:
     def reset_matvec_count(self):
         self.matvec_count = 0
 
-    @property
-    def interval(self):
-        """Right end of the Chebyshev interval: lambda_ub for the
-        unnormalized variant, the spectral cap 2 for the other two."""
-        if self.variant != "unnormalized":
-            return spectral_cap(self.graph, self.variant)
-        if self.lambda_ub is None:
-            raise ValueError("no spectral bound, so no Chebyshev interval; "
-                             "build the operator with laplacian()")
-        return self.lambda_ub
-
     def _shifted_terms(self):
-        """Terms of 2 ((2 / interval) L - I), the doubled shifted operator of
-        a Chebyshev step."""
+        """Terms of 2 ((2 / lambda_ub) L - I), the doubled shifted operator
+        of a Chebyshev step."""
+        require_bound(self)
         diag, post, pre = self._terms
-        c = 4.0 / self.interval
+        c = 4.0 / self.lambda_ub
         return c * diag - 2.0, c if post is None else c * post, pre
 
     _step_terms = cached_property(_shifted_terms)  # for the zero-copy step
 
     def _step_matrix(self):
-        """2 ((2 / interval) L - I) as one ``_kernels.CSR`` record.
+        """2 ((2 / lambda_ub) L - I) as one ``_kernels.CSR`` record.
 
         Built with numpy over the graph's arrays: each row holds its
         diagonal entry, with the shift folded in, ahead of its neighbours,
@@ -614,7 +610,7 @@ class LaplacianOperator:
         """L x - prev, O(m + n), with prev=None as 0; one application counted.
 
         With step=True it applies instead one Chebyshev step on
-        [0, interval], 2 ((2 / interval) L - I) x - prev. The shift and the
+        [0, lambda_ub], 2 ((2 / lambda_ub) L - I) x - prev. The shift and the
         variant's scalings are folded into n-vectors kept per operator, or,
         inside :meth:`assembled`, into the step matrix, where the step is
         out = -prev and one kernel call adding the product into out. The
@@ -648,7 +644,7 @@ class LaplacianOperator:
 def laplacian(g, variant="unnormalized", lambda_ub=None):
     """Construct the Laplacian operator with its spectral bound.
 
-    When lambda_ub is not supplied it is computed by Lanczos via
+    When lambda_ub is not supplied it comes from
     :func:`estimate_spectral_bound`, whose matvecs and wall time are kept in
     ``bound_matvecs`` and ``bound_ms``; the matvec counter then restarts.
     A bound that is not positive and finite is refused.
@@ -665,10 +661,19 @@ def laplacian(g, variant="unnormalized", lambda_ub=None):
     return L
 
 
+def require_bound(L):
+    """Refuse an operator without a spectral bound, which has no Chebyshev
+    interval to step or expand on."""
+    if L.lambda_ub is None:
+        raise ValueError("no spectral bound, so no Chebyshev interval; "
+                         "build the operator with laplacian()")
+
+
 def spectral_cap(g, variant):
     """A proven upper bound on the largest Laplacian eigenvalue, free to
     compute: Gershgorin's 2 max(degrees) for the unnormalized variant, 2
-    for the normalized and random-walk variants."""
+    for the normalized and random-walk variants (Chung, Spectral Graph
+    Theory, 1997)."""
     if variant == "unnormalized":
         return 2.0 * float(g.degrees.max())
     return 2.0
@@ -705,8 +710,9 @@ def _top_eigenvalue(alphas, betas):
 
 
 def estimate_spectral_bound(L, tol=1e-6, seed=0):
-    """Upper bound on the largest Laplacian eigenvalue, by Lanczos under the
-    proven cap of :func:`spectral_cap`.
+    """Upper bound on the largest Laplacian eigenvalue: the proven cap of
+    :func:`spectral_cap`, with no matvec, for the normalized and
+    random-walk variants; for the unnormalized one, Lanczos under that cap.
 
     The three-term Lanczos recurrence starts from a seeded random vector and
     keeps no basis and no reorthogonalisation. After step k, the top Ritz
@@ -717,16 +723,13 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0):
     theta (1 + BOUND_MARGIN) or the cap, whichever is less; the margin
     covers theta's remaining shortfall, which nothing here proves. Once
     theta (1 + BOUND_MARGIN) reaches the cap, the loop stops early and returns
-    the cap, as a full run would. The random-walk case iterates on the
-    symmetric similar form, which is exactly the normalized Laplacian of
-    the same graph; its matvecs are counted on L.
+    the cap, as a full run would.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    op = L
-    if L.variant == "random_walk":
-        op = LaplacianOperator(L.graph, "normalized")
     cap = spectral_cap(L.graph, L.variant)
+    if L.variant != "unnormalized":
+        return cap
     # Dot products go through einsum's own loops, not BLAS, whose rounding
     # depends on the BLAS thread count: the bound enters the weight-cache
     # fingerprint by repr.
@@ -734,15 +737,15 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0):
         return float(np.einsum("i,i->", u, x))
 
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(op.n)
+    v = rng.standard_normal(L.n)
     v /= dot(v, v) ** 0.5
-    v_prev = np.zeros(op.n)
+    v_prev = np.zeros(L.n)
     alphas, betas = [], []
     beta, theta_prev = 0.0, -np.inf
-    for _ in range(op.n):
+    for _ in range(L.n):
         # w = L v - beta v_prev, written over v_prev
         v_prev *= beta
-        w = op.matvec(v, out=v_prev, prev=v_prev)
+        w = L.matvec(v, out=v_prev, prev=v_prev)
         alphas.append(dot(v, w))
         w -= alphas[-1] * v
         theta = _top_eigenvalue(alphas, betas)
@@ -754,6 +757,4 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0):
         theta_prev = theta
         w /= beta
         v_prev, v = v, w
-    if op is not L:
-        L.matvec_count += op.matvec_count
     return min(cap, theta * (1.0 + BOUND_MARGIN))

@@ -10,10 +10,9 @@ estimate it.
 Weight reuse is guarded by a fingerprint of everything the estimate
 depends on (graph content hash, Laplacian variant, frame parameters, K,
 damping, N, probe distribution, seed); a mismatched cache is recomputed
-with a warning in the report rather than trusted. A weight estimate also
-carries the spectral bound it was made with, which depends on the graph
-and variant alone; it replaces the Lanczos run when those match and the
-bound agrees with the weights' own partition and lies under the proven cap.
+with a warning in the report rather than trusted. The spectral bound is
+part of the frame parameters, so weights made on another bound are
+recomputed too.
 """
 
 import time
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
 from .frame import POU_KINDS, PartitionOfUnity, require_base, require_window
-from .graph import VARIANTS, laplacian, spectral_cap
+from .graph import VARIANTS, laplacian
 from .signals import (as_signal, require_choice, require_finite,
                       require_positive)
 from .sure import (DISTRIBUTIONS, WEIGHT_FINGERPRINT,
@@ -81,37 +80,6 @@ def weight_fingerprint(graph_hash, pou, config):
                                      pou=pou.fingerprint(), **vars(config))
 
 
-def _cached_bound(weights, graph, graph_hash, variant, warnings):
-    """The spectral bound carried by a weight estimate, when it was made
-    on this graph and variant and passes two checks; None otherwise.
-
-    The bound must equal, by repr, the one recorded in the estimate's own
-    partition fingerprint, and it must be plausible: at least the largest
-    diagonal entry of L, a Rayleigh quotient and so a lower bound on
-    lambda_max, and at most the proven cap of :func:`spectral_cap`. A bound
-    that fails is reported in warnings, because the Chebyshev expansions
-    diverge outside their interval.
-    """
-    if (weights is None or weights.lambda_ub is None
-            or weights.graph_hash != graph_hash
-            or weights.variant != variant):
-        return None
-    ub = weights.lambda_ub
-    if f",lambda_ub={ub!r}," not in f",{weights.pou},":
-        warnings.append(f"cached lambda_ub={ub!r} differs from the bound in "
-                        f"the weights' partition ({weights.pou}); recomputed "
-                        "by Lanczos")
-        return None
-    low = float(graph.degrees.max()) if variant == "unnormalized" else 1.0
-    high = spectral_cap(graph, variant)
-    if low <= ub <= high:
-        return ub
-    warnings.append(f"cached lambda_ub={ub!r} lies outside [{low!r}, "
-                    f"{high!r}] for the {variant} Laplacian; recomputed by "
-                    "Lanczos")
-    return None
-
-
 # where Linux reports a process's memory, VmHWM among it
 PROC_STATUS = "/proc/self/status"
 
@@ -160,14 +128,13 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     where the system does not report it). Everything except the timings
     and the peak RSS is deterministic in (config, seeds).
 
-    The bound comes from, in order: `operator`, an already-built
-    LaplacianOperator for the same graph and variant (`source` is
-    `operator`, with the cost paid when it was built); `weights`, whose
-    `lambda_ub` is reused when it was made on the same graph and variant
-    and passes the checks of `_cached_bound` (`weights`, no matvecs);
-    otherwise Lanczos under the proven cap (`lanczos`). A reused bound is
-    the one Lanczos gives, which is deterministic in (graph, variant), so
-    the result does not depend on where it came from.
+    The bound comes from `operator`, an already-built LaplacianOperator
+    for the same graph and variant (`source` is `operator`, with the cost
+    paid when it was built), or else from :func:`laplacian`: the proven cap
+    2 of the normalized and random-walk variants (`cap`, no matvecs), or
+    Lanczos for the unnormalized one (`lanczos`). Both are deterministic
+    in (graph, variant), so the result does not depend on where the bound
+    came from.
     """
     config.validate()
     if config.sigma is None:
@@ -181,10 +148,8 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     with timed(timings, "setup"):
         graph_hash = graph.content_hash()
         if operator is None:
-            lambda_ub = _cached_bound(weights, graph, graph_hash,
-                                      config.variant, report["warnings"])
-            source = "lanczos" if lambda_ub is None else "weights"
-            L = laplacian(graph, config.variant, lambda_ub=lambda_ub)
+            L = laplacian(graph, config.variant)
+            source = "lanczos" if L.bound_matvecs else "cap"
         else:
             if (operator.graph is not graph
                     or operator.variant != config.variant):

@@ -59,9 +59,8 @@ class WeightEstimate:
     Every entry is a mean of squares, hence nonnegative; with the exact
     transform on a symmetric Laplacian variant the entries sum to n in
     expectation (the tight-frame trace identity; the random-walk variant
-    satisfies it in the degree-weighted inner product instead).
-    ``lambda_ub`` is the spectral bound the estimate was made with, None
-    when unknown (a cache written before it was recorded).
+    satisfies it in the degree-weighted inner product instead). The
+    spectral bound the estimate was made with is part of ``pou``.
     """
 
     diag: np.ndarray
@@ -75,12 +74,8 @@ class WeightEstimate:
     pou: str = ""
     variant: str = ""
     graph_hash: str = ""
-    lambda_ub: float = None
 
     def __post_init__(self):
-        if self.lambda_ub is not None:
-            self.lambda_ub = float(self.lambda_ub)
-            require_positive("lambda_ub", self.lambda_ub)
         self.diag = np.ascontiguousarray(self.diag, dtype=np.float64)
         if self.diag.shape != (self.n * (self.J + 1),):
             raise ValueError("weight vector length does not match n(J+1)")
@@ -93,7 +88,7 @@ class WeightEstimate:
 # a weight cache's header keys, in file order; each key's type, and whether
 # it is required, is its WeightEstimate field's
 CACHE_KEYS = ("n", "J", "K", "jackson", "N", "distribution", "seed", "pou",
-              "variant", "graph_hash", "lambda_ub")
+              "variant", "graph_hash")
 _FIELDS = {field.name: field for field in fields(WeightEstimate)
            if field.name != "diag"}
 
@@ -116,7 +111,7 @@ def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=5,
             del w  # not held while the next probe is transformed
     return WeightEstimate(acc / N, L.n, pou.J, N, dist, seed, K, jackson,
                           pou=pou.fingerprint(), variant=L.variant,
-                          graph_hash=graph_hash, lambda_ub=L.lambda_ub)
+                          graph_hash=graph_hash)
 
 
 def exact_weights(frame_matrix):
@@ -199,9 +194,8 @@ def sure_variance_exact(frame_matrix, derivs, sigma, dist, N):
 def save_weights(path, est):
     """Write the weight estimate as a signal file with its provenance
     header."""
-    header = {key: int(val) if _FIELDS[key].type is bool else val
-              for key in CACHE_KEYS
-              if (val := getattr(est, key)) is not None}
+    header = {key: getattr(est, key) for key in CACHE_KEYS}
+    header["jackson"] = int(est.jackson)  # read back through int
     write_signal(path, est.diag, header=header)
 
 
@@ -209,8 +203,9 @@ def load_weights(path):
     """Read a weight cache written by :func:`save_weights`.
 
     The cache is a signal file; each header value is converted to its
-    ``WeightEstimate`` field's type. A cache without a ``lambda_ub`` line
-    loads with ``lambda_ub=None``.
+    ``WeightEstimate`` field's type. Other header keys, such as the
+    ``lambda_ub`` line of caches written when the estimate carried its
+    bound, are ignored.
     """
     values, header = read_signal(path)
     meta = {}

@@ -57,11 +57,13 @@ def test_jackson_weights_shape():
 
 
 def test_interval_is_two_for_spectrum_normalizing_variants():
+    # their spectrum lies in [0, 2], so the bound is that cap, and no
+    # matvec is run for it
     g = random_connected_graph(15, seed=0)
-    assert laplacian(g, "normalized").interval == 2.0
-    assert laplacian(g, "random_walk").interval == 2.0
-    Lu = laplacian(g, "unnormalized")
-    assert Lu.interval == Lu.lambda_ub
+    for variant in ("normalized", "random_walk"):
+        L = laplacian(g, variant)
+        assert (L.lambda_ub, L.bound_matvecs) == (2.0, 0)
+    assert laplacian(g, "unnormalized").bound_matvecs > 0
 
 
 def test_apply_constant_filter_is_scaling():
@@ -190,7 +192,7 @@ def test_expansion_cache_reuses_band_coefficients():
     assert rows[0] is not rows[1]
     assert not np.array_equal(rows[0], rows[1])
     assert np.array_equal(rows[1], chebyshev_coefficients(
-        smooth[1].sqrt_bands, L.interval, 10))
+        smooth[1].sqrt_bands, L.lambda_ub, 10))
 
 
 @pytest.mark.parametrize("jackson", [False, True])
@@ -212,12 +214,12 @@ def test_band_coefficients_are_read_only(jackson):
 def test_multi_row_coefficients_equal_one_row_calls(kind, K):
     L = laplacian(random_connected_graph(30, seed=1))
     pou = PartitionOfUnity.for_operator(L, kind=kind, c=0.7)
-    rows = chebyshev_coefficients(pou.sqrt_bands, L.interval, K)
+    rows = chebyshev_coefficients(pou.sqrt_bands, L.lambda_ub, K)
     assert rows.shape == (pou.J + 1, K + 1)
     for j in range(pou.J + 1):
         one = chebyshev_coefficients(
             lambda x: np.sqrt(np.clip(pou.psi(j, x), 0.0, None)),
-            L.interval, K)
+            L.lambda_ub, K)
         assert one.shape == (K + 1,)
         assert rows[j].tobytes() == one.tobytes()
 

@@ -15,7 +15,6 @@ from gsdenoise.frame import (
     sgwt_inverse_exact,
 )
 from gsdenoise.graph import laplacian, random_connected_graph
-from gsdenoise.sure import WeightEstimate
 
 VARIANTS = ("unnormalized", "normalized", "random_walk")
 
@@ -120,9 +119,6 @@ def test_bound_must_be_positive_and_finite(bad):
         PartitionOfUnity("linear", 2.0, bad)
     with pytest.raises(ValueError, match="lambda_ub"):
         laplacian(random_connected_graph(20, seed=0), lambda_ub=bad)
-    with pytest.raises(ValueError, match="lambda_ub"):
-        WeightEstimate(np.ones(4), 4, 0, 1, "rademacher", 0, 10, True,
-                       lambda_ub=bad)
 
 
 def test_coefficient_blocks_are_views():

@@ -27,6 +27,7 @@ from gsdenoise.graph import (
     grid_graph,
     laplacian,
     random_connected_graph,
+    spectral_cap,
     write_edgelist,
 )
 from gsdenoise.signals import write_signal
@@ -59,7 +60,7 @@ def test_matvec_matches_dense_laplacian(variant):
 def test_chebyshev_step_matches_dense_shifted_operator(variant):
     g = random_connected_graph(73, seed=1)
     L = laplacian(g, variant)
-    ub = L.interval
+    ub = L.lambda_ub
     step = 2.0 * ((2.0 / ub) * _dense_laplacian(g, variant) - np.eye(g.n))
     rng = np.random.default_rng(2)
     x, prev = rng.standard_normal(g.n), rng.standard_normal(g.n)
@@ -80,8 +81,8 @@ def test_chebyshev_step_matches_dense_shifted_operator(variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_matrix_is_the_shifted_operator_without_zeros(variant):
     g = grid_graph(7, 9)
-    L = laplacian(g, variant, lambda_ub=8.0)
-    ub = L.interval
+    ub = spectral_cap(g, variant)
+    L = laplacian(g, variant, lambda_ub=ub)
     R = L._step_matrix()
     A = csr_array((R.data, R.indices, R.indptr), shape=R.shape, copy=False)
     step = 2.0 * ((2.0 / ub) * _dense_laplacian(g, variant) - np.eye(g.n))
@@ -120,26 +121,28 @@ def test_nested_assembled_context_reuses_an_open_matrix():
 
 
 def test_unnormalized_operator_without_a_bound_refuses_to_step():
+    # and so does every other variant: an operator's interval is its
+    # lambda_ub, which only laplacian() sets, whatever the variant's cap
     g = grid_graph(4, 5)
-    L = LaplacianOperator(g, "unnormalized")
     x = np.random.default_rng(6).standard_normal(g.n)
     pou = PartitionOfUnity("linear", 2.0, 8.0)
     match = r"no spectral bound.*laplacian\(\)"
-    with pytest.raises(ValueError, match=match):
-        L.interval
-    with pytest.raises(ValueError, match=match):
-        L.matvec(x, step=True)
-    with pytest.raises(ValueError, match=match):
-        apply_filter(L, lambda lam: lam, x, K=5)
-    with pytest.raises(ValueError, match=match):
-        sgwt_forward_fast(L, x, pou, K=5)
-    # the plain product needs no bound
-    assert _close(L.matvec(x), _dense_laplacian(g, "unnormalized") @ x)
-    # the normalized variants step on [0, 2] without one
-    Ln = LaplacianOperator(g, "normalized")
-    assert Ln.lambda_ub is None and Ln.interval == 2.0
-    step = 2.0 * (_dense_laplacian(g, "normalized") - np.eye(g.n))
-    assert _close(Ln.matvec(x, step=True), step @ x)
+    for variant in VARIANTS:
+        L = LaplacianOperator(g, variant)
+        with pytest.raises(ValueError, match=match):
+            L.matvec(x, step=True)
+        with pytest.raises(ValueError, match=match):
+            with L.assembled():
+                pass
+        with pytest.raises(ValueError, match=match):
+            apply_filter(L, lambda lam: lam, x, K=5)
+        with pytest.raises(ValueError, match=match):
+            sgwt_forward_fast(L, x, pou, K=5)
+        with pytest.raises(ValueError, match=match):
+            PartitionOfUnity.for_operator(L)
+        assert L.matvec_count == 0
+        # the plain product needs no bound
+        assert _close(L.matvec(x), _dense_laplacian(g, variant) @ x)
 
 
 @pytest.mark.parametrize("itype", [np.int32, np.int64])

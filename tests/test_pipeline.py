@@ -200,7 +200,7 @@ def test_cache_with_the_earlier_band_count_is_recomputed():
     fhat_old, report = denoise_pipeline(g, noisy, cfg, weights=old)
     assert report["cache"] == "mismatch-recomputed"
     assert any("do not match" in w for w in report["warnings"])
-    assert report["bound"]["source"] == "weights"  # the bound is still 8
+    assert report["bound"]["source"] == "lanczos"
     fhat, fresh_report = denoise_pipeline(g, noisy, cfg, weights=fresh)
     assert fresh_report["cache"] == "hit"
     assert np.array_equal(fhat_old, fhat)
@@ -222,19 +222,20 @@ def test_bound_from_weights_matches_passed_operator(variant):
     assert ra["sure"] == rb["sure"]
     assert ra["fingerprint"] == rb["fingerprint"]
     assert ra["cache"] == rb["cache"] == "hit"
-    assert ra["bound"]["source"] == "weights"
-    assert ra["bound"]["matvecs"] == 0
+    # the weights carry no bound: the pipeline builds the operator's own
+    assert ra["lambda_ub"] == rb["lambda_ub"]
+    own = "lanczos" if variant == "unnormalized" else "cap"
+    assert ra["bound"]["source"] == own
     # an operator reports what its own bound cost when it was built
     assert rb["bound"]["source"] == "operator"
-    assert rb["bound"]["matvecs"] > 0
+    assert ra["bound"]["matvecs"] == rb["bound"]["matvecs"]
+    assert (rb["bound"]["matvecs"] > 0) == (variant == "unnormalized")
 
 
-def _without_bound_line(est, tmp_path):
+def _through_file(est, tmp_path):
     path = tmp_path / "w.txt"
     save_weights(path, est)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(x for x in lines
-                            if not x.startswith("# lambda_ub")))
+    assert "# lambda_ub" not in path.read_text()
     return load_weights(path)
 
 
@@ -242,10 +243,10 @@ def _without_bound_line(est, tmp_path):
     ("other-graph", "unnormalized", "mismatch-recomputed", False),
     ("other-variant", "unnormalized", "mismatch-recomputed", False),
     ("no-bound-line", "normalized", "hit", False),
-    ("below-diagonal", "unnormalized", "hit", True),
-    ("above-two", "normalized", "hit", True),
 ])
 def test_bound_falls_back_to_lanczos(case, variant, cache, warned, tmp_path):
+    # whatever the weights, the bound is the operator's own: Lanczos for
+    # the unnormalized variant, the cap 2 for the normalized one
     g, f = _graph_and_signal(60)
     noisy = f + np.random.default_rng(2).standard_normal(g.n)
     cfg = PipelineConfig(variant=variant, sigma=1.0)
@@ -253,61 +254,48 @@ def test_bound_falls_back_to_lanczos(case, variant, cache, warned, tmp_path):
         est = _weights_for(g, cfg, graph_hash="0" * 16)
     elif case == "other-variant":
         est = _weights_for(g, cfg, variant="normalized")
-    elif case == "no-bound-line":
-        est = _without_bound_line(_weights_for(g, cfg), tmp_path)
-        assert est.lambda_ub is None
-    elif case == "below-diagonal":
-        est = dataclasses.replace(_weights_for(g, cfg),
-                                  lambda_ub=0.9 * g.degrees.max())
     else:
-        est = dataclasses.replace(_weights_for(g, cfg), lambda_ub=2.5)
+        est = _through_file(_weights_for(g, cfg), tmp_path)
     fhat, report = denoise_pipeline(g, noisy, cfg, weights=est)
-    assert report["bound"]["source"] == "lanczos"
-    assert report["bound"]["matvecs"] > 0
+    lanczos = variant == "unnormalized"
+    assert report["bound"]["source"] == ("lanczos" if lanczos else "cap")
+    assert (report["bound"]["matvecs"] > 0) == lanczos
     assert report["cache"] == cache
-    assert any("by Lanczos" in w for w in report["warnings"]) == warned
-    # the bound Lanczos gives, so the same answer as with none
+    assert any("Lanczos" in w for w in report["warnings"]) == warned
+    # the operator's own bound, so the same answer as with one passed in
     ref, ref_report = denoise_pipeline(g, noisy, cfg, weights=est,
                                        operator=laplacian(g, variant))
     assert np.array_equal(fhat, ref)
     assert report["lambda_ub"] == ref_report["lambda_ub"]
 
 
-def _with_bound(est, ub, in_partition):
-    """est with its bound replaced, and in its partition fingerprint too
-    when in_partition, as a consistently edited cache would have it."""
-    pou = est.pou
-    if in_partition:
-        pou = pou.replace(f"lambda_ub={est.lambda_ub!r},",
-                          f"lambda_ub={ub!r},")
-        assert pou != est.pou
-    return dataclasses.replace(est, lambda_ub=ub, pou=pou)
-
-
-@pytest.mark.parametrize("scale, in_partition, warning", [
-    # between the max degree and lambda_max (17.82): the expansions
-    # diverge, up to 1e64 on this graph, when such a bound is reused
-    (1.0, False, "differs from the bound in the weights' partition"),
-    # below the max degree, a Rayleigh quotient, and above Gershgorin's
-    # 2 max(degrees), which no bound needs to exceed
-    (0.9, True, "lies outside"),
-    (2.5, True, "lies outside"),
-], ids=["off-partition", "below-max-degree", "above-cap"])
-def test_cached_bound_is_checked_against_partition_and_cap(
-        scale, in_partition, warning):
-    g = random_connected_graph(300, seed=1)
-    f = synth_signal(g, SignalSpec(0.05, 3, seed=1))
+@pytest.mark.parametrize("variant, cache", [
+    ("unnormalized", "hit"), ("normalized", "mismatch-recomputed")])
+def test_cache_with_a_bound_line_is_matched_by_its_partition(variant, cache,
+                                                             tmp_path):
+    # caches written when the estimate carried its bound have a
+    # "# lambda_ub" line, now ignored; their partition holds the bound by
+    # repr. The unnormalized one came from Lanczos then as now and hits;
+    # the normalized one holds a Lanczos value under 2 where the bound is
+    # now the cap 2, so it is recomputed
+    g, f = _graph_and_signal(60)
     noisy = f + np.random.default_rng(2).standard_normal(g.n)
-    cfg = PipelineConfig(sigma=1.0)
+    cfg = PipelineConfig(variant=variant, sigma=1.0)
     est = _weights_for(g, cfg)
-    bad = _with_bound(est, scale * float(g.degrees.max()), in_partition)
-    fhat, report = denoise_pipeline(g, noisy, cfg, weights=bad)
-    assert report["bound"]["source"] == "lanczos"
-    assert any(warning in w and "recomputed by Lanczos" in w
-               for w in report["warnings"])
-    ref, ref_report = denoise_pipeline(g, noisy, cfg, weights=est)
-    assert ref_report["bound"]["source"] == "weights"
-    assert report["lambda_ub"] == ref_report["lambda_ub"] == est.lambda_ub
+    path = tmp_path / "w.txt"
+    save_weights(path, est)
+    ub = laplacian(g, variant).lambda_ub
+    old = ub if variant == "unnormalized" else 1.9471808144609681
+    head = f"# graph_hash = {g.content_hash()}\n"
+    text = path.read_text().replace(f"lambda_ub={ub!r},",
+                                    f"lambda_ub={old!r},")
+    path.write_text(text.replace(head, head + f"# lambda_ub = {old!r}\n"))
+    assert f"# lambda_ub = {old!r}\n" in path.read_text()
+    fhat, report = denoise_pipeline(g, noisy, cfg, weights=load_weights(path))
+    assert report["cache"] == cache
+    assert any("do not match" in w
+               for w in report["warnings"]) == (cache != "hit")
+    ref, _ = denoise_pipeline(g, noisy, cfg, weights=est)
     assert np.array_equal(fhat, ref)
 
 
@@ -438,9 +426,11 @@ def test_cli_graph_info(workspace, capsys):
     tmp, g, gpath = workspace
     assert main(["graph-info", gpath]) == 0
     out = capsys.readouterr().out
-    # printed by repr, so it can be matched against a weight cache header
+    # printed by repr, so it can be matched against a weight cache's pou
     ub = laplacian(read_edgelist(gpath)).lambda_ub
     assert out == f"n={g.n} m={g.m} lambda_ub={ub!r}\n"
+    assert main(["graph-info", gpath, "--variant", "normalized"]) == 0
+    assert capsys.readouterr().out == f"n={g.n} m={g.m} lambda_ub=2.0\n"
 
 
 def test_cli_synth_sanitize_denoise_eval(workspace, capsys):
@@ -497,21 +487,20 @@ def test_cli_weights_then_denoise_hits_cache(workspace, capsys):
     assert main(["denoise", gpath, fpath, "-o", opath, "--sigma", "1.0",
                  "--weights", wpath]) == 0
     out = capsys.readouterr().out
-    assert "cache=hit" in out and "bound_source=weights" in out
-    # the cached weights and bound give the file a cold run writes
+    assert "cache=hit" in out and "bound_source=lanczos" in out
+    # the cached weights give the file a cold run writes
     cold = str(tmp / "cold.txt")
     assert main(["denoise", gpath, fpath, "-o", cold, "--sigma", "1.0"]) == 0
     assert "bound_source=lanczos" in capsys.readouterr().out
     with open(opath) as a, open(cold) as b:
         assert a.read() == b.read()
-    # a cache built under different settings is refused and recomputed;
-    # its bound, which depends on the graph and variant alone, is reused
+    # a cache built under different settings is refused and recomputed
     assert main(["denoise", gpath, fpath, "-o", opath, "--sigma", "1.0",
                  "--weights", wpath,
                  "--N", str(PipelineConfig.N + 1)]) == 0
     captured = capsys.readouterr()
     assert "cache=mismatch-recomputed" in captured.out
-    assert "bound_source=weights" in captured.out
+    assert "bound_source=lanczos" in captured.out
     assert "warning" in captured.err
 
 

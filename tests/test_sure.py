@@ -272,10 +272,10 @@ def test_weight_cache_round_trip(tmp_path):
     back = load_weights(path)
     assert np.array_equal(back.diag, est.diag)
     assert back.fingerprint() == est.fingerprint()
-    # the bound the estimate was made with, kept by repr
-    assert est.lambda_ub == L.lambda_ub
-    assert f"# lambda_ub = {L.lambda_ub!r}\n" in path.read_text()
-    assert back.lambda_ub == est.lambda_ub
+    # the bound the estimate was made with is in its partition, by repr,
+    # and nowhere else
+    assert f",lambda_ub={L.lambda_ub!r}," in back.pou
+    assert "lambda_ub =" not in path.read_text()
 
 
 _HEADER = ("# n = 2\n# J = 0\n# K = 10\n# jackson = 1\n# N = 1\n"
@@ -293,21 +293,27 @@ def test_weight_cache_reads_as_a_signal_file(tmp_path):
     # a cache is a signal file: comments and blank lines may sit inside its
     # body, and a header line may follow it
     clean = tmp_path / "clean.txt"
-    clean.write_text(_HEADER + "# lambda_ub = 2.5\n1.0\n0.5\n")
+    clean.write_text(_HEADER + "# graph_hash = h\n1.0\n0.5\n")
     loose = tmp_path / "loose.txt"
-    loose.write_text(_HEADER + "1.0\n# note\n\n0.5\n# lambda_ub = 2.5\n")
+    loose.write_text(_HEADER + "1.0\n# note\n\n0.5\n# graph_hash = h\n")
     want, got = load_weights(clean), load_weights(loose)
     assert got.diag.tobytes() == want.diag.tobytes()
-    assert got.lambda_ub == want.lambda_ub == 2.5
+    assert got.graph_hash == want.graph_hash == "h"
     assert got.fingerprint() == want.fingerprint()
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "0.0", "-1.5"])
-def test_weight_cache_with_implausible_bound_is_rejected(tmp_path, bad):
-    path = tmp_path / "w.txt"
-    path.write_text(_HEADER + f"# lambda_ub = {bad}\n1.0\n0.5\n")
-    with pytest.raises(ValueError, match="lambda_ub"):
-        load_weights(path)
+@pytest.mark.parametrize("bound", ["1.9471808144609681", "nan"])
+def test_weight_cache_with_a_bound_line_still_loads(tmp_path, bound):
+    # caches once carried the bound on a line of its own; that key is now
+    # ignored, whatever its value, as the bound is part of pou
+    old = tmp_path / "old.txt"
+    old.write_text(_HEADER + f"# lambda_ub = {bound}\n1.0\n0.5\n")
+    new = tmp_path / "new.txt"
+    new.write_text(_HEADER + "1.0\n0.5\n")
+    got, want = load_weights(old), load_weights(new)
+    assert got.diag.tobytes() == want.diag.tobytes()
+    assert got.fingerprint() == want.fingerprint()
+    assert not hasattr(got, "lambda_ub")
 
 
 def test_weight_cache_missing_field(tmp_path):
