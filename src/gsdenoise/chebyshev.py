@@ -24,7 +24,6 @@ import functools
 import numpy as np
 
 from .frame import FrameCoefficients
-from .graph import require_bound
 from .signals import as_signal
 
 # Chebyshev vectors held by the analysis recurrence and added into every
@@ -87,9 +86,14 @@ def band_coefficients(L, pou, K, jackson=True):
 
     One row per scale, damped when jackson is enabled. The undamped rows
     are computed once per partition, K and interval; the array returned is
-    read-only, so no caller can change what later transforms use.
+    read-only, so no caller can change what later transforms use. A
+    partition built for another bound is refused: its bands do not sum to
+    1 on the operator's interval.
     """
-    require_bound(L)
+    if pou.lambda_ub != L.lambda_ub:
+        raise ValueError(f"partition built for lambda_ub={pou.lambda_ub!r}, "
+                         f"but the operator's bound is {L.lambda_ub!r}; "
+                         "build it with PartitionOfUnity.for_operator")
     theta = _band_coefficients(pou, K, L.lambda_ub)
     if jackson:
         theta = theta * jackson_damping(K)
@@ -174,7 +178,6 @@ def apply_filter(L, rho, f, K=100, jackson=True):
     Lt = (2 / L.lambda_ub) L - I is applied through the operator's step and
     is never formed here.
     """
-    require_bound(L)
     theta = chebyshev_coefficients(rho, L.lambda_ub, K)
     if jackson:
         theta = theta * jackson_damping(K)

@@ -27,32 +27,31 @@ BENCH_COLUMNS = ("run", "epsilon", "sigma", "snr_in", "snr_out", "sure",
                  "wall_ms_select", "wall_ms_apply", "wall_ms_inverse")
 
 
-# the PipelineConfig fields that are flags of every subcommand; sigma is
-# a flag of its own where a subcommand takes one
-_CONFIG_FIELDS = [f for f in dataclasses.fields(PipelineConfig)
-                  if f.name != "sigma"]
+# the PipelineConfig fields that are flags of the subcommands that run the
+# pipeline; sigma is a flag of its own where a subcommand takes one
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)
+                  if f.name != "sigma"}
 
 
-def _config_parser():
-    """Parent parser with one flag per PipelineConfig field but sigma,
-    spelled as the field and typed, defaulted and documented by it."""
-    p = argparse.ArgumentParser(add_help=False)
-    g = p.add_argument_group("pipeline configuration")
-    for f in _CONFIG_FIELDS:
+def _add_config_flags(p, names=tuple(_CONFIG_FIELDS)):
+    """One flag per named PipelineConfig field, spelled as the field and
+    typed, defaulted and documented by it."""
+    for name in names:
+        f = _CONFIG_FIELDS[name]
         kw = {"action": argparse.BooleanOptionalAction} if f.type is bool \
             else {"type": f.type, "choices": f.metadata["choices"]}
-        g.add_argument(f"--{f.name}", default=f.default,
+        p.add_argument(f"--{name}", default=f.default,
                        help=f.metadata["help"], **kw)
-    return p
 
 
 def _config_from(args, sigma=None):
-    return PipelineConfig(sigma=sigma, **{f.name: getattr(args, f.name)
-                                          for f in _CONFIG_FIELDS})
+    return PipelineConfig(sigma=sigma, **{name: getattr(args, name)
+                                          for name in _CONFIG_FIELDS})
 
 
 def _build_parser():
-    cfg = _config_parser()
+    cfg = argparse.ArgumentParser(add_help=False)  # every config flag
+    _add_config_flags(cfg.add_argument_group("pipeline configuration"))
     top = argparse.ArgumentParser(
         prog="gsdenoise",
         description="Graph-signal denoising by wavelet thresholding with "
@@ -60,21 +59,24 @@ def _build_parser():
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("graph-info", parents=[cfg],
+    p = sub.add_parser("graph-info",
                        help="print node/edge counts and the spectral bound")
     p.add_argument("graph", help="edge-list file")
+    _add_config_flags(p, ["variant"])
 
-    p = sub.add_parser("synth", parents=[cfg],
+    p = sub.add_parser("synth",
                        help="synthesize a Bernoulli-diffusion signal")
     p.add_argument("graph")
+    _add_config_flags(p, ["seed"])
     p.add_argument("-o", "--output", required=True, help="signal file to write")
     p.add_argument("--p", type=float, default=0.01,
                    help="Bernoulli source density")
     p.add_argument("--k", type=int, default=4, help="diffusion power")
 
-    p = sub.add_parser("sanitize", parents=[cfg],
+    p = sub.add_parser("sanitize",
                        help="add calibrated Gaussian noise to a signal")
     p.add_argument("signal", help="signal file to sanitize")
+    _add_config_flags(p, ["seed"])
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--graph", help="edge-list file, only needed for "
                                    "label,value signal files")
@@ -100,7 +102,7 @@ def _build_parser():
                    help="noise scale published with the signal")
     p.add_argument("--weights", help="weight cache file to reuse")
 
-    p = sub.add_parser("eval", parents=[cfg],
+    p = sub.add_parser("eval",
                        help="print SNR and MSE of an estimate vs a reference")
     p.add_argument("reference")
     p.add_argument("estimate")

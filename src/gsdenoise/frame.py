@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import DENSE_CAP, require_bound
+from .graph import DENSE_CAP
 from .signals import as_signal, require_choice, require_positive
 
 POU_KINDS = ("linear", "smooth")
@@ -101,7 +101,6 @@ class PartitionOfUnity:
         restrict b to (1, 2]; b = 2 and the bound 2 give J = 2.
         """
         require_base(L.variant, b)
-        require_bound(L)
         return cls(kind, b, L.lambda_ub, c=c)
 
     def omega(self, x):

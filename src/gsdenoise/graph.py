@@ -7,8 +7,9 @@ product (``_kernels.csr_matvec``), over the graph's own arrays, or as one
 Chebyshev step on the operator's own interval; the Monte-Carlo weights and
 a request's synthesis materialize the shifted operator of their steps, for
 the length of that run (``LaplacianOperator.assembled``). Each operator
-carries a bound ``lambda_ub`` on its largest eigenvalue, the right end of
-its Chebyshev interval: the proven cap 2 for the normalized and
+is built with a bound ``lambda_ub`` on its largest eigenvalue, the right
+end of its Chebyshev interval, so no operator is without one: the bound
+given to its constructor, or else the proven cap 2 for the normalized and
 random-walk variants, whose spectrum lies in [0, 2]; for the unnormalized
 one, Lanczos's top Ritz value times 1.01, capped by Gershgorin's proven
 2 max(degrees). Lanczos stops early, and returns the cap, as soon as the
@@ -30,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import CSR, csr_matvec
-from .signals import as_signal, require_choice, require_positive
+from .signals import as_signal, dot, require_choice, require_positive
 
 VARIANTS = ("unnormalized", "normalized", "random_walk")
 DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
@@ -494,11 +495,13 @@ class LaplacianOperator:
 
     Applications go through :meth:`matvec`, which also counts calls so tests
     can verify the advertised operation counts. ``lambda_ub`` bounds the
-    largest eigenvalue from above (see :func:`estimate_spectral_bound`) and
-    never exceeds the proven cap of :func:`spectral_cap`.
-    ``bound_matvecs`` and ``bound_ms`` record what :func:`laplacian` paid
-    to estimate it, 0 when the bound was supplied. Every Chebyshev step,
-    and so every filter expansion, runs on [0, lambda_ub].
+    largest eigenvalue from above. The constructor takes it as given, or
+    else estimates it (see :func:`estimate_spectral_bound`), under the
+    proven cap of :func:`spectral_cap`; ``bound_matvecs`` and ``bound_ms``
+    record what the estimate cost, 0 when the bound was given, and the
+    matvec counter then starts at 0. A bound that is not positive and
+    finite is refused. Every Chebyshev step, and so every filter
+    expansion, runs on [0, lambda_ub].
 
     Every variant is held in one form, L x = diag x - post (W (pre x)), with
     diag, post and pre scalars or n-vectors (post and pre None for 1), so
@@ -515,9 +518,9 @@ class LaplacianOperator:
     graph: SparseGraph
     variant: str
     lambda_ub: float = None
-    matvec_count: int = field(default=0, compare=False)
-    bound_matvecs: int = field(default=0, compare=False)
-    bound_ms: float = field(default=0.0, compare=False)
+    matvec_count: int = field(init=False)
+    bound_matvecs: int = field(init=False)
+    bound_ms: float = field(init=False)
 
     def __post_init__(self):
         require_choice("variant", self.variant, VARIANTS)
@@ -535,6 +538,16 @@ class LaplacianOperator:
         else:
             self._terms = (1.0, 1.0 / deg, None)
         self._assembled = None  # the step matrix inside assembled()
+        self.matvec_count = self.bound_matvecs = 0
+        self.bound_ms = 0.0
+        if self.lambda_ub is None:
+            t0 = time.perf_counter()
+            self.lambda_ub = estimate_spectral_bound(self)
+            self.bound_ms = 1e3 * (time.perf_counter() - t0)
+            self.bound_matvecs = self.matvec_count
+            self.matvec_count = 0
+        self.lambda_ub = float(self.lambda_ub)
+        require_positive("lambda_ub", self.lambda_ub)
 
     @property
     def n(self):
@@ -546,7 +559,6 @@ class LaplacianOperator:
     def _shifted_terms(self):
         """Terms of 2 ((2 / lambda_ub) L - I), the doubled shifted operator
         of a Chebyshev step."""
-        require_bound(self)
         diag, post, pre = self._terms
         c = 4.0 / self.lambda_ub
         return c * diag - 2.0, c if post is None else c * post, pre
@@ -642,31 +654,9 @@ class LaplacianOperator:
 
 
 def laplacian(g, variant="unnormalized", lambda_ub=None):
-    """Construct the Laplacian operator with its spectral bound.
-
-    When lambda_ub is not supplied it comes from
-    :func:`estimate_spectral_bound`, whose matvecs and wall time are kept in
-    ``bound_matvecs`` and ``bound_ms``; the matvec counter then restarts.
-    A bound that is not positive and finite is refused.
-    """
-    L = LaplacianOperator(g, variant)
-    if lambda_ub is None:
-        t0 = time.perf_counter()
-        lambda_ub = estimate_spectral_bound(L)
-        L.bound_ms = 1e3 * (time.perf_counter() - t0)
-        L.bound_matvecs = L.matvec_count
-        L.reset_matvec_count()
-    L.lambda_ub = float(lambda_ub)
-    require_positive("lambda_ub", L.lambda_ub)
-    return L
-
-
-def require_bound(L):
-    """Refuse an operator without a spectral bound, which has no Chebyshev
-    interval to step or expand on."""
-    if L.lambda_ub is None:
-        raise ValueError("no spectral bound, so no Chebyshev interval; "
-                         "build the operator with laplacian()")
+    """The Laplacian operator of g with its spectral bound, given or
+    estimated: ``LaplacianOperator(g, variant, lambda_ub)``."""
+    return LaplacianOperator(g, variant, lambda_ub)
 
 
 def spectral_cap(g, variant):
@@ -730,12 +720,7 @@ def estimate_spectral_bound(L, tol=1e-6, seed=0):
     cap = spectral_cap(L.graph, L.variant)
     if L.variant != "unnormalized":
         return cap
-    # Dot products go through einsum's own loops, not BLAS, whose rounding
-    # depends on the BLAS thread count: the bound enters the weight-cache
-    # fingerprint by repr.
-    def dot(u, x):
-        return float(np.einsum("i,i->", u, x))
-
+    # dot, not BLAS: the bound enters the weight-cache fingerprint by repr
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(L.n)
     v /= dot(v, v) ** 0.5

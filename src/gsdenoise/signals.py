@@ -41,6 +41,12 @@ def synth_signal(g, spec):
     return f
 
 
+def dot(u, v):
+    """u @ v for two vectors, summed by einsum's own loop: BLAS's sum
+    rounds differently under another BLAS thread count."""
+    return float(np.einsum("i,i->", u, v))
+
+
 def snr(f, fhat):
     """Signal-to-noise ratio of fhat against reference f, in dB.
 
@@ -51,10 +57,11 @@ def snr(f, fhat):
     fhat = np.asarray(fhat, dtype=np.float64)
     if f.shape != fhat.shape:
         raise ValueError(f"shape mismatch: {f.shape} vs {fhat.shape}")
-    ref = np.linalg.norm(f)
+    ref = math.sqrt(dot(f, f))
     if ref == 0.0:
         raise ValueError("snr undefined for a zero reference signal")
-    err = np.linalg.norm(f - fhat)
+    d = f - fhat
+    err = math.sqrt(dot(d, d))
     if err == 0.0:
         return math.inf
     return 20.0 * math.log10(ref / err)
@@ -67,7 +74,7 @@ def mse(a, b):
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    return float(d @ d / d.size)
+    return dot(d, d) / d.size if d.size else math.nan
 
 
 def as_signal(f, n):

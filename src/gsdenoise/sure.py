@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from . import chebyshev
-from .signals import (read_signal, require_choice, require_positive,
+from .signals import (dot, read_signal, require_choice, require_positive,
                       require_weights, write_signal)
 
 DISTRIBUTIONS = ("rademacher", "gaussian")
@@ -140,9 +140,9 @@ def sure_value(coeffs, thresholded, derivs, sigma, weights_diag):
     loss = 0.0
     for s in range(0, vals.size, n):
         np.subtract(thr[s:s + n], vals[s:s + n], out=resid)
-        loss += float(resid @ resid)
+        loss += dot(resid, resid)
     return (-n * sigma ** 2 + loss
-            + 2.0 * sigma ** 2 * float(weights_diag @ derivs))
+            + 2.0 * sigma ** 2 * dot(weights_diag, derivs))
 
 
 def gamma_variance_exact(frame_matrix, dist, N, i, j):

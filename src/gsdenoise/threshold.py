@@ -48,7 +48,6 @@ def _shrink(x, t, beta, out, slope):
     np.copyto(slope, 0.0, where=~(absx > t))
     if t > 0:
         np.copyto(slope, beta, where=absx == t)
-    np.copyto(slope, 0.0, where=absx == 0)
     np.subtract(1.0, out, out=out)
     np.maximum(out, 0.0, out=out)
     out *= x

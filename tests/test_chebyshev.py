@@ -16,12 +16,14 @@ from gsdenoise.chebyshev import (
     sgwt_inverse_fast,
 )
 from gsdenoise.frame import (
+    FrameCoefficients,
     PartitionOfUnity,
     sgwt_forward_exact,
     sgwt_inverse_exact,
 )
 from gsdenoise.graph import grid_graph, laplacian, random_connected_graph, \
     random_geometric_graph
+from gsdenoise.sure import estimate_diagonal_weights
 
 
 def test_coefficients_of_constant():
@@ -207,6 +209,30 @@ def test_band_coefficients_are_read_only(jackson):
         theta *= 0.0
     after = sgwt_forward_fast(L, f, pou, K=20, jackson=jackson).values
     assert after.tobytes() == before.tobytes()
+
+
+def test_partition_for_another_bound_is_refused():
+    # grid_graph(20, 20)'s bound is 8. A partition for 4 has J = 3, and its
+    # bands do not cover [0, 8]: used anyway, the forward transform of a
+    # white signal keeps 81% of its energy (99% with the operator's own
+    # partition) and the round trip is 33% off
+    g = grid_graph(20, 20)
+    L = laplacian(g)
+    assert L.lambda_ub == 8.0
+    pou = PartitionOfUnity("linear", 2.0, 4.0)
+    f = np.random.default_rng(0).standard_normal(g.n)
+    coeffs = FrameCoefficients(np.zeros(g.n * (pou.J + 1)), g.n, pou.J)
+    match = r"partition built for lambda_ub=4\.0, but the operator's " \
+        r"bound is 8\.0"
+    with pytest.raises(ValueError, match=match):
+        band_coefficients(L, pou, 20)
+    with pytest.raises(ValueError, match=match):
+        sgwt_forward_fast(L, f, pou, K=20)
+    with pytest.raises(ValueError, match=match):
+        sgwt_inverse_fast(L, coeffs, pou, K=20)
+    with pytest.raises(ValueError, match=match):
+        estimate_diagonal_weights(L, pou, K=20, N=1)
+    assert L.matvec_count == 0
 
 
 @pytest.mark.parametrize("kind", ["linear", "smooth"])

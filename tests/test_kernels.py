@@ -18,8 +18,6 @@ import gsdenoise
 from gsdenoise import _kernels
 from gsdenoise._kernels import CSR, csr_matvec
 from gsdenoise.cli import main
-from gsdenoise.chebyshev import apply_filter, sgwt_forward_fast
-from gsdenoise.frame import PartitionOfUnity
 from gsdenoise.graph import (
     VARIANTS,
     LaplacianOperator,
@@ -120,29 +118,21 @@ def test_nested_assembled_context_reuses_an_open_matrix():
     assert L._assembled is None
 
 
-def test_unnormalized_operator_without_a_bound_refuses_to_step():
-    # and so does every other variant: an operator's interval is its
-    # lambda_ub, which only laplacian() sets, whatever the variant's cap
-    g = grid_graph(4, 5)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_operator_is_built_with_its_bound(variant):
+    # the constructor sets the bound as laplacian() does, so no operator
+    # is without one, and the counters are not constructor arguments
+    g = random_connected_graph(40, seed=3)
+    L, want = LaplacianOperator(g, variant), laplacian(g, variant)
+    assert repr(L.lambda_ub) == repr(want.lambda_ub)
+    assert L.bound_matvecs == want.bound_matvecs
+    assert (L.bound_matvecs > 0) == (variant == "unnormalized")
+    assert L.matvec_count == 0
     x = np.random.default_rng(6).standard_normal(g.n)
-    pou = PartitionOfUnity("linear", 2.0, 8.0)
-    match = r"no spectral bound.*laplacian\(\)"
-    for variant in VARIANTS:
-        L = LaplacianOperator(g, variant)
-        with pytest.raises(ValueError, match=match):
-            L.matvec(x, step=True)
-        with pytest.raises(ValueError, match=match):
-            with L.assembled():
-                pass
-        with pytest.raises(ValueError, match=match):
-            apply_filter(L, lambda lam: lam, x, K=5)
-        with pytest.raises(ValueError, match=match):
-            sgwt_forward_fast(L, x, pou, K=5)
-        with pytest.raises(ValueError, match=match):
-            PartitionOfUnity.for_operator(L)
-        assert L.matvec_count == 0
-        # the plain product needs no bound
-        assert _close(L.matvec(x), _dense_laplacian(g, variant) @ x)
+    assert np.array_equal(L.matvec(x, step=True), want.matvec(x, step=True))
+    for counter in ("matvec_count", "bound_matvecs", "bound_ms"):
+        with pytest.raises(TypeError, match=counter):
+            LaplacianOperator(g, variant, **{counter: 0})
 
 
 @pytest.mark.parametrize("itype", [np.int32, np.int64])
@@ -238,15 +228,11 @@ def test_matvec_counts_plain_and_step_applications_alike():
 
 
 def test_refused_matvec_is_not_counted():
-    L = LaplacianOperator(grid_graph(4, 5), "unnormalized")
-    with pytest.raises(ValueError, match="no spectral bound"):
-        L.matvec(np.ones(20), step=True)
+    L = laplacian(grid_graph(4, 5), "unnormalized")
     with pytest.raises(ValueError, match="length 20"):
         L.matvec(np.ones(3))
     assert L.matvec_count == 0
     # nor inside an assembled step matrix
-    L = laplacian(grid_graph(4, 5), "unnormalized")
-    L.reset_matvec_count()
     with L.assembled():
         with pytest.raises(ValueError, match="length 20"):
             L.matvec(np.ones(3), step=True)

@@ -531,8 +531,8 @@ def test_cli_config_flags_are_the_config_fields():
     subparsers = action.choices
     assert set(subparsers) == {"graph-info", "synth", "sanitize", "weights",
                                "denoise", "eval", "bench"}
-    for command, parser in subparsers.items():
-        flags = {a.dest: a for a in parser._actions}
+    for command in ("weights", "denoise", "bench"):
+        flags = {a.dest: a for a in subparsers[command]._actions}
         assert names <= set(flags), command
         for name in names:
             assert flags[name].default == getattr(config, name), (command,
@@ -540,6 +540,35 @@ def test_cli_config_flags_are_the_config_fields():
             assert flags[name].choices == choices.get(name), (command, name)
         assert flags["jackson"].option_strings == ["--jackson",
                                                    "--no-jackson"]
+
+
+def test_cli_other_subcommands_take_only_the_config_flags_they_read():
+    # each from its PipelineConfig field, as the generated flags are
+    config = PipelineConfig()
+    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+    (action,) = [a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    for command, read in (("graph-info", {"variant"}), ("synth", {"seed"}),
+                          ("sanitize", {"seed"}), ("eval", set())):
+        flags = {a.dest: a for a in action.choices[command]._actions}
+        assert set(fields) & set(flags) - {"sigma"} == read, command
+        for name in read:
+            assert flags[name].option_strings == [f"--{name}"]
+            assert flags[name].default == getattr(config, name), command
+            assert flags[name].type is fields[name].type, command
+            assert flags[name].choices == fields[name].metadata["choices"]
+    assert fields["variant"].metadata["choices"] == VARIANTS
+
+
+@pytest.mark.parametrize("argv", [["--K", "5"], ["--variant", "normalized"],
+                                  ["--N", "99"]])
+def test_cli_eval_refuses_config_flags_it_does_not_read(workspace, argv):
+    tmp, g, gpath = workspace
+    spath = str(tmp / "s.txt")
+    write_signal(spath, np.arange(1.0, 5.0))
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", spath, spath] + argv)
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,13 +1,19 @@
 """Synthetic signals, SNR/MSE metrics, and the signal file format."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gsdenoise
 from gsdenoise.chebyshev import apply_filter, sgwt_forward_fast
 from gsdenoise.frame import PartitionOfUnity, sgwt_forward_exact
 from gsdenoise.graph import build_graph, grid_graph, laplacian, \
@@ -82,6 +88,38 @@ def test_mse_reference_points():
     assert mse(a, b) == mse(b, a)
     with pytest.raises(ValueError, match="shape"):
         mse(a, np.ones(2))
+
+
+def test_sums_independent_of_blas_threads():
+    # BLAS's dot product rounds differently under two threads from 4.5e5
+    # entries on; SURE, SNR and MSE sum through einsum instead, so each
+    # prints the same under one BLAS thread and under two
+    code = textwrap.dedent("""
+        import numpy as np
+        from gsdenoise.frame import FrameCoefficients
+        from gsdenoise.signals import mse, snr
+        from gsdenoise.sure import sure_value
+        rng = np.random.default_rng(0)
+        n = 5 * 10 ** 5
+        f = rng.standard_normal(n)
+        fhat = f + 0.1 * rng.standard_normal(n)
+        coeffs = FrameCoefficients(rng.standard_normal(2 * n), n, 1)
+        shrunk = FrameCoefficients(0.9 * coeffs.values, n, 1)
+        print(repr(sure_value(coeffs, shrunk, rng.random(2 * n), 1.5,
+                              rng.random(2 * n))),
+              repr(snr(f, fhat)), repr(mse(f, fhat)))
+        """)
+    src = str(Path(gsdenoise.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True, timeout=300).stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) == 3
 
 
 def test_signal_file_round_trip_is_bit_exact(tmp_path):
