@@ -23,7 +23,7 @@ import functools
 
 import numpy as np
 
-from .frame import FrameCoefficients
+from .frame import FrameCoefficients, require_partition
 from .signals import as_signal
 
 # Chebyshev vectors held by the analysis recurrence and added into every
@@ -90,10 +90,7 @@ def band_coefficients(L, pou, K, jackson=True):
     partition built for another bound is refused: its bands do not sum to
     1 on the operator's interval.
     """
-    if pou.lambda_ub != L.lambda_ub:
-        raise ValueError(f"partition built for lambda_ub={pou.lambda_ub!r}, "
-                         f"but the operator's bound is {L.lambda_ub!r}; "
-                         "build it with PartitionOfUnity.for_operator")
+    require_partition(L, pou)
     theta = _band_coefficients(pou, K, L.lambda_ub)
     if jackson:
         theta = theta * jackson_damping(K)

@@ -136,6 +136,15 @@ class PartitionOfUnity:
                 f"lambda_ub={self.lambda_ub!r},J={self.J}")
 
 
+def require_partition(L, pou):
+    """Refuse a partition built for another bound than the operator's: its
+    bands do not sum to 1 on the operator's interval."""
+    if pou.lambda_ub != L.lambda_ub:
+        raise ValueError(f"partition built for lambda_ub={pou.lambda_ub!r}, "
+                         f"but the operator's bound is {L.lambda_ub!r}; "
+                         "build it with PartitionOfUnity.for_operator")
+
+
 @dataclass(eq=False)
 class FrameCoefficients:
     """Wavelet coefficients of all J + 1 scales, scale-major in one vector.
@@ -228,8 +237,10 @@ def sgwt_forward_exact(L, f, pou, eig=None):
     """Analysis transform through the eigendecomposition.
 
     Block j is sqrt(psi_j)(L) f. Pass a precomputed eigendecomposition when
-    transforming many signals on the same operator.
+    transforming many signals on the same operator. A partition built for
+    another bound is refused (:func:`require_partition`).
     """
+    require_partition(L, pou)
     f = as_signal(f, L.n)
     if eig is None:
         eig = exact_eigendecomposition(L)
@@ -243,8 +254,9 @@ def sgwt_inverse_exact(L, coeffs, pou, eig=None):
     """Synthesis transform, the adjoint: sum of sqrt(psi_j)(L) applied per block.
 
     Inverts the forward transform exactly because the bands square-sum to 1
-    on the spectrum.
+    on the spectrum. A partition built for another bound is refused.
     """
+    require_partition(L, pou)
     if coeffs.n != L.n or coeffs.J != pou.J:
         raise ValueError("coefficient dimensions do not match operator/partition")
     if eig is None:
@@ -259,7 +271,9 @@ def frame_matrix_exact(L, pou):
 
     Row j*n + i is the functional producing coefficient i of scale j, so
     that frame_matrix_exact(L, pou) @ f equals the forward transform of f.
+    A partition built for another bound is refused.
     """
+    require_partition(L, pou)
     if L.n > FRAME_CAP:
         raise ValueError(f"frame matrix refused for n={L.n} > {FRAME_CAP}")
     eig = exact_eigendecomposition(L)

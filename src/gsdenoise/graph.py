@@ -1,17 +1,20 @@
 """Sparse undirected graphs and their Laplacian operators.
 
 Graphs are stored in compressed adjacency form (CSR of the symmetric weighted
-adjacency matrix). Laplacians act through ``LaplacianOperator.matvec`` in
-O(m + n) per application, with one sparse kernel, scipy's compiled CSR
-product (``_kernels.csr_matvec``), over the graph's own arrays, or as one
-Chebyshev step on the operator's own interval; the Monte-Carlo weights and
-a request's synthesis materialize the shifted operator of their steps, for
-the length of that run (``LaplacianOperator.assembled``). Each operator
-is built with a bound ``lambda_ub`` on its largest eigenvalue, the right
-end of its Chebyshev interval, so no operator is without one: the bound
-given to its constructor, or else the proven cap 2 for the normalized and
-random-walk variants, whose spectrum lies in [0, 2]; for the unnormalized
-one, Lanczos's top Ritz value times 1.01, capped by Gershgorin's proven
+adjacency matrix), with int32 offsets and indices while n plus the stored
+entries stay below 2^31, so that a product reads 12 bytes per stored
+entry; the content hash sees their int64 values either way. Laplacians act
+through ``LaplacianOperator.matvec`` in O(m + n) per application, with one
+sparse kernel, scipy's compiled CSR product (``_kernels.csr_matvec``), over
+the graph's own arrays, or as one Chebyshev step on the operator's own
+interval; the Monte-Carlo weights and a request's synthesis materialize the
+shifted operator of their steps, for the length of that run
+(``LaplacianOperator.assembled``). Each operator is built with a bound
+``lambda_ub`` on its largest eigenvalue, the right end of its Chebyshev
+interval, so no operator is without one: the bound given to its
+constructor, or else the proven cap 2 for the normalized and random-walk
+variants, whose spectrum lies in [0, 2]; for the unnormalized one,
+Lanczos's top Ritz value times 1.01, capped by Gershgorin's proven
 2 max(degrees). Lanczos stops early, and returns the cap, as soon as the
 estimate reaches it: 12 matvecs on the 300x300 grid.
 
@@ -36,6 +39,8 @@ from .signals import as_signal, dot, require_choice, require_positive
 VARIANTS = ("unnormalized", "normalized", "random_walk")
 DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
 BOUND_MARGIN = 0.01  # Lanczos's bound is its top Ritz value times 1.01
+INT32_BOUND = 2 ** 31  # index arrays are int32 while n + nnz stays below
+ROW_SLAB = 4096  # rows scaled at a time while a step matrix is built
 
 
 @dataclass(eq=False)
@@ -46,6 +51,11 @@ class SparseGraph:
     row: entries of row i live in positions offsets[i]:offsets[i+1]. Every
     edge (i, j, w) is stored twice, once per direction. ``labels`` keeps the
     original node identifiers when the graph was densified from an edge list.
+
+    offsets and indices are int32 when n plus the stored-entry count is
+    below 2^31 (``INT32_BOUND``), so that a step matrix, which adds at
+    most n diagonal entries, fits them too; int64 otherwise. A product
+    then reads 12 bytes per stored entry, not 16.
     """
 
     n: int
@@ -55,21 +65,25 @@ class SparseGraph:
     labels: list = None
 
     def __post_init__(self):
-        self.offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.int64)
+        # checked as int64, so that no value wraps when narrowed
+        offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
+        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        if self.offsets.shape != (self.n + 1,):
+        if offsets.shape != (self.n + 1,):
             raise ValueError("offsets must have length n + 1")
-        if self.offsets[0] != 0 or self.offsets[-1] != self.indices.size:
+        if offsets[0] != 0 or offsets[-1] != indices.size:
             raise ValueError("offsets must start at 0 and end at nnz")
-        if np.any(np.diff(self.offsets) < 0):
+        if np.any(np.diff(offsets) < 0):
             raise ValueError("offsets must be monotone")
-        if self.indices.size != self.weights.size:
+        if indices.size != self.weights.size:
             raise ValueError("indices and weights length mismatch")
         # the CSR kernel reads x[indices] unchecked
-        if self.indices.size and not (0 <= self.indices.min()
-                                      and self.indices.max() < self.n):
+        if indices.size and not (0 <= indices.min()
+                                 and indices.max() < self.n):
             raise ValueError("column indices must lie in [0, n)")
+        itype = np.int32 if self.n + indices.size < INT32_BOUND else np.int64
+        self.offsets = offsets.astype(itype, copy=False)
+        self.indices = indices.astype(itype, copy=False)
 
     @property
     def m(self):
@@ -81,7 +95,8 @@ class SparseGraph:
         """The adjacency as a scipy CSR array over this graph's own arrays,
         for scipy's graph routines (:func:`is_connected`).
 
-        No entry is copied: sparse arrays keep int64 index arrays as given.
+        No entry is copied: sparse arrays keep int32 and int64 index arrays
+        as given.
         No product goes through it, so scipy.sparse, whose import costs
         about 0.15 s, is imported only where such a routine runs.
         """
@@ -93,10 +108,11 @@ class SparseGraph:
     def degrees(self):
         return self.adj_matvec(np.ones(self.n))
 
-    def adj_matvec(self, x):
-        """Weighted adjacency product W @ x, into a new array."""
+    def adj_matvec(self, x, out=None):
+        """Weighted adjacency product W @ x, into a new array; with out,
+        added into out."""
         return csr_matvec(CSR(self.weights, self.indices, self.offsets,
-                              (self.n, self.n)), as_signal(x, self.n))
+                              (self.n, self.n)), as_signal(x, self.n), out)
 
     def label_index(self):
         """Mapping from node label to dense index."""
@@ -111,11 +127,14 @@ class SparseGraph:
 
     @cached_property
     def _content_hash(self):
+        # the index arrays are hashed as int64 values, whatever their dtype,
+        # so a graph's hash, and the weight caches keyed by it, do not
+        # depend on how it is stored
         h = hashlib.sha256()
         h.update(str(self.n).encode())
-        h.update(self.offsets.tobytes())
-        h.update(self.indices.tobytes())
-        h.update(self.weights.tobytes())
+        h.update(self.offsets.astype(np.int64, copy=False))
+        h.update(self.indices.astype(np.int64, copy=False))
+        h.update(self.weights)
         return h.hexdigest()[:16]
 
     def to_dense_adjacency(self):
@@ -503,16 +522,22 @@ class LaplacianOperator:
     finite is refused. Every Chebyshev step, and so every filter
     expansion, runs on [0, lambda_ub].
 
-    Every variant is held in one form, L x = diag x - post (W (pre x)), with
-    diag, post and pre scalars or n-vectors (post and pre None for 1), so
-    one code path applies all three, over the graph's own arrays. Inside
+    Every variant is held in one form, L x = diag x + post (W (pre x)),
+    with diag and post scalars or n-vectors and pre an n-vector or None
+    for 1: (deg, -1, None), (1, -deg^-1/2, deg^-1/2) and (1, -1/deg, None).
+    So one routine, :meth:`_product`, applies all three, as the plain
+    product or as a Chebyshev step, over the graph's own arrays. Inside
     :meth:`assembled`, the steps run instead on a CSR matrix of the shifted
     operator, built once. The probe loop of the Monte-Carlo weights (N K
     steps) and a denoising request's synthesis (K + 1 steps, once the
     coefficients it no longer needs are freed) pay for it; the analysis
     keeps the zero-copy step, so that its coefficients, and the thresholds
     picked from them, are bitwise those of a bare
-    ``chebyshev.sgwt_forward_fast``.
+    ``chebyshev.sgwt_forward_fast``. A zero-copy step reads the graph's
+    12 bytes per stored entry and makes three vector passes beside the
+    kernel, four for the normalized variant, which scales by pre, and one
+    more where the shifted diagonal is a nonzero scalar; an assembled step
+    reads 12 bytes per entry of the step matrix and makes one pass.
     """
 
     graph: SparseGraph
@@ -531,12 +556,12 @@ class LaplacianOperator:
             raise ValueError(f"zero-degree node {name!r} has no Laplacian")
         self.degrees = deg
         if self.variant == "unnormalized":
-            self._terms = (deg, None, None)
+            self._terms = (deg, -1.0, None)
         elif self.variant == "normalized":
             isd = 1.0 / np.sqrt(deg)
-            self._terms = (1.0, isd, isd)
+            self._terms = (1.0, -isd, isd)
         else:
-            self._terms = (1.0, 1.0 / deg, None)
+            self._terms = (1.0, -1.0 / deg, None)
         self._assembled = None  # the step matrix inside assembled()
         self.matvec_count = self.bound_matvecs = 0
         self.bound_ms = 0.0
@@ -561,44 +586,52 @@ class LaplacianOperator:
         of a Chebyshev step."""
         diag, post, pre = self._terms
         c = 4.0 / self.lambda_ub
-        return c * diag - 2.0, c if post is None else c * post, pre
+        return c * diag - 2.0, c * post, pre
 
     _step_terms = cached_property(_shifted_terms)  # for the zero-copy step
 
     def _step_matrix(self):
         """2 ((2 / lambda_ub) L - I) as one ``_kernels.CSR`` record.
 
-        Built with numpy over the graph's arrays: each row holds its
-        diagonal entry, with the shift folded in, ahead of its neighbours,
-        whose entries carry the variant's scalings. A diagonal entry that
-        is exactly zero is left out: the whole diagonal of the normalized
-        variants, and that of every node of top degree when lambda_ub is the
-        Gershgorin cap. Indices are int32 when they fit, 12 bytes per
-        entry. Only the nonzero diagonal entries are inserted: inserting
-        all and then dropping zeros left more freed blocks behind, and on
-        the 300x300 grid later 4 MB arrays then often found no free block
-        that fit, which raised the peak RSS by 4 MB.
+        Built with numpy over the graph's arrays, in their index dtype:
+        each row holds its diagonal entry, with the shift folded in, ahead
+        of its neighbours, whose entries carry the variant's scalings. A
+        diagonal entry that is exactly zero is left out: the whole diagonal
+        of the normalized variants, and that of every node of top degree
+        when lambda_ub is the Gershgorin cap. Where every one is zero, the
+        matrix is the graph's own offsets and indices with new values.
+        Only the nonzero diagonal entries are inserted: inserting all and
+        then dropping zeros left more freed blocks behind, and on the
+        300x300 grid later 4 MB arrays then often found no free block that
+        fit, which raised the peak RSS by 4 MB.
         """
         g = self.graph
-        n, nnz = g.n, g.indices.size
+        n = g.n
         diag, post, pre = self._shifted_terms()
-        if np.ndim(post) == 0:
-            off = g.weights * -post
-        else:
-            off = np.repeat(-post, np.diff(g.offsets))
-            off *= g.weights
-        if pre is not None:
-            off *= pre[g.indices]
-        itype = np.int32 if nnz + n < 2 ** 31 else np.int64
         d = np.broadcast_to(diag, (n,))
         rows = np.flatnonzero(d)
-        at = g.offsets[rows]
-        data = np.insert(off, at, d[rows])
-        del off
-        indices = np.insert(g.indices.astype(itype), at, rows.astype(itype))
-        indptr = np.zeros(n + 1, dtype=itype)
-        np.cumsum(d != 0, out=indptr[1:])
-        indptr += g.offsets
+        indices, indptr = g.indices, g.offsets
+        if rows.size:
+            at = g.offsets[rows]
+            indices = np.insert(g.indices, at, rows.astype(indices.dtype))
+            indptr = np.zeros(n + 1, dtype=g.offsets.dtype)
+            np.cumsum(d != 0, out=indptr[1:])
+            indptr += g.offsets
+            # zeros where the diagonal entries go, so that the values are
+            # scaled in place
+            data = np.insert(g.weights, at, 0.0)
+        else:
+            data = g.weights.copy()
+        if np.ndim(post) == 0:
+            data *= post
+        else:  # ROW_SLAB rows at a time, so no temporary is signal-sized
+            for r in range(0, n, ROW_SLAB):
+                part = slice(indptr[r], indptr[min(r + ROW_SLAB, n)])
+                data[part] *= np.repeat(post[r:r + ROW_SLAB],
+                                        np.diff(indptr[r:r + ROW_SLAB + 1]))
+                if pre is not None:
+                    data[part] *= pre[indices[part]]
+        data[indptr[rows]] = d[rows]
         return CSR(data, indices, indptr, (n, n))
 
     @contextmanager
@@ -608,8 +641,9 @@ class LaplacianOperator:
 
         The matrix is built on entry and dropped on exit; a context nested
         in an open one reuses its matrix. It costs about 6.5 signal vectors
-        on a degree-4 grid, so it is opened only where that memory is free
-        or many steps pay for it.
+        on a degree-4 grid (4 where it keeps the graph's index arrays), so
+        it is opened only where that memory is free or many steps pay for
+        it.
         """
         prior = self._assembled
         self._assembled = self._step_matrix() if prior is None else prior
@@ -623,11 +657,11 @@ class LaplacianOperator:
 
         With step=True it applies instead one Chebyshev step on
         [0, lambda_ub], 2 ((2 / lambda_ub) L - I) x - prev. The shift and the
-        variant's scalings are folded into n-vectors kept per operator, or,
-        inside :meth:`assembled`, into the step matrix, where the step is
-        out = -prev and one kernel call adding the product into out. The
-        result goes to out when given, which may be x or prev itself. A
-        call that raises is not counted.
+        variant's scalings are folded into n-vectors kept per operator
+        (:meth:`_product`), or, inside :meth:`assembled`, into the step
+        matrix, where the step is out = -prev and one kernel call adding
+        the product into out. The result goes to out when given, which may
+        be x or prev itself. A call that raises is not counted.
         """
         if step and self._assembled is not None:
             x = np.ascontiguousarray(x, dtype=np.float64)
@@ -641,15 +675,51 @@ class LaplacianOperator:
                 np.negative(prev, out=out)
             out = csr_matvec(self._assembled, x, out)
         else:
-            diag, post, pre = self._step_terms if step else self._terms
-            wx = self.graph.adj_matvec(x if pre is None else pre * x)
-            if post is not None:
-                wx *= post
-            if prev is not None:
-                wx += prev
-            out = np.multiply(diag, x, out=out)
-            out -= wx
+            out = self._product(self._step_terms if step else self._terms,
+                                as_signal(x, self.n), out, prev)
         self.matvec_count += 1
+        return out
+
+    def _product(self, terms, x, out, prev):
+        """diag x + post (W (pre x)) - prev over the graph's own arrays, by
+        one kernel call, into out; out may be x or prev, not both.
+
+        With post a scalar, the kernel adds W (post x) into diag x - prev:
+        three vector passes and one temporary. With post a vector, it
+        writes W (pre x) into a zeroed buffer, out itself unless out is an
+        input; the buffer is scaled by post, and -prev and diag x are added
+        in, diag x at no cost when diag is the scalar 0 and out is apart
+        from the inputs.
+        """
+        diag, post, pre = terms
+        g = self.graph
+        if np.ndim(post) == 0:
+            if np.may_share_memory(out, prev):  # prev is read, x is not out
+                xs = np.multiply(diag, x)
+                out = np.subtract(xs, prev, out=out)
+                np.multiply(x, post, out=xs)
+            else:  # x is read before out is written
+                xs = np.multiply(x, post)
+                out = np.multiply(diag, x, out=out)
+                if prev is not None:
+                    out -= prev
+            return g.adj_matvec(xs, out)
+        xs = x if pre is None else pre * x
+        apart = not (np.may_share_memory(out, x)
+                     or np.may_share_memory(out, prev))
+        y = out if apart and out is not None else np.zeros(g.n)
+        if y is out:
+            y.fill(0.0)
+        g.adj_matvec(xs, y)
+        y *= post
+        if prev is not None:
+            y -= prev
+        if out is None or out is y:
+            if np.ndim(diag) or diag:
+                y += np.multiply(diag, x, out=None if pre is None else xs)
+            return y
+        np.multiply(diag, x, out=out)  # out is x or prev, both read by now
+        out += y
         return out
 
 

@@ -258,6 +258,14 @@ def test_content_hash_is_computed_once(monkeypatch):
     assert len(made) == 1 and first == second
 
 
+def test_content_hash_is_that_of_int64_index_arrays():
+    # the hashes of int64 index arrays, as they were stored before int32
+    # ones, so that weight caches written then still hit
+    assert grid_graph(20, 20).content_hash() == "1b633322aa098773"
+    assert random_connected_graph(1000, seed=0).content_hash() == \
+        "6eecd201d79e6fa8"
+
+
 def test_content_hash_tracks_structure_and_weights():
     a = build_graph([(0, 1, 1.0), (1, 2, 1.0)])
     b = build_graph([(0, 1, 1.0), (1, 2, 2.0)])

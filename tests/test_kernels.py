@@ -15,7 +15,7 @@ import pytest
 from scipy.sparse import csr_array
 
 import gsdenoise
-from gsdenoise import _kernels
+from gsdenoise import _kernels, graph
 from gsdenoise._kernels import CSR, csr_matvec
 from gsdenoise.cli import main
 from gsdenoise.graph import (
@@ -269,6 +269,112 @@ def test_laplacian_holds_at_most_two_vectors():
         tracemalloc.stop()
     assert L.n == g.n
     assert held <= 2 * 8 * g.n
+
+
+def test_grid_graph_holds_at_most_six_and_a_half_vectors():
+    # int32 offsets and indices, 4 + 4 bytes per node and per stored entry,
+    # and float64 weights: 6.48 vectors, against 8.97 with int64 indices
+    g = grid_graph(3, 3)
+    tracemalloc.start()
+    try:
+        g = grid_graph(300, 300)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.indices.dtype == g.offsets.dtype == np.int32
+    assert held <= 6.5 * 8 * g.n
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_index_arrays_past_the_int32_range_stay_int64(monkeypatch, variant):
+    g = random_connected_graph(300, seed=2)
+    assert g.indices.dtype == g.offsets.dtype == np.int32
+    # a bound below n + nnz stands for graphs with 2^31 entries
+    monkeypatch.setattr(graph, "INT32_BOUND", g.n + g.indices.size)
+    wide = graph.SparseGraph(g.n, g.offsets, g.indices, g.weights)
+    assert wide.indices.dtype == wide.offsets.dtype == np.int64
+    assert wide.content_hash() == g.content_hash()
+    rng = np.random.default_rng(3)
+    x, prev = rng.standard_normal((2, g.n))
+    L, W = laplacian(g, variant), laplacian(wide, variant)
+    for steps in ((contextlib.nullcontext(), contextlib.nullcontext()),
+                  (L.assembled(), W.assembled())):
+        with steps[0], steps[1]:
+            assert L.matvec(x, prev=prev, step=True).tobytes() == \
+                W.matvec(x, prev=prev, step=True).tobytes()
+    assert L.matvec(x).tobytes() == W.matvec(x).tobytes()
+    R = W._step_matrix()
+    assert R.indices.dtype == R.indptr.dtype == np.int64
+
+
+def test_normalized_step_matrix_shares_the_graph_index_arrays():
+    # at the cap 2 every shifted diagonal entry is 2 * 1 - 2 = 0, so the
+    # matrix is the graph's pattern with new values
+    g = random_connected_graph(500, seed=1)
+    for variant in ("normalized", "random_walk"):
+        R = laplacian(g, variant)._step_matrix()
+        assert R.indices is g.indices and R.indptr is g.offsets
+        assert not np.shares_memory(R.data, g.weights)
+
+
+@pytest.mark.parametrize("variant, make, most", [
+    ("unnormalized", lambda: grid_graph(300, 300), 8.5),
+    ("normalized", lambda: random_connected_graph(10 ** 5, seed=0), 6.0),
+])
+def test_step_matrix_build_peak_in_signal_vectors(variant, make, most):
+    # the values are scaled in place, and no index array is copied; the
+    # build peaked at 9.5 vectors on both graphs with int64 graph indices
+    # (8.06 and 5.38 measured)
+    g = make()
+    L = laplacian(g, variant)
+    L._step_terms
+    tracemalloc.start()
+    try:
+        R = L._step_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R.shape == (g.n, g.n)
+    assert peak <= most * 8 * g.n
+
+
+def test_zero_copy_step_is_the_assembled_step_on_a_unit_weight_grid():
+    # both add the same terms in the same order: diag x - prev, then each
+    # neighbour's w (-c x_j), with w = 1
+    L = laplacian(grid_graph(30, 40))
+    rng = np.random.default_rng(4)
+    x, prev = rng.standard_normal((2, L.n))
+    lean = L.matvec(x, prev=prev, step=True)
+    with L.assembled():
+        assert L.matvec(x, prev=prev, step=True).tobytes() == lean.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("slack", [0.0, 0.5])
+def test_product_writes_over_its_own_inputs(variant, slack):
+    # the plain product and the step, whose shifted diagonal is nonzero
+    # above the cap 2, into a new array, one apart from the inputs, x and
+    # prev
+    g = random_connected_graph(73, seed=1)
+    ub = laplacian(g, variant).lambda_ub + slack
+    L = laplacian(g, variant, lambda_ub=ub)
+    dense = _dense_laplacian(g, variant)
+    shifted = 2.0 * ((2.0 / ub) * dense - np.eye(g.n))
+    rng = np.random.default_rng(5)
+    x, prev = rng.standard_normal((2, g.n))
+    for step, M in ((False, dense), (True, shifted)):
+        want = M @ x - prev
+        assert _close(L.matvec(x, prev=prev, step=step), want)
+        assert _close(L.matvec(x, step=step), M @ x)
+        for alias in ("apart", "x", "prev"):
+            xa, pa = x.copy(), prev.copy()
+            out = {"apart": np.empty(g.n), "x": xa, "prev": pa}[alias]
+            assert L.matvec(xa, out=out, prev=pa, step=step) is out
+            assert _close(out, want)
+            xa = x.copy()
+            out = xa if alias == "x" else np.full(g.n, np.nan)
+            assert L.matvec(xa, out=out, step=step) is out
+            assert _close(out, M @ x)
 
 
 def _run(args):
