@@ -105,17 +105,23 @@ def _band_coefficients(pou, K, interval_ub):
     return theta
 
 
-def _analysis(L, theta, f):
+def _analysis(L, theta, f, ring=None, y=None):
     """theta @ [T_0(Lt) f, ..., T_K(Lt) f], one row per filter, in K
     matvecs, with Lt = (2 / L.lambda_ub) L - I.
 
     The Chebyshev vectors go round a ring of RING rows; each time the ring
     is full, one matrix product, taken SLAB columns at a time, adds it into
-    every row of the result.
+    every row of the result. The ring, (min(RING, K + 1), n), and the
+    result, one row per filter, are new arrays unless given, to be written
+    over: a loop of transforms then allocates them once.
     """
     K = theta.shape[1] - 1
-    ring = np.empty((min(RING, K + 1), L.n))
-    y = np.zeros((theta.shape[0], L.n))
+    if ring is None:
+        ring = np.empty((min(RING, K + 1), L.n))
+    if y is None:
+        y = np.zeros((theta.shape[0], L.n))
+    else:
+        y.fill(0.0)
     for k in range(K + 1):
         t = ring[k % RING]
         if k == 0:

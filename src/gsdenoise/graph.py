@@ -41,6 +41,13 @@ DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
 BOUND_MARGIN = 0.01  # Lanczos's bound is its top Ritz value times 1.01
 INT32_BOUND = 2 ** 31  # index arrays are int32 while n + nnz stays below
 ROW_SLAB = 4096  # rows scaled at a time while a step matrix is built
+# A step's shifted diagonal is held by its nonzero entries while they are at
+# most 1 / SPARSE_DIAG of the nodes. Adding them by a gather and a scatter
+# costs about 3.5 ns each, where skipping the dense diag x and -prev passes
+# saves 0.6-0.7 ns per node: with the entries at random rows the two forms
+# broke even at 10-15% of the nodes on the 500x500 grid and the random 10^5
+# graph (one thread).
+SPARSE_DIAG = 8
 
 
 @dataclass(eq=False)
@@ -534,10 +541,13 @@ class LaplacianOperator:
     keeps the zero-copy step, so that its coefficients, and the thresholds
     picked from them, are bitwise those of a bare
     ``chebyshev.sgwt_forward_fast``. A zero-copy step reads the graph's
-    12 bytes per stored entry and makes three vector passes beside the
-    kernel, four for the normalized variant, which scales by pre, and one
-    more where the shifted diagonal is a nonzero scalar; an assembled step
-    reads 12 bytes per entry of the step matrix and makes one pass.
+    12 bytes per stored entry. Beside the kernel, an unnormalized step
+    makes two vector passes and a gather and scatter over the nonzero
+    entries of its shifted diagonal where those are few, as on a grid at
+    its Gershgorin cap (see :attr:`_step_terms`), and three passes where
+    they are not; a normalized step makes four, as it scales by pre, and
+    one more where the shifted diagonal is a nonzero scalar. An assembled
+    step reads 12 bytes per entry of the step matrix and makes one pass.
     """
 
     graph: SparseGraph
@@ -581,25 +591,37 @@ class LaplacianOperator:
     def reset_matvec_count(self):
         self.matvec_count = 0
 
-    def _shifted_terms(self):
+    @cached_property
+    def _step_terms(self):
         """Terms of 2 ((2 / lambda_ub) L - I), the doubled shifted operator
-        of a Chebyshev step."""
+        of a Chebyshev step, read by the zero-copy step and the step matrix.
+
+        The shifted diagonal d = c diag - 2, c = 4 / lambda_ub, takes one of
+        three forms: a scalar for the normalized variants (0 at the cap 2);
+        for the unnormalized one, the pair (rows, d[rows]) of its nonzero
+        entries while they are at most 1 / SPARSE_DIAG of the nodes, as on a
+        grid at the Gershgorin cap, whose interior entries are 0; else the
+        n-vector d, as under a Lanczos bound on an irregular graph.
+        """
         diag, post, pre = self._terms
         c = 4.0 / self.lambda_ub
-        return c * diag - 2.0, c * post, pre
-
-    _step_terms = cached_property(_shifted_terms)  # for the zero-copy step
+        diag = c * diag - 2.0
+        if np.ndim(diag) and np.count_nonzero(diag) * SPARSE_DIAG <= self.n:
+            rows = np.flatnonzero(diag)
+            diag = rows, diag[rows]
+        return diag, c * post, pre
 
     def _step_matrix(self):
         """2 ((2 / lambda_ub) L - I) as one ``_kernels.CSR`` record.
 
-        Built with numpy over the graph's arrays, in their index dtype:
-        each row holds its diagonal entry, with the shift folded in, ahead
-        of its neighbours, whose entries carry the variant's scalings. A
-        diagonal entry that is exactly zero is left out: the whole diagonal
-        of the normalized variants, and that of every node of top degree
-        when lambda_ub is the Gershgorin cap. Where every one is zero, the
-        matrix is the graph's own offsets and indices with new values.
+        Built with numpy from the terms of :attr:`_step_terms`, over the
+        graph's arrays, in their index dtype: each row holds its diagonal
+        entry, with the shift folded in, ahead of its neighbours, whose
+        entries carry the variant's scalings. A diagonal entry that is
+        exactly zero is left out: the whole diagonal of the normalized
+        variants, and that of every node of top degree when lambda_ub is the
+        Gershgorin cap. Where every one is zero, the matrix is the graph's
+        own offsets and indices with new values.
         Only the nonzero diagonal entries are inserted: inserting all and
         then dropping zeros left more freed blocks behind, and on the
         300x300 grid later 4 MB arrays then often found no free block that
@@ -607,15 +629,20 @@ class LaplacianOperator:
         """
         g = self.graph
         n = g.n
-        diag, post, pre = self._shifted_terms()
-        d = np.broadcast_to(diag, (n,))
-        rows = np.flatnonzero(d)
+        diag, post, pre = self._step_terms
+        if isinstance(diag, tuple):
+            rows, vals = diag
+        else:
+            d = np.broadcast_to(diag, (n,))
+            rows = np.flatnonzero(d)
+            vals = d[rows]
         indices, indptr = g.indices, g.offsets
         if rows.size:
             at = g.offsets[rows]
             indices = np.insert(g.indices, at, rows.astype(indices.dtype))
             indptr = np.zeros(n + 1, dtype=g.offsets.dtype)
-            np.cumsum(d != 0, out=indptr[1:])
+            indptr[rows + 1] = 1
+            np.cumsum(indptr, out=indptr)
             indptr += g.offsets
             # zeros where the diagonal entries go, so that the values are
             # scaled in place
@@ -631,7 +658,7 @@ class LaplacianOperator:
                                         np.diff(indptr[r:r + ROW_SLAB + 1]))
                 if pre is not None:
                     data[part] *= pre[indices[part]]
-        data[indptr[rows]] = d[rows]
+        data[indptr[rows]] = vals
         return CSR(data, indices, indptr, (n, n))
 
     @contextmanager
@@ -657,23 +684,18 @@ class LaplacianOperator:
 
         With step=True it applies instead one Chebyshev step on
         [0, lambda_ub], 2 ((2 / lambda_ub) L - I) x - prev. The shift and the
-        variant's scalings are folded into n-vectors kept per operator
-        (:meth:`_product`), or, inside :meth:`assembled`, into the step
-        matrix, where the step is out = -prev and one kernel call adding
-        the product into out. The result goes to out when given, which may
-        be x or prev itself. A call that raises is not counted.
+        variant's scalings are folded into terms kept per operator
+        (:attr:`_step_terms`, applied by :meth:`_product`), or, inside
+        :meth:`assembled`, into the step matrix, where the step is
+        out = -prev and one kernel call adding the product into out. The
+        result goes to out when given, which may be x or prev itself. A
+        call that raises is not counted.
         """
         if step and self._assembled is not None:
             x = np.ascontiguousarray(x, dtype=np.float64)
-            if out is None:
-                out = np.empty(self.n)
-            elif np.may_share_memory(out, x):
+            if out is not None and np.may_share_memory(out, x):
                 x = x.copy()
-            if prev is None:
-                out.fill(0.0)
-            else:
-                np.negative(prev, out=out)
-            out = csr_matvec(self._assembled, x, out)
+            out = csr_matvec(self._assembled, x, _negated(prev, out, self.n))
         else:
             out = self._product(self._step_terms if step else self._terms,
                                 as_signal(x, self.n), out, prev)
@@ -684,17 +706,27 @@ class LaplacianOperator:
         """diag x + post (W (pre x)) - prev over the graph's own arrays, by
         one kernel call, into out; out may be x or prev, not both.
 
-        With post a scalar, the kernel adds W (post x) into diag x - prev:
-        three vector passes and one temporary. With post a vector, it
-        writes W (pre x) into a zeroed buffer, out itself unless out is an
-        input; the buffer is scaled by post, and -prev and diag x are added
-        in, diag x at no cost when diag is the scalar 0 and out is apart
-        from the inputs.
+        With post a scalar and diag held by its nonzero entries (rows,
+        vals), out = -prev, vals x[rows] is added into out[rows] and the
+        kernel adds W (post x): two vector passes, one temporary and a
+        gather and scatter over the rows; so on a unit-weight graph the sum
+        of each row is that of the step matrix, term by term. With diag an
+        n-vector, the kernel adds W (post x) into diag x - prev: three vector
+        passes and one temporary. With post a vector, it writes W (pre x)
+        into a zeroed buffer, out itself unless out is an input; the buffer
+        is scaled by post, and -prev and diag x are added in, diag x at no
+        cost when diag is the scalar 0 and out is apart from the inputs.
         """
         diag, post, pre = terms
         g = self.graph
         if np.ndim(post) == 0:
-            if np.may_share_memory(out, prev):  # prev is read, x is not out
+            if isinstance(diag, tuple):
+                rows, vals = diag
+                xs = np.multiply(x, post)
+                dx = vals * x[rows]  # x is read before out is written
+                out = _negated(prev, out, g.n)
+                out[rows] += dx
+            elif np.may_share_memory(out, prev):  # prev is read, x is not out
                 xs = np.multiply(diag, x)
                 out = np.subtract(xs, prev, out=out)
                 np.multiply(x, post, out=xs)
@@ -721,6 +753,17 @@ class LaplacianOperator:
         np.multiply(diag, x, out=out)  # out is x or prev, both read by now
         out += y
         return out
+
+
+def _negated(prev, out, n):
+    """-prev, or 0 where prev is None, into out, or into a new array where
+    out is None; out may be prev itself."""
+    if out is None:
+        out = np.empty(n)
+    if prev is None:
+        out.fill(0.0)
+        return out
+    return np.negative(prev, out=out)
 
 
 def laplacian(g, variant="unnormalized", lambda_ub=None):

@@ -99,16 +99,20 @@ def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=5,
 
     The N K Chebyshev steps of the fast probe transforms run inside
     ``L.assembled``: each is one CSR product over the step matrix, built
-    once here and dropped on return.
+    once here and dropped on return. Each probe's transform is that of
+    ``chebyshev.sgwt_forward_fast``, written over one ring and one set of
+    J + 1 outputs, allocated once here.
     """
     require_probes(N, dist)
+    theta = chebyshev.band_coefficients(L, pou, K, jackson)
     with L.assembled():
-        acc = np.zeros(L.n * (pou.J + 1))
+        ring = np.empty((min(chebyshev.RING, K + 1), L.n))
+        w = np.empty((pou.J + 1, L.n))
+        acc = np.zeros(w.size)
         for k in range(N):
-            w = chebyshev.sgwt_forward_fast(L, draw_probe(L.n, dist, seed, k),
-                                            pou, K=K, jackson=jackson).values
-            acc += np.square(w, out=w)
-            del w  # not held while the next probe is transformed
+            chebyshev._analysis(L, theta, draw_probe(L.n, dist, seed, k),
+                                ring, w)
+            acc += np.square(w, out=w).ravel()
     return WeightEstimate(acc / N, L.n, pou.J, N, dist, seed, K, jackson,
                           pou=pou.fingerprint(), variant=L.variant,
                           graph_hash=graph_hash)

@@ -339,42 +339,75 @@ def test_step_matrix_build_peak_in_signal_vectors(variant, make, most):
 
 
 def test_zero_copy_step_is_the_assembled_step_on_a_unit_weight_grid():
-    # both add the same terms in the same order: diag x - prev, then each
-    # neighbour's w (-c x_j), with w = 1
+    # both add the same terms in the same order: -prev, then d_i x_i on the
+    # boundary rows, the only nonzero shifted diagonal entries at the cap
+    # 8, then each neighbour's w (-c x_j), with w = 1
     L = laplacian(grid_graph(30, 40))
+    assert _held_diagonal(L)[0] == "sparse"
     rng = np.random.default_rng(4)
     x, prev = rng.standard_normal((2, L.n))
     lean = L.matvec(x, prev=prev, step=True)
+    half = L.matvec(x, step=True)
     with L.assembled():
         assert L.matvec(x, prev=prev, step=True).tobytes() == lean.tobytes()
+        assert L.matvec(x, step=True).tobytes() == half.tobytes()
+
+
+def _held_diagonal(L):
+    """The form in which L's step holds its shifted diagonal, and the rows
+    and values of its nonzero entries."""
+    diag = L._step_terms[0]
+    if isinstance(diag, tuple):
+        return ("sparse", *diag)
+    d = np.broadcast_to(diag, (L.n,))
+    rows = np.flatnonzero(d)
+    return "scalar" if np.ndim(diag) == 0 else "dense", rows, d[rows]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("slack", [0.0, 0.5])
 def test_product_writes_over_its_own_inputs(variant, slack):
-    # the plain product and the step, whose shifted diagonal is nonzero
-    # above the cap 2, into a new array, one apart from the inputs, x and
-    # prev
-    g = random_connected_graph(73, seed=1)
-    ub = laplacian(g, variant).lambda_ub + slack
-    L = laplacian(g, variant, lambda_ub=ub)
-    dense = _dense_laplacian(g, variant)
-    shifted = 2.0 * ((2.0 / ub) * dense - np.eye(g.n))
-    rng = np.random.default_rng(5)
-    x, prev = rng.standard_normal((2, g.n))
-    for step, M in ((False, dense), (True, shifted)):
-        want = M @ x - prev
-        assert _close(L.matvec(x, prev=prev, step=step), want)
-        assert _close(L.matvec(x, step=step), M @ x)
-        for alias in ("apart", "x", "prev"):
-            xa, pa = x.copy(), prev.copy()
-            out = {"apart": np.empty(g.n), "x": xa, "prev": pa}[alias]
-            assert L.matvec(xa, out=out, prev=pa, step=step) is out
-            assert _close(out, want)
-            xa = x.copy()
-            out = xa if alias == "x" else np.full(g.n, np.nan)
-            assert L.matvec(xa, out=out, step=step) is out
-            assert _close(out, M @ x)
+    # the plain product and the step into a new array, one apart from the
+    # inputs, x and prev, for each form of the shifted diagonal: on the
+    # random graph dense under its own bound (unnormalized) or none at the
+    # cap 2; on a unit-weight grid at its Gershgorin cap, its boundary
+    # entries alone (unnormalized); nonzero everywhere above them
+    for g, cap in ((random_connected_graph(73, seed=1), False),
+                   (grid_graph(30, 40), True)):
+        ub = (spectral_cap(g, variant) if cap
+              else laplacian(g, variant).lambda_ub) + slack
+        L = laplacian(g, variant, lambda_ub=ub)
+        form, rows, vals = _held_diagonal(L)
+        if variant != "unnormalized":
+            assert form == "scalar" and rows.size == (g.n if slack else 0)
+        elif cap and not slack:
+            assert form == "sparse"
+            assert 0 < graph.SPARSE_DIAG * rows.size <= g.n
+        else:
+            assert form == "dense" and rows.size == g.n
+        # the step matrix's diagonal entries are exactly those held
+        R = L._step_matrix()
+        at = np.flatnonzero(R.indices == np.repeat(np.arange(g.n),
+                                                   np.diff(R.indptr)))
+        assert np.array_equal(R.indices[at], rows)
+        assert R.data[at].tobytes() == vals.tobytes()
+        dense = _dense_laplacian(g, variant)
+        shifted = 2.0 * ((2.0 / ub) * dense - np.eye(g.n))
+        rng = np.random.default_rng(5)
+        x, prev = rng.standard_normal((2, g.n))
+        for step, M in ((False, dense), (True, shifted)):
+            want = M @ x - prev
+            assert _close(L.matvec(x, prev=prev, step=step), want)
+            assert _close(L.matvec(x, step=step), M @ x)
+            for alias in ("apart", "x", "prev"):
+                xa, pa = x.copy(), prev.copy()
+                out = {"apart": np.empty(g.n), "x": xa, "prev": pa}[alias]
+                assert L.matvec(xa, out=out, prev=pa, step=step) is out
+                assert _close(out, want)
+                xa = x.copy()
+                out = xa if alias == "x" else np.full(g.n, np.nan)
+                assert L.matvec(xa, out=out, step=step) is out
+                assert _close(out, M @ x)
 
 
 def _run(args):

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gsdenoise.chebyshev import band_coefficients, sgwt_forward_fast
+from gsdenoise.chebyshev import (_analysis, band_coefficients,
+                                 sgwt_forward_fast)
 from gsdenoise.frame import (FrameCoefficients, PartitionOfUnity,
                              frame_matrix_exact)
 from gsdenoise.graph import VARIANTS, grid_graph, laplacian, \
@@ -105,6 +106,23 @@ def test_assembled_weights_match_zero_copy_steps(variant):
         ref += w * w
     ref /= N
     assert np.linalg.norm(est.diag - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_weights_are_the_mean_of_squared_probe_analyses(variant):
+    # the estimate writes each probe's transform over one ring and one set
+    # of outputs; the reference runs each probe's analysis afresh, on the
+    # same step matrix
+    _, L, pou = _setup(60, seed=3, variant=variant)
+    K, N = 30, 3
+    theta = band_coefficients(L, pou, K=K)
+    with L.assembled():
+        est = estimate_diagonal_weights(L, pou, K=K, N=N, seed=2)
+        ref = np.zeros_like(est.diag)
+        for k in range(N):
+            ref += np.square(_analysis(L, theta, draw_probe(
+                L.n, "rademacher", 2, k))).ravel()
+    assert est.diag.tobytes() == (ref / N).tobytes()
 
 
 def test_weights_peak_memory_in_signal_vectors():

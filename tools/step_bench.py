@@ -9,6 +9,9 @@ For each graph it records, on one BLAS thread:
   over the graph's own arrays, the step of every forward transform;
 - ``assembled_step_ms``: the same step inside ``L.assembled()``, one CSR
   product over the step matrix, the step of the weights and the synthesis;
+- ``diagonal_form``: how the step holds its shifted diagonal, ``sparse``
+  (by its nonzero entries), ``dense`` (an n-vector) or ``scalar``, and
+  ``diagonal_entries``, its nonzero count;
 - ``build_ms``: one build of that step matrix (``L._step_matrix()``);
 - ``forward_ms`` and ``inverse_ms``: one bare ``sgwt_forward_fast`` and
   ``sgwt_inverse_fast`` at K = 100, both on the zero-copy step;
@@ -41,12 +44,19 @@ OUTPUT = ROOT / "BENCH_steps.json"
 SAMPLES = 7
 STEPS = 100
 K = 100
+# (name, graph, variant, lambda_ub); a bound of None is estimated. The grid
+# at 8.08, 1% above its Gershgorin cap, has no zero on its shifted diagonal,
+# so its step takes the dense form, where the grids at the cap hold only
+# their boundary nodes' entries.
 GRAPHS = (
-    ("grid 300x300", lambda: gd.grid_graph(300, 300), "unnormalized"),
-    ("grid 500x500", lambda: gd.grid_graph(500, 500), "unnormalized"),
+    ("grid 300x300", lambda: gd.grid_graph(300, 300), "unnormalized", None),
+    ("grid 500x500", lambda: gd.grid_graph(500, 500), "unnormalized", None),
+    ("grid 500x500, lambda_ub 8.08", lambda: gd.grid_graph(500, 500),
+     "unnormalized", 8.08),
     ("random_connected_graph(10^5, seed=0)",
-     lambda: gd.random_connected_graph(10 ** 5, seed=0), "normalized"),
-    ("grid 1000x1000", lambda: gd.grid_graph(1000, 1000), "unnormalized"),
+     lambda: gd.random_connected_graph(10 ** 5, seed=0), "normalized", None),
+    ("grid 1000x1000", lambda: gd.grid_graph(1000, 1000), "unnormalized",
+     None),
 )
 
 
@@ -71,9 +81,19 @@ def steps(L, x, prev, out):
     return run
 
 
-def measure(name, make, variant):
+def diagonal_form(L):
+    """How L's step holds its shifted diagonal, and its nonzero count."""
+    diag = L._step_terms[0]
+    if isinstance(diag, tuple):
+        return "sparse", int(diag[0].size)
+    form = "scalar" if np.ndim(diag) == 0 else "dense"
+    return form, int(np.count_nonzero(np.broadcast_to(diag, (L.n,))))
+
+
+def measure(name, make, variant, lambda_ub):
     g = make()
-    L = gd.laplacian(g, variant)
+    L = gd.laplacian(g, variant, lambda_ub)
+    form, entries = diagonal_form(L)
     pou = gd.PartitionOfUnity.for_operator(L)
     rng = np.random.default_rng(0)
     x, prev = rng.standard_normal((2, g.n))
@@ -89,8 +109,9 @@ def measure(name, make, variant):
         "graph": name, "variant": variant, "n": g.n,
         "stored_entries": int(g.indices.size),
         "index_dtype": str(g.indices.dtype), "lambda_ub": L.lambda_ub,
-        "J": pou.J, "graph_bytes": int(g.offsets.nbytes + g.indices.nbytes
-                                       + g.weights.nbytes),
+        "J": pou.J, "diagonal_form": form, "diagonal_entries": entries,
+        "graph_bytes": int(g.offsets.nbytes + g.indices.nbytes
+                           + g.weights.nbytes),
         "zero_copy_step_ms": zero_copy, "assembled_step_ms": assembled,
         "build_ms": build, "forward_ms": forward, "inverse_ms": inverse,
     }
