@@ -68,8 +68,9 @@ class PartitionOfUnity:
     bump machinery g_c, with its transition profile mapped onto the same
     band (1/b, 1) so the plateau covers [0, 1/b] exactly for every b. The
     bands sum to omega(x / b^J), 1 on [0, b^(J-1)], and J is the fewest that
-    cover the interval, max(0, ceil(log_b lambda_ub) + 1), so none is 0 on it;
-    one fewer where omega(lambda_ub / b^(J-1)) rounds to 1.
+    cover the interval, so none is 0 on it: the fewest with lambda_ub <=
+    b^(J-1), or with omega(lambda_ub / b^J) already 1, as the smooth window
+    rounds to 1 a little past its plateau.
     """
 
     kind: str
@@ -81,17 +82,13 @@ class PartitionOfUnity:
     def __post_init__(self):
         require_window(self.kind, self.b, self.c)
         require_positive("lambda_ub", self.lambda_ub)
-        # the log's rounding can miss by one; the exact tests settle it
-        J = max(math.ceil(math.log(self.lambda_ub, self.b)) + 1, 0)
-        while self.lambda_ub > self.b ** (J - 1):
+        # the log's rounding can miss by one, so it starts one below; the
+        # exact tests settle the count
+        J = max(math.ceil(math.log(self.lambda_ub, self.b)) - 1, 0)
+        while (self.lambda_ub > self.b ** (J - 1)
+               and self.omega(self.lambda_ub / self.b ** J) < 1.0):
             J += 1
-        while J > 0 and self.lambda_ub <= self.b ** (J - 2):
-            J -= 1
         object.__setattr__(self, "J", J)
-        # the smooth window rounds to 1 a little past its plateau, where the
-        # bands below J already sum to 1.0 and band J is 0.0 on the interval
-        if J > 0 and self.omega(self.lambda_ub / self.b ** (J - 1)) == 1.0:
-            object.__setattr__(self, "J", J - 1)
 
     @classmethod
     def for_operator(cls, L, kind="linear", b=2.0, c=1.0):

@@ -6,10 +6,10 @@ entries stay below 2^31, so that a product reads 12 bytes per stored
 entry; the content hash sees their int64 values either way. Laplacians act
 through ``LaplacianOperator.matvec`` in O(m + n) per application, with one
 sparse kernel, scipy's compiled CSR product (``_kernels.csr_matvec``), over
-the graph's own arrays, or as one Chebyshev step on the operator's own
-interval; the Monte-Carlo weights and a request's synthesis materialize the
-shifted operator of their steps, for the length of that run
-(``LaplacianOperator.assembled``). Each operator is built with a bound
+the graph's own offsets and indices, or as one Chebyshev step on the
+operator's own interval; the Monte-Carlo weights and a request's synthesis
+materialize the shifted operator of their steps, for the length of that
+run (``LaplacianOperator.assembled``). Each operator is built with a bound
 ``lambda_ub`` on its largest eigenvalue, the right end of its Chebyshev
 interval, so no operator is without one: the bound given to its
 constructor, or else the proven cap 2 for the normalized and random-walk
@@ -40,7 +40,7 @@ VARIANTS = ("unnormalized", "normalized", "random_walk")
 DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
 BOUND_MARGIN = 0.01  # Lanczos's bound is its top Ritz value times 1.01
 INT32_BOUND = 2 ** 31  # index arrays are int32 while n + nnz stays below
-ROW_SLAB = 4096  # rows scaled at a time while a step matrix is built
+ROW_SLAB = 4096  # rows scaled at a time while an operator's weights are made
 # A step's shifted diagonal is held by its nonzero entries while they are at
 # most 1 / SPARSE_DIAG of the nodes. Adding them by a gather and a scatter
 # costs about 3.5 ns each, where skipping the dense diag x and -prev passes
@@ -115,11 +115,10 @@ class SparseGraph:
     def degrees(self):
         return self.adj_matvec(np.ones(self.n))
 
-    def adj_matvec(self, x, out=None):
-        """Weighted adjacency product W @ x, into a new array; with out,
-        added into out."""
+    def adj_matvec(self, x):
+        """Weighted adjacency product W @ x, into a new array."""
         return csr_matvec(CSR(self.weights, self.indices, self.offsets,
-                              (self.n, self.n)), as_signal(x, self.n), out)
+                              (self.n, self.n)), as_signal(x, self.n))
 
     def label_index(self):
         """Mapping from node label to dense index."""
@@ -529,25 +528,26 @@ class LaplacianOperator:
     finite is refused. Every Chebyshev step, and so every filter
     expansion, runs on [0, lambda_ub].
 
-    Every variant is held in one form, L x = diag x + post (W (pre x)),
-    with diag and post scalars or n-vectors and pre an n-vector or None
-    for 1: (deg, -1, None), (1, -deg^-1/2, deg^-1/2) and (1, -1/deg, None).
-    So one routine, :meth:`_product`, applies all three, as the plain
-    product or as a Chebyshev step, over the graph's own arrays. Inside
-    :meth:`assembled`, the steps run instead on a CSR matrix of the shifted
-    operator, built once. The probe loop of the Monte-Carlo weights (N K
-    steps) and a denoising request's synthesis (K + 1 steps, once the
-    coefficients it no longer needs are freed) pay for it; the analysis
-    keeps the zero-copy step, so that its coefficients, and the thresholds
-    picked from them, are bitwise those of a bare
-    ``chebyshev.sgwt_forward_fast``. A zero-copy step reads the graph's
-    12 bytes per stored entry. Beside the kernel, an unnormalized step
-    makes two vector passes and a gather and scatter over the nonzero
-    entries of its shifted diagonal where those are few, as on a grid at
-    its Gershgorin cap (see :attr:`_step_terms`), and three passes where
-    they are not; a normalized step makes four, as it scales by pre, and
-    one more where the shifted diagonal is a nonzero scalar. An assembled
-    step reads 12 bytes per entry of the step matrix and makes one pass.
+    Every variant is held in one form, L x = diag x + post (A x), with
+    diag the degrees or 1, post the scalar -1, and A the variant's weights
+    over the graph's own offsets and indices: the graph's weights
+    themselves, with no copy, for the unnormalized variant;
+    deg^-1/2 W deg^-1/2 and W / deg for the normalized and random-walk
+    ones, scaled once, when the operator is built. So one routine,
+    :meth:`_product`, applies all three, as the plain product or as a
+    Chebyshev step. Inside :meth:`assembled`, the steps run instead on a
+    CSR matrix of the shifted operator, built once. The probe loop of the
+    Monte-Carlo weights (N K steps) and a denoising request's synthesis
+    (K + 1 steps, once the coefficients it no longer needs are freed) pay
+    for it; the analysis keeps the zero-copy step, so that its
+    coefficients, and the thresholds picked from them, are bitwise those
+    of a bare ``chebyshev.sgwt_forward_fast``. A zero-copy step reads 12
+    bytes per stored entry. Beside the kernel, it makes two vector passes
+    and a gather and scatter over the nonzero entries of its shifted
+    diagonal where those are few (see :attr:`_step_terms`), as on a grid
+    at its Gershgorin cap, or none at all, as for the normalized variants
+    at the cap 2, and three passes where they are not. An assembled step
+    reads 12 bytes per entry of the step matrix and makes one pass.
     """
 
     graph: SparseGraph
@@ -559,19 +559,27 @@ class LaplacianOperator:
 
     def __post_init__(self):
         require_choice("variant", self.variant, VARIANTS)
-        deg = self.graph.degrees
+        g = self.graph
+        deg = g.degrees
         if deg.min() <= 0:
             bad = int(np.argmin(deg))
-            name = self.graph.labels[bad] if self.graph.labels else bad
+            name = g.labels[bad] if g.labels else bad
             raise ValueError(f"zero-degree node {name!r} has no Laplacian")
         self.degrees = deg
+        weights = g.weights
         if self.variant == "unnormalized":
-            self._terms = (deg, -1.0, None)
-        elif self.variant == "normalized":
-            isd = 1.0 / np.sqrt(deg)
-            self._terms = (1.0, -isd, isd)
+            self._terms = (deg, -1.0)
         else:
-            self._terms = (1.0, -1.0 / deg, None)
+            self._terms = (1.0, -1.0)
+            inv = 1.0 / (np.sqrt(deg) if self.variant == "normalized" else deg)
+            weights, ptr = weights.copy(), g.offsets
+            for r in range(0, g.n, ROW_SLAB):  # no temporary is signal-sized
+                part = slice(ptr[r], ptr[min(r + ROW_SLAB, g.n)])
+                weights[part] *= np.repeat(inv[r:r + ROW_SLAB],
+                                           np.diff(ptr[r:r + ROW_SLAB + 1]))
+                if self.variant == "normalized":
+                    weights[part] *= inv[g.indices[part]]
+        self._adjacency = CSR(weights, g.indices, g.offsets, (g.n, g.n))
         self._assembled = None  # the step matrix inside assembled()
         self.matvec_count = self.bound_matvecs = 0
         self.bound_ms = 0.0
@@ -597,19 +605,21 @@ class LaplacianOperator:
         of a Chebyshev step, read by the zero-copy step and the step matrix.
 
         The shifted diagonal d = c diag - 2, c = 4 / lambda_ub, takes one of
-        three forms: a scalar for the normalized variants (0 at the cap 2);
-        for the unnormalized one, the pair (rows, d[rows]) of its nonzero
-        entries while they are at most 1 / SPARSE_DIAG of the nodes, as on a
-        grid at the Gershgorin cap, whose interior entries are 0; else the
-        n-vector d, as under a Lanczos bound on an irregular graph.
+        two forms: the pair (rows, d[rows]) of its nonzero entries while
+        they are at most 1 / SPARSE_DIAG of the nodes, as on a grid at the
+        Gershgorin cap, whose interior entries are 0, and for the
+        normalized variants at the cap 2, where there are none; else the
+        n-vector d, as under a Lanczos bound on an irregular graph, or a
+        read-only view of the scalar d of the normalized variants above
+        the cap.
         """
-        diag, post, pre = self._terms
+        diag, post = self._terms
         c = 4.0 / self.lambda_ub
-        diag = c * diag - 2.0
-        if np.ndim(diag) and np.count_nonzero(diag) * SPARSE_DIAG <= self.n:
+        diag = np.broadcast_to(c * diag - 2.0, (self.n,))
+        if np.count_nonzero(diag) * SPARSE_DIAG <= self.n:
             rows = np.flatnonzero(diag)
             diag = rows, diag[rows]
-        return diag, c * post, pre
+        return diag, c * post
 
     def _step_matrix(self):
         """2 ((2 / lambda_ub) L - I) as one ``_kernels.CSR`` record.
@@ -617,11 +627,12 @@ class LaplacianOperator:
         Built with numpy from the terms of :attr:`_step_terms`, over the
         graph's arrays, in their index dtype: each row holds its diagonal
         entry, with the shift folded in, ahead of its neighbours, whose
-        entries carry the variant's scalings. A diagonal entry that is
-        exactly zero is left out: the whole diagonal of the normalized
-        variants, and that of every node of top degree when lambda_ub is the
-        Gershgorin cap. Where every one is zero, the matrix is the graph's
-        own offsets and indices with new values.
+        entries are the operator's weights times the scalar post. A
+        diagonal entry that is exactly zero is left out: the whole diagonal
+        of the normalized variants at the cap 2, and that of every node of
+        top degree when lambda_ub is the Gershgorin cap. Where every one is
+        zero, the matrix is the graph's own offsets and indices with new
+        values.
         Only the nonzero diagonal entries are inserted: inserting all and
         then dropping zeros left more freed blocks behind, and on the
         300x300 grid later 4 MB arrays then often found no free block that
@@ -629,13 +640,13 @@ class LaplacianOperator:
         """
         g = self.graph
         n = g.n
-        diag, post, pre = self._step_terms
+        diag, post = self._step_terms
         if isinstance(diag, tuple):
             rows, vals = diag
         else:
-            d = np.broadcast_to(diag, (n,))
-            rows = np.flatnonzero(d)
-            vals = d[rows]
+            rows = np.flatnonzero(diag)
+            vals = diag[rows]
+        weights = self._adjacency.data
         indices, indptr = g.indices, g.offsets
         if rows.size:
             at = g.offsets[rows]
@@ -646,18 +657,10 @@ class LaplacianOperator:
             indptr += g.offsets
             # zeros where the diagonal entries go, so that the values are
             # scaled in place
-            data = np.insert(g.weights, at, 0.0)
+            data = np.insert(weights, at, 0.0)
         else:
-            data = g.weights.copy()
-        if np.ndim(post) == 0:
-            data *= post
-        else:  # ROW_SLAB rows at a time, so no temporary is signal-sized
-            for r in range(0, n, ROW_SLAB):
-                part = slice(indptr[r], indptr[min(r + ROW_SLAB, n)])
-                data[part] *= np.repeat(post[r:r + ROW_SLAB],
-                                        np.diff(indptr[r:r + ROW_SLAB + 1]))
-                if pre is not None:
-                    data[part] *= pre[indices[part]]
+            data = weights.copy()
+        data *= post
         data[indptr[rows]] = vals
         return CSR(data, indices, indptr, (n, n))
 
@@ -683,9 +686,9 @@ class LaplacianOperator:
         """L x - prev, O(m + n), with prev=None as 0; one application counted.
 
         With step=True it applies instead one Chebyshev step on
-        [0, lambda_ub], 2 ((2 / lambda_ub) L - I) x - prev. The shift and the
-        variant's scalings are folded into terms kept per operator
-        (:attr:`_step_terms`, applied by :meth:`_product`), or, inside
+        [0, lambda_ub], 2 ((2 / lambda_ub) L - I) x - prev. The shift is
+        folded into terms kept per operator (:attr:`_step_terms`, applied
+        by :meth:`_product` with the operator's weights), or, inside
         :meth:`assembled`, into the step matrix, where the step is
         out = -prev and one kernel call adding the product into out. The
         result goes to out when given, which may be x or prev itself. A
@@ -703,56 +706,36 @@ class LaplacianOperator:
         return out
 
     def _product(self, terms, x, out, prev):
-        """diag x + post (W (pre x)) - prev over the graph's own arrays, by
-        one kernel call, into out; out may be x or prev, not both.
+        """diag x + post (A x) - prev, A the operator's weights over the
+        graph's own offsets and indices, by one kernel call, into out; out
+        may be x or prev, not both.
 
-        With post a scalar and diag held by its nonzero entries (rows,
-        vals), out = -prev, vals x[rows] is added into out[rows] and the
-        kernel adds W (post x): two vector passes, one temporary and a
-        gather and scatter over the rows; so on a unit-weight graph the sum
-        of each row is that of the step matrix, term by term. With diag an
-        n-vector, the kernel adds W (post x) into diag x - prev: three vector
-        passes and one temporary. With post a vector, it writes W (pre x)
-        into a zeroed buffer, out itself unless out is an input; the buffer
-        is scaled by post, and -prev and diag x are added in, diag x at no
-        cost when diag is the scalar 0 and out is apart from the inputs.
+        With diag held by its nonzero entries (rows, vals), out = -prev,
+        vals x[rows] is added into out[rows] and the kernel adds A (post x):
+        two vector passes, one temporary and a gather and scatter over the
+        rows; so where post scales A's entries exactly, as on a unit-weight
+        graph or by -2 at the cap 2 of the normalized variants, the sum of
+        each row is that of the step matrix, term by term. Else the kernel
+        adds A (post x) into diag x - prev: three vector passes and one
+        temporary.
         """
-        diag, post, pre = terms
-        g = self.graph
-        if np.ndim(post) == 0:
-            if isinstance(diag, tuple):
-                rows, vals = diag
-                xs = np.multiply(x, post)
-                dx = vals * x[rows]  # x is read before out is written
-                out = _negated(prev, out, g.n)
-                out[rows] += dx
-            elif np.may_share_memory(out, prev):  # prev is read, x is not out
-                xs = np.multiply(diag, x)
-                out = np.subtract(xs, prev, out=out)
-                np.multiply(x, post, out=xs)
-            else:  # x is read before out is written
-                xs = np.multiply(x, post)
-                out = np.multiply(diag, x, out=out)
-                if prev is not None:
-                    out -= prev
-            return g.adj_matvec(xs, out)
-        xs = x if pre is None else pre * x
-        apart = not (np.may_share_memory(out, x)
-                     or np.may_share_memory(out, prev))
-        y = out if apart and out is not None else np.zeros(g.n)
-        if y is out:
-            y.fill(0.0)
-        g.adj_matvec(xs, y)
-        y *= post
-        if prev is not None:
-            y -= prev
-        if out is None or out is y:
-            if np.ndim(diag) or diag:
-                y += np.multiply(diag, x, out=None if pre is None else xs)
-            return y
-        np.multiply(diag, x, out=out)  # out is x or prev, both read by now
-        out += y
-        return out
+        diag, post = terms
+        if isinstance(diag, tuple):
+            rows, vals = diag
+            xs = np.multiply(x, post)
+            dx = vals * x[rows]  # x is read before out is written
+            out = _negated(prev, out, self.n)
+            out[rows] += dx
+        elif np.may_share_memory(out, prev):  # prev is read, x is not out
+            xs = np.multiply(diag, x)
+            out = np.subtract(xs, prev, out=out)
+            np.multiply(x, post, out=xs)
+        else:  # x is read before out is written
+            xs = np.multiply(x, post)
+            out = np.multiply(diag, x, out=out)
+            if prev is not None:
+                out -= prev
+        return csr_matvec(self._adjacency, xs, out)
 
 
 def _negated(prev, out, n):

@@ -46,6 +46,9 @@ def test_scale_count_formula_and_clamp():
     # at an exact power of b, b^(J-1) = lambda_ub already covers it
     assert PartitionOfUnity("linear", 2.0, 1.0).J == 1
     assert PartitionOfUnity("linear", 2.0, 8.0).J == 4
+    # also where lambda_ub / b^J rounds above 1/b, and omega there below 1
+    assert PartitionOfUnity("linear", 1.05, 1.05).J == 2
+    assert PartitionOfUnity("linear", 1.01, 1.01 ** 3).J == 4
     # lambda_ub below b^-2: the formula would go negative, clamps to 0
     assert PartitionOfUnity("linear", 4.0, 0.05).J == 0
     sums = _partition_sum(PartitionOfUnity("linear", 4.0, 0.05),

@@ -353,15 +353,42 @@ def test_zero_copy_step_is_the_assembled_step_on_a_unit_weight_grid():
         assert L.matvec(x, step=True).tobytes() == half.tobytes()
 
 
+@pytest.mark.parametrize("variant", ["normalized", "random_walk"])
+def test_zero_copy_step_is_the_assembled_step_at_the_cap_2(variant):
+    # the operator's weights are scaled once, when it is built; at the cap 2
+    # the shifted diagonal is 0 and post is -2, which scales exactly, so the
+    # zero-copy step adds each neighbour's w (-2 x_j) in the step matrix's
+    # order, on a weighted graph too
+    g = random_connected_graph(500, seed=1)
+    assert np.unique(g.weights).size > 1
+    L = laplacian(g, variant)
+    assert L.lambda_ub == 2.0 and _held_diagonal(L)[1].size == 0
+    A = csr_array((L._adjacency.data, g.indices, g.offsets), shape=(g.n, g.n))
+    assert _close(A.toarray(), np.eye(g.n) - _dense_laplacian(g, variant))
+    pou = gsdenoise.PartitionOfUnity.for_operator(L)
+    rng = np.random.default_rng(8)
+    x, prev = rng.standard_normal((2, g.n))
+
+    def run():
+        coeffs = gsdenoise.sgwt_forward_fast(L, x, pou, K=30)
+        return (L.matvec(x, prev=prev, step=True), L.matvec(x, step=True),
+                coeffs.values, gsdenoise.sgwt_inverse_fast(L, coeffs, pou,
+                                                           K=30))
+
+    lean = run()
+    with L.assembled():
+        for got, want in zip(run(), lean):
+            assert got.tobytes() == want.tobytes()
+
+
 def _held_diagonal(L):
     """The form in which L's step holds its shifted diagonal, and the rows
     and values of its nonzero entries."""
     diag = L._step_terms[0]
     if isinstance(diag, tuple):
         return ("sparse", *diag)
-    d = np.broadcast_to(diag, (L.n,))
-    rows = np.flatnonzero(d)
-    return "scalar" if np.ndim(diag) == 0 else "dense", rows, d[rows]
+    rows = np.flatnonzero(diag)
+    return "dense", rows, diag[rows]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -371,15 +398,20 @@ def test_product_writes_over_its_own_inputs(variant, slack):
     # inputs, x and prev, for each form of the shifted diagonal: on the
     # random graph dense under its own bound (unnormalized) or none at the
     # cap 2; on a unit-weight grid at its Gershgorin cap, its boundary
-    # entries alone (unnormalized); nonzero everywhere above them
+    # entries alone (unnormalized); nonzero everywhere above them, for the
+    # normalized variants a view of one scalar. post is a scalar always.
     for g, cap in ((random_connected_graph(73, seed=1), False),
                    (grid_graph(30, 40), True)):
         ub = (spectral_cap(g, variant) if cap
               else laplacian(g, variant).lambda_ub) + slack
         L = laplacian(g, variant, lambda_ub=ub)
+        assert np.ndim(L._terms[1]) == np.ndim(L._step_terms[1]) == 0
         form, rows, vals = _held_diagonal(L)
-        if variant != "unnormalized":
-            assert form == "scalar" and rows.size == (g.n if slack else 0)
+        if variant != "unnormalized" and slack:
+            assert form == "dense" and rows.size == g.n
+            assert L._step_terms[0].strides == (0,)
+        elif variant != "unnormalized":
+            assert form == "sparse" and rows.size == 0
         elif cap and not slack:
             assert form == "sparse"
             assert 0 < graph.SPARSE_DIAG * rows.size <= g.n

@@ -10,8 +10,8 @@ For each graph it records, on one BLAS thread:
 - ``assembled_step_ms``: the same step inside ``L.assembled()``, one CSR
   product over the step matrix, the step of the weights and the synthesis;
 - ``diagonal_form``: how the step holds its shifted diagonal, ``sparse``
-  (by its nonzero entries), ``dense`` (an n-vector) or ``scalar``, and
-  ``diagonal_entries``, its nonzero count;
+  (by its nonzero entries, none for the normalized variants at the cap 2)
+  or ``dense`` (an n-vector), and ``diagonal_entries``, its nonzero count;
 - ``build_ms``: one build of that step matrix (``L._step_matrix()``);
 - ``forward_ms`` and ``inverse_ms``: one bare ``sgwt_forward_fast`` and
   ``sgwt_inverse_fast`` at K = 100, both on the zero-copy step;
@@ -86,8 +86,7 @@ def diagonal_form(L):
     diag = L._step_terms[0]
     if isinstance(diag, tuple):
         return "sparse", int(diag[0].size)
-    form = "scalar" if np.ndim(diag) == 0 else "dense"
-    return form, int(np.count_nonzero(np.broadcast_to(diag, (L.n,))))
+    return "dense", int(np.count_nonzero(diag))
 
 
 def measure(name, make, variant, lambda_ub):
