@@ -1,11 +1,13 @@
-"""The one sparse kernel: scipy's compiled CSR matrix-vector product.
+"""The sparse kernels: scipy's compiled CSR and COO matrix-vector products.
 
-Every adjacency and Laplacian application ends here, so a trace of this
-function times the kernel alone. It calls the compiled routine behind a
-scipy CSR array's ``A @ x`` on raw CSR arrays, adding into a vector that is
-zero-filled, as ``A @ x`` does, or that the caller already holds.
+Every adjacency and Laplacian application ends in the CSR product, so a
+trace of :func:`csr_matvec` times that kernel alone; a Chebyshev step
+adds the nonzero entries of its shifted diagonal by the COO product
+(:func:`coo_matvec`) first. Both call the compiled routines behind a scipy
+array's ``A @ x`` on raw arrays, adding into a vector that is zero-filled,
+as ``A @ x`` does, or that the caller already holds.
 
-The extension that holds the routine, ``scipy.sparse._sparsetools``, is
+The extension that holds the routines, ``scipy.sparse._sparsetools``, is
 loaded from its file on the first product, without running the
 ``__init__`` of scipy or of scipy.sparse: importing the package costs about
 0.15 s (``numpy.f2py``, ``numpy.testing`` and ``numpy.ma`` come with it),
@@ -19,8 +21,10 @@ from collections import namedtuple
 
 import numpy as np
 
-# A CSR matrix as the kernel reads it; a scipy CSR array serves as well.
+# CSR and COO matrices as the kernels read them; scipy CSR and COO arrays
+# serve as well.
 CSR = namedtuple("CSR", "data indices indptr shape")
+COO = namedtuple("COO", "data row col shape")
 
 _NAME = "scipy.sparse._sparsetools"
 _sparsetools = None  # the extension, once a product has loaded it
@@ -66,18 +70,20 @@ def _check(name, v, size):
                          f"of length {size}")
 
 
-def csr_matvec(A, x, out=None):
-    """A @ x, into a new array; with out, A @ x is added into out in place,
-    and out is returned.
-
-    A is any CSR matrix with ``data``, ``indices``, ``indptr`` and
-    ``shape``: a :data:`CSR` record or a scipy CSR array. The compiled
-    kernel has no bounds checks: it reads len(x) and writes len(out) from
-    A's shape. So x and out are checked first: float64, C-contiguous, of
-    A's column and row counts, out writeable and apart from x, which the
-    kernel reads while it writes out. A itself is trusted as built.
-    """
+def _sparsetools_module():
     global _sparsetools
+    if _sparsetools is None:
+        _sparsetools = _load_sparsetools()
+    return _sparsetools
+
+
+def _checked(A, x, out):
+    """out, or a new zero vector where out is None, once x and out are fit
+    for the compiled kernels, which have no bounds checks: they read len(x)
+    and write len(out) from A's shape. So x and out must be float64,
+    C-contiguous, of A's column and row counts, out writeable and apart
+    from x, which the kernels read while they write out. A's entries must
+    be float64; A itself is trusted as built."""
     rows, cols = A.shape
     _check("x", x, cols)
     if out is None:
@@ -88,7 +94,32 @@ def csr_matvec(A, x, out=None):
             raise ValueError("out must be writeable and must not overlap x")
     if A.data.dtype != np.float64:
         raise ValueError("A's entries must be float64")
-    if _sparsetools is None:
-        _sparsetools = _load_sparsetools()
-    _sparsetools.csr_matvec(rows, cols, A.indptr, A.indices, A.data, x, out)
+    return out
+
+
+def csr_matvec(A, x, out=None):
+    """A @ x, into a new array; with out, A @ x is added into out in place,
+    and out is returned.
+
+    A is any CSR matrix with ``data``, ``indices``, ``indptr`` and
+    ``shape``: a :data:`CSR` record or a scipy CSR array. x and out are
+    checked as :func:`_checked` says.
+    """
+    out = _checked(A, x, out)
+    _sparsetools_module().csr_matvec(*A.shape, A.indptr, A.indices, A.data,
+                                     x, out)
+    return out
+
+
+def coo_matvec(A, x, out=None):
+    """A @ x, into a new array; with out, A @ x is added into out in place,
+    and out is returned.
+
+    A is any COO matrix with ``data``, ``row``, ``col`` and ``shape``: a
+    :data:`COO` record or a scipy COO array, whose row and col share one
+    index dtype. x and out are checked as :func:`_checked` says.
+    """
+    out = _checked(A, x, out)
+    _sparsetools_module().coo_matvec(A.data.size, A.row, A.col, A.data, x,
+                                     out)
     return out

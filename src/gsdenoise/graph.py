@@ -4,12 +4,11 @@ Graphs are stored in compressed adjacency form (CSR of the symmetric weighted
 adjacency matrix), with int32 offsets and indices while n plus the stored
 entries stay below 2^31, so that a product reads 12 bytes per stored
 entry; the content hash sees their int64 values either way. Laplacians act
-through ``LaplacianOperator.matvec`` in O(m + n) per application, with one
-sparse kernel, scipy's compiled CSR product (``_kernels.csr_matvec``), over
-the graph's own offsets and indices, or as one Chebyshev step on the
-operator's own interval; the Monte-Carlo weights and a request's synthesis
-materialize the shifted operator of their steps, for the length of that
-run (``LaplacianOperator.assembled``). Each operator is built with a bound
+through ``LaplacianOperator.matvec`` in O(m + n) per application, as the
+plain product or as one Chebyshev step on the operator's own interval,
+each one COO product over the nonzero entries of its diagonal and one CSR
+product over the graph's own offsets and indices (``_kernels``, scipy's
+compiled kernels). Each operator is built with a bound
 ``lambda_ub`` on its largest eigenvalue, the right end of its Chebyshev
 interval, so no operator is without one: the bound given to its
 constructor, or else the proven cap 2 for the normalized and random-walk
@@ -33,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import CSR, csr_matvec
+from ._kernels import COO, CSR, coo_matvec, csr_matvec
 from .signals import as_signal, dot, require_choice, require_positive
 
 VARIANTS = ("unnormalized", "normalized", "random_walk")
@@ -41,13 +40,6 @@ DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
 BOUND_MARGIN = 0.01  # Lanczos's bound is its top Ritz value times 1.01
 INT32_BOUND = 2 ** 31  # index arrays are int32 while n + nnz stays below
 ROW_SLAB = 4096  # rows scaled at a time while an operator's weights are made
-# A step's shifted diagonal is held by its nonzero entries while they are at
-# most 1 / SPARSE_DIAG of the nodes. Adding them by a gather and a scatter
-# costs about 3.5 ns each, where skipping the dense diag x and -prev passes
-# saves 0.6-0.7 ns per node: with the entries at random rows the two forms
-# broke even at 10-15% of the nodes on the 500x500 grid and the random 10^5
-# graph (one thread).
-SPARSE_DIAG = 8
 
 
 @dataclass(eq=False)
@@ -60,9 +52,9 @@ class SparseGraph:
     original node identifiers when the graph was densified from an edge list.
 
     offsets and indices are int32 when n plus the stored-entry count is
-    below 2^31 (``INT32_BOUND``), so that a step matrix, which adds at
-    most n diagonal entries, fits them too; int64 otherwise. A product
-    then reads 12 bytes per stored entry, not 16.
+    below 2^31 (``INT32_BOUND``), so that every offset and every node
+    number fits them; int64 otherwise. A product then reads 12 bytes per
+    stored entry, not 16.
     """
 
     n: int
@@ -528,26 +520,26 @@ class LaplacianOperator:
     finite is refused. Every Chebyshev step, and so every filter
     expansion, runs on [0, lambda_ub].
 
-    Every variant is held in one form, L x = diag x + post (A x), with
-    diag the degrees or 1, post the scalar -1, and A the variant's weights
-    over the graph's own offsets and indices: the graph's weights
-    themselves, with no copy, for the unnormalized variant;
-    deg^-1/2 W deg^-1/2 and W / deg for the normalized and random-walk
-    ones, scaled once, when the operator is built. So one routine,
-    :meth:`_product`, applies all three, as the plain product or as a
-    Chebyshev step. Inside :meth:`assembled`, the steps run instead on a
-    CSR matrix of the shifted operator, built once. The probe loop of the
-    Monte-Carlo weights (N K steps) and a denoising request's synthesis
-    (K + 1 steps, once the coefficients it no longer needs are freed) pay
-    for it; the analysis keeps the zero-copy step, so that its
+    A Chebyshev step, 2 ((2 / lambda_ub) L - I) x - prev, is three parts:
+    out = -prev; the nonzero entries of the shifted diagonal
+    4 diag / lambda_ub - 2, diag the degrees or 1, added by the COO kernel
+    (:attr:`_step_terms`), and none at all where there are none, as for
+    the normalized variants at the cap 2; then one CSR product over the
+    graph's own offsets and indices with the off-diagonal weights
+    -(4 / lambda_ub) A, A the graph's weights W for the unnormalized
+    variant, deg^-1/2 W deg^-1/2 and W / deg for the normalized and
+    random-walk ones. Those two hold their weights so scaled, made once
+    when the operator is built. The unnormalized variant reads the graph's
+    weights themselves and scales x by -4 / lambda_ub each step, or,
+    inside :meth:`assembled`, reads a copy of the weights scaled once for
+    the context, as the Monte-Carlo weights' probe loop (N K steps) and a
+    request's synthesis (K + 1 steps) do. On a unit-weight graph both give
+    the same bits; the analysis runs outside the context, so that its
     coefficients, and the thresholds picked from them, are bitwise those
-    of a bare ``chebyshev.sgwt_forward_fast``. A zero-copy step reads 12
-    bytes per stored entry. Beside the kernel, it makes two vector passes
-    and a gather and scatter over the nonzero entries of its shifted
-    diagonal where those are few (see :attr:`_step_terms`), as on a grid
-    at its Gershgorin cap, or none at all, as for the normalized variants
-    at the cap 2, and three passes where they are not. An assembled step
-    reads 12 bytes per entry of the step matrix and makes one pass.
+    of a bare ``chebyshev.sgwt_forward_fast``. The plain product,
+    diag x - A x, which only Lanczos takes, runs through the same three
+    parts, with every diagonal entry, and the held weights with post -1
+    or lambda_ub / 4.
     """
 
     graph: SparseGraph
@@ -566,21 +558,9 @@ class LaplacianOperator:
             name = g.labels[bad] if g.labels else bad
             raise ValueError(f"zero-degree node {name!r} has no Laplacian")
         self.degrees = deg
-        weights = g.weights
-        if self.variant == "unnormalized":
-            self._terms = (deg, -1.0)
-        else:
-            self._terms = (1.0, -1.0)
-            inv = 1.0 / (np.sqrt(deg) if self.variant == "normalized" else deg)
-            weights, ptr = weights.copy(), g.offsets
-            for r in range(0, g.n, ROW_SLAB):  # no temporary is signal-sized
-                part = slice(ptr[r], ptr[min(r + ROW_SLAB, g.n)])
-                weights[part] *= np.repeat(inv[r:r + ROW_SLAB],
-                                           np.diff(ptr[r:r + ROW_SLAB + 1]))
-                if self.variant == "normalized":
-                    weights[part] *= inv[g.indices[part]]
-        self._adjacency = CSR(weights, g.indices, g.offsets, (g.n, g.n))
-        self._assembled = None  # the step matrix inside assembled()
+        # the plain product of the unnormalized variant, for Lanczos
+        self._adjacency = CSR(g.weights, g.indices, g.offsets, (g.n, g.n))
+        self._post = -1.0
         self.matvec_count = self.bound_matvecs = 0
         self.bound_ms = 0.0
         if self.lambda_ub is None:
@@ -591,6 +571,22 @@ class LaplacianOperator:
             self.matvec_count = 0
         self.lambda_ub = float(self.lambda_ub)
         require_positive("lambda_ub", self.lambda_ub)
+        post = -4.0 / self.lambda_ub
+        if self.variant != "unnormalized":
+            inv = 1.0 / (np.sqrt(deg) if self.variant == "normalized" else deg)
+            weights, ptr = g.weights.copy(), g.offsets
+            for r in range(0, g.n, ROW_SLAB):  # no temporary is signal-sized
+                part = slice(ptr[r], ptr[min(r + ROW_SLAB, g.n)])
+                weights[part] *= np.repeat(inv[r:r + ROW_SLAB],
+                                           np.diff(ptr[r:r + ROW_SLAB + 1]))
+                if self.variant == "normalized":
+                    weights[part] *= inv[g.indices[part]]
+            weights *= post
+            self._adjacency = self._adjacency._replace(data=weights)
+            # the plain product undoes the step's scale, the step takes none
+            self._post, post = self.lambda_ub / 4.0, None
+        # the step's weights, and the scale of x it takes, None for none
+        self._step = self._adjacency, post
 
     @property
     def n(self):
@@ -601,141 +597,69 @@ class LaplacianOperator:
 
     @cached_property
     def _step_terms(self):
-        """Terms of 2 ((2 / lambda_ub) L - I), the doubled shifted operator
-        of a Chebyshev step, read by the zero-copy step and the step matrix.
-
-        The shifted diagonal d = c diag - 2, c = 4 / lambda_ub, takes one of
-        two forms: the pair (rows, d[rows]) of its nonzero entries while
-        they are at most 1 / SPARSE_DIAG of the nodes, as on a grid at the
-        Gershgorin cap, whose interior entries are 0, and for the
-        normalized variants at the cap 2, where there are none; else the
-        n-vector d, as under a Lanczos bound on an irregular graph, or a
-        read-only view of the scalar d of the normalized variants above
-        the cap.
-        """
-        diag, post = self._terms
-        c = 4.0 / self.lambda_ub
-        diag = np.broadcast_to(c * diag - 2.0, (self.n,))
-        if np.count_nonzero(diag) * SPARSE_DIAG <= self.n:
-            rows = np.flatnonzero(diag)
-            diag = rows, diag[rows]
-        return diag, c * post
-
-    def _step_matrix(self):
-        """2 ((2 / lambda_ub) L - I) as one ``_kernels.CSR`` record.
-
-        Built with numpy from the terms of :attr:`_step_terms`, over the
-        graph's arrays, in their index dtype: each row holds its diagonal
-        entry, with the shift folded in, ahead of its neighbours, whose
-        entries are the operator's weights times the scalar post. A
-        diagonal entry that is exactly zero is left out: the whole diagonal
-        of the normalized variants at the cap 2, and that of every node of
-        top degree when lambda_ub is the Gershgorin cap. Where every one is
-        zero, the matrix is the graph's own offsets and indices with new
-        values.
-        Only the nonzero diagonal entries are inserted: inserting all and
-        then dropping zeros left more freed blocks behind, and on the
-        300x300 grid later 4 MB arrays then often found no free block that
-        fit, which raised the peak RSS by 4 MB.
-        """
-        g = self.graph
-        n = g.n
-        diag, post = self._step_terms
-        if isinstance(diag, tuple):
-            rows, vals = diag
-        else:
-            rows = np.flatnonzero(diag)
-            vals = diag[rows]
-        weights = self._adjacency.data
-        indices, indptr = g.indices, g.offsets
-        if rows.size:
-            at = g.offsets[rows]
-            indices = np.insert(g.indices, at, rows.astype(indices.dtype))
-            indptr = np.zeros(n + 1, dtype=g.offsets.dtype)
-            indptr[rows + 1] = 1
-            np.cumsum(indptr, out=indptr)
-            indptr += g.offsets
-            # zeros where the diagonal entries go, so that the values are
-            # scaled in place
-            data = np.insert(weights, at, 0.0)
-        else:
-            data = weights.copy()
-        data *= post
-        data[indptr[rows]] = vals
-        return CSR(data, indices, indptr, (n, n))
+        """The nonzero entries of the step's shifted diagonal
+        4 diag / lambda_ub - 2 as one ``_kernels.COO`` record: on a grid at
+        its Gershgorin cap, the boundary nodes' alone, whose degree is not
+        the top one; none for the normalized variants at the cap 2; every
+        node's under a Lanczos bound on an irregular graph. The rows take
+        the graph's index dtype, and where every entry is nonzero the
+        diagonal is held as made: with int32 indices the record then holds
+        1.5 signal vectors, and its making peaks at 2.5."""
+        n = self.n
+        diag = self.degrees if self.variant == "unnormalized" else 1.0
+        diag = np.broadcast_to(4.0 / self.lambda_ub * diag - 2.0, (n,))
+        rows = np.flatnonzero(diag).astype(self.graph.indices.dtype)
+        diag = diag[rows] if rows.size < n else np.ascontiguousarray(diag)
+        return COO(diag, rows, rows, (n, n))
 
     @contextmanager
     def assembled(self):
-        """Within the context, run every Chebyshev step as one CSR product
-        over the step matrix of :meth:`_step_matrix`.
+        """Within the context, run every Chebyshev step over weights scaled
+        for it, so that no step scales x.
 
-        The matrix is built on entry and dropped on exit; a context nested
-        in an open one reuses its matrix. It costs about 6.5 signal vectors
-        on a degree-4 grid (4 where it keeps the graph's index arrays), so
-        it is opened only where that memory is free or many steps pay for
-        it.
+        For the unnormalized variant that is a copy of the graph's weights
+        times -4 / lambda_ub, made on entry and dropped on exit, over the
+        graph's own offsets and indices: one array of the stored-entry
+        count, 4 signal vectors on a degree-4 grid. The normalized and
+        random-walk operators hold theirs so scaled already, and nothing is
+        made. A context nested in an open one reuses its weights.
         """
-        prior = self._assembled
-        self._assembled = self._step_matrix() if prior is None else prior
+        prior = self._step
+        weights, post = prior
+        if post is not None:
+            self._step = weights._replace(data=weights.data * post), None
         try:
             yield self
         finally:
-            self._assembled = prior
+            self._step = prior
 
     def matvec(self, x, out=None, prev=None, step=False):
         """L x - prev, O(m + n), with prev=None as 0; one application counted.
 
         With step=True it applies instead one Chebyshev step on
-        [0, lambda_ub], 2 ((2 / lambda_ub) L - I) x - prev. The shift is
-        folded into terms kept per operator (:attr:`_step_terms`, applied
-        by :meth:`_product` with the operator's weights), or, inside
-        :meth:`assembled`, into the step matrix, where the step is
-        out = -prev and one kernel call adding the product into out. The
-        result goes to out when given, which may be x or prev itself. A
-        call that raises is not counted.
+        [0, lambda_ub], 2 ((2 / lambda_ub) L - I) x - prev. Either is
+        out = -prev, the diagonal's nonzero entries added by the COO kernel
+        and the off-diagonal by the CSR kernel, as the class docstring
+        says. The result goes to out when given, which may be x or prev
+        itself. A call that raises is not counted.
         """
-        if step and self._assembled is not None:
-            x = np.ascontiguousarray(x, dtype=np.float64)
-            if out is not None and np.may_share_memory(out, x):
-                x = x.copy()
-            out = csr_matvec(self._assembled, x, _negated(prev, out, self.n))
-        else:
-            out = self._product(self._step_terms if step else self._terms,
-                                as_signal(x, self.n), out, prev)
+        n = self.n
+        x = as_signal(x, n)
+        if out is not None and np.may_share_memory(out, x):
+            x = x.copy()  # the kernels read x while they write out
+        if step:
+            diag, (weights, post) = self._step_terms, self._step
+        else:  # no index array is held for the plain product
+            rows = np.arange(n, dtype=self.graph.indices.dtype)
+            diag = COO(self.degrees if self.variant == "unnormalized"
+                       else np.ones(n), rows, rows, (n, n))
+            weights, post = self._adjacency, self._post
+        out = _negated(prev, out, n)
+        if diag.data.size:
+            coo_matvec(diag, x, out)
+        out = csr_matvec(weights, x if post is None else x * post, out)
         self.matvec_count += 1
         return out
-
-    def _product(self, terms, x, out, prev):
-        """diag x + post (A x) - prev, A the operator's weights over the
-        graph's own offsets and indices, by one kernel call, into out; out
-        may be x or prev, not both.
-
-        With diag held by its nonzero entries (rows, vals), out = -prev,
-        vals x[rows] is added into out[rows] and the kernel adds A (post x):
-        two vector passes, one temporary and a gather and scatter over the
-        rows; so where post scales A's entries exactly, as on a unit-weight
-        graph or by -2 at the cap 2 of the normalized variants, the sum of
-        each row is that of the step matrix, term by term. Else the kernel
-        adds A (post x) into diag x - prev: three vector passes and one
-        temporary.
-        """
-        diag, post = terms
-        if isinstance(diag, tuple):
-            rows, vals = diag
-            xs = np.multiply(x, post)
-            dx = vals * x[rows]  # x is read before out is written
-            out = _negated(prev, out, self.n)
-            out[rows] += dx
-        elif np.may_share_memory(out, prev):  # prev is read, x is not out
-            xs = np.multiply(diag, x)
-            out = np.subtract(xs, prev, out=out)
-            np.multiply(x, post, out=xs)
-        else:  # x is read before out is written
-            xs = np.multiply(x, post)
-            out = np.multiply(diag, x, out=out)
-            if prev is not None:
-                out -= prev
-        return csr_matvec(self._adjacency, xs, out)
 
 
 def _negated(prev, out, n):

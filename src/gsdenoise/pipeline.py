@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
 from .frame import POU_KINDS, PartitionOfUnity, require_base, require_window
 from .graph import VARIANTS, laplacian
-from .signals import (as_signal, require_choice, require_finite,
-                      require_positive)
+from .signals import (as_signal, require_choice, require_count,
+                      require_finite, require_positive)
 from .sure import (DISTRIBUTIONS, WEIGHT_FINGERPRINT,
                    estimate_diagonal_weights, require_probes, sure_value)
 from .threshold import apply_policy, require_beta, select_thresholds_sure
@@ -66,8 +66,7 @@ class PipelineConfig:
         require_choice("variant", self.variant, VARIANTS)
         require_window(self.kind, self.b, self.c)
         require_base(self.variant, self.b)
-        if self.K < 1:
-            raise ValueError("K must be at least 1")
+        require_count("K", self.K)
         require_probes(self.N, self.distribution)
         require_beta(self.beta)
         if self.sigma is not None:
@@ -180,11 +179,11 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
                 dist=config.distribution, seed=config.seed,
                 graph_hash=graph_hash)
 
-    # after the weights, so that the step matrix their estimate builds is
-    # never held beside the J + 1 coefficient blocks. The zero-copy step
-    # here keeps the coefficients bitwise those of a bare forward
-    # transform: each threshold is one of their magnitudes, so one ulp
-    # would move a kink term of SURE.
+    # after the weights, so that the scaled weights their estimate makes
+    # are never held beside the J + 1 coefficient blocks. The step outside
+    # assembled() here keeps the coefficients bitwise those of a bare
+    # forward transform: each threshold is one of their magnitudes, so one
+    # ulp would move a kink term of SURE.
     with timed(timings, "forward", matvecs, L):
         coeffs = sgwt_forward_fast(L, noisy, pou, K=config.K,
                                    jackson=config.jackson)
@@ -198,9 +197,9 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
         sure = sure_value(coeffs, thresholded, derivs, config.sigma,
                           weights.diag)
 
-    # freed first, so that the step matrix takes their place: the
+    # freed first, so that the scaled weights take their place: the
     # synthesis's K + 1 steps, on the operator's own interval, then run on
-    # it below the peak of the stages above
+    # them below the peak of the stages above
     del coeffs, derivs
     with timed(timings, "inverse", matvecs, L), L.assembled():
         estimate = sgwt_inverse_fast(L, thresholded, pou, K=config.K,

@@ -12,6 +12,7 @@ the graph's label map.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,16 @@ def require_positive(name, value):
     not positive and finite, naming it."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def require_count(name, value):
+    """Refuse a count, such as a polynomial degree or a probe count, that
+    is not an integer of at least 1, naming it. A bool is not a count;
+    numpy integers are."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def require_choice(name, value, choices):

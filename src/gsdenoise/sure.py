@@ -15,8 +15,8 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from . import chebyshev
-from .signals import (dot, read_signal, require_choice, require_positive,
-                      require_weights, write_signal)
+from .signals import (dot, read_signal, require_choice, require_count,
+                      require_positive, require_weights, write_signal)
 
 DISTRIBUTIONS = ("rademacher", "gaussian")
 # everything a weight estimate depends on, by WeightEstimate's field names
@@ -33,9 +33,9 @@ def _eps_sq_moments(dist):
 
 
 def require_probes(N, dist):
-    """Refuse a probe count below 1 or an unknown probe distribution."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    """Refuse a probe count that is not an integer of at least 1, or an
+    unknown probe distribution."""
+    require_count("N", N)
     require_choice("distribution", dist, DISTRIBUTIONS)
 
 
@@ -98,8 +98,10 @@ def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=5,
     """Monte-Carlo Gram diagonal, O(N (mK + n(J+1)K)) with the fast transform.
 
     The N K Chebyshev steps of the fast probe transforms run inside
-    ``L.assembled``: each is one CSR product over the step matrix, built
-    once here and dropped on return. Each probe's transform is that of
+    ``L.assembled``, over the operator's weights scaled for the step, so
+    that no step scales its input: for the unnormalized variant a copy
+    made once here and dropped on return, for the others the operator's
+    own. Each probe's transform is that of
     ``chebyshev.sgwt_forward_fast``, written over one ring and one set of
     J + 1 outputs, allocated once here.
     """

@@ -16,7 +16,7 @@ from scipy.sparse import csr_array
 
 import gsdenoise
 from gsdenoise import _kernels, graph
-from gsdenoise._kernels import CSR, csr_matvec
+from gsdenoise._kernels import COO, CSR, coo_matvec, csr_matvec
 from gsdenoise.cli import main
 from gsdenoise.graph import (
     VARIANTS,
@@ -44,6 +44,19 @@ def _dense_laplacian(g, variant):
 
 def _close(got, want, rel=1e-12):
     return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+def _held_step(L):
+    """The matrix of L's step as L holds it, dense: the nonzero entries of
+    its shifted diagonal, and its off-diagonal weights scaled as the step
+    scales x."""
+    d, (weights, post) = L._step_terms, L._step
+    M = csr_array((weights.data, weights.indices, weights.indptr),
+                  shape=weights.shape).toarray()
+    if post is not None:
+        M *= post
+    M[d.row, d.col] += d.data
+    return M
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -81,41 +94,48 @@ def test_step_matrix_is_the_shifted_operator_without_zeros(variant):
     g = grid_graph(7, 9)
     ub = spectral_cap(g, variant)
     L = laplacian(g, variant, lambda_ub=ub)
-    R = L._step_matrix()
-    A = csr_array((R.data, R.indices, R.indptr), shape=R.shape, copy=False)
     step = 2.0 * ((2.0 / ub) * _dense_laplacian(g, variant) - np.eye(g.n))
-    assert np.allclose(A.toarray(), step, rtol=0, atol=1e-15)
-    assert A.indices.dtype == A.indptr.dtype == np.int32
-    assert np.all(A.data != 0)
+    for steps in (contextlib.nullcontext(), L.assembled()):
+        with steps:
+            assert np.allclose(_held_step(L), step, rtol=0, atol=1e-15)
+            weights = L._step[0]
+            assert weights.indices.dtype == weights.indptr.dtype == np.int32
+    d = L._step_terms
+    assert np.all(d.data != 0) and np.array_equal(d.row, d.col)
     # on [0, 8] the diagonal of a degree-4 node is 2 (4/8) 4 - 2 = 0, and
     # on [0, 2] every diagonal entry of the normalized variants is 0
     kept = np.sum(g.degrees != 4) if variant == "unnormalized" else 0
-    assert A.nnz == g.indices.size + kept
+    assert d.data.size == kept
 
 
 def test_assembled_context_drops_the_matrix_on_exit():
-    L = laplacian(grid_graph(4, 5), "normalized")
+    # the unnormalized context's scaled weights are its own copy, dropped
+    # on exit, also when the block raises
+    L = laplacian(grid_graph(4, 5))
+    outside = L._step
     x = np.ones(L.n)
     with pytest.raises(RuntimeError):
         with L.assembled():
-            assert L._assembled is not None
+            assert L._step is not outside
             raise RuntimeError
-    assert L._assembled is None
+    assert L._step is outside
     with L.assembled():
-        R = L._assembled
-        A = csr_array((R.data, R.indices, R.indptr), shape=R.shape, copy=False)
-        assert _close(L.matvec(x, step=True), A @ x)
-    assert L._assembled is None
+        weights, post = L._step
+        assert post is None
+        assert not np.shares_memory(weights.data, L.graph.weights)
+        assert _close(L.matvec(x, step=True), _held_step(L) @ x)
+    assert L._step is outside
 
 
 def test_nested_assembled_context_reuses_an_open_matrix():
     L = laplacian(grid_graph(4, 5))
+    outside = L._step
     with L.assembled():
-        outer = L._assembled
+        outer = L._step
         with L.assembled():
-            assert L._assembled is outer
-        assert L._assembled is outer
-    assert L._assembled is None
+            assert L._step is outer
+        assert L._step is outer
+    assert L._step is outside
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -148,6 +168,11 @@ def test_csr_matvec_adds_into_out(itype):
     assert csr_matvec(A, x, out) is out
     assert _close(out, A @ x + out0, rel=1e-15)
     assert _close(csr_matvec(A, x), A @ x, rel=0)
+    # the COO kernel, over the same entries with the same index dtype
+    rows = np.repeat(np.arange(g.n, dtype=itype), np.diff(A.indptr))
+    out = out0.copy()
+    assert coo_matvec(COO(A.data, rows, A.indices, A.shape), x, out) is out
+    assert _close(out, A @ x + out0, rel=1e-15)
 
 
 def _bad_vectors(case):
@@ -174,29 +199,40 @@ def _bad_vectors(case):
     return x, out
 
 
-@pytest.mark.parametrize("case", ["short x", "long out", "float32 x",
-                                  "int out", "strided out", "strided x",
-                                  "read-only out", "out is x", "list x"])
-def test_csr_matvec_rejects_what_the_raw_kernel_would_overrun(case):
+_BAD_CASES = ["short x", "long out", "float32 x", "int out", "strided out",
+              "strided x", "read-only out", "out is x", "list x"]
+
+
+# the COO kernel's wrapper makes the same checks, on the same cases
+@pytest.mark.parametrize("kernel, case", [
+    *(pytest.param("csr", case, id=case) for case in _BAD_CASES),
+    *(pytest.param("coo", case, id=f"coo {case}") for case in _BAD_CASES),
+])
+def test_csr_matvec_rejects_what_the_raw_kernel_would_overrun(kernel, case):
     A = random_connected_graph(30, seed=2).adjacency
     x, out = _bad_vectors(case)
     with pytest.raises(ValueError):
-        csr_matvec(A, x, out)
+        if kernel == "csr":
+            csr_matvec(A, x, out)
+        else:
+            coo_matvec(A.tocoo(), x, out)
 
 
 def _record(g):
     return CSR(g.weights, g.indices, g.offsets, (g.n, g.n))
 
 
-@pytest.mark.parametrize("form", ["scipy", "record"])
+@pytest.mark.parametrize("form", ["scipy", "record", "coo"])
 @pytest.mark.parametrize("case", ["short x", "float32 x", "strided x",
                                   "list x"])
 def test_csr_matvec_into_a_new_array_rejects_a_bad_x(case, form):
     g = random_connected_graph(30, seed=2)
-    A = g.adjacency if form == "scipy" else _record(g)
     x, _ = _bad_vectors(case)
     with pytest.raises(ValueError, match="x must be"):
-        csr_matvec(A, x)
+        if form == "coo":
+            coo_matvec(g.adjacency.tocoo(), x)
+        else:
+            csr_matvec(g.adjacency if form == "scipy" else _record(g), x)
 
 
 def test_csr_matvec_takes_a_scipy_array_or_the_record():
@@ -232,7 +268,7 @@ def test_refused_matvec_is_not_counted():
     with pytest.raises(ValueError, match="length 20"):
         L.matvec(np.ones(3))
     assert L.matvec_count == 0
-    # nor inside an assembled step matrix
+    # nor inside assembled()
     with L.assembled():
         with pytest.raises(ValueError, match="length 20"):
             L.matvec(np.ones(3), step=True)
@@ -303,47 +339,69 @@ def test_index_arrays_past_the_int32_range_stay_int64(monkeypatch, variant):
             assert L.matvec(x, prev=prev, step=True).tobytes() == \
                 W.matvec(x, prev=prev, step=True).tobytes()
     assert L.matvec(x).tobytes() == W.matvec(x).tobytes()
-    R = W._step_matrix()
-    assert R.indices.dtype == R.indptr.dtype == np.int64
+    # no step, in assembled() or out of it, nor the plain product, copies
+    # the graph's offsets or indices, of either dtype
+    read = []
+
+    def kernel(A, x, out=None):
+        read.append((A.indices, A.indptr))
+        return csr_matvec(A, x, out)
+
+    monkeypatch.setattr(graph, "csr_matvec", kernel)
+    for op in (L, W):
+        read.clear()
+        op.matvec(x)
+        op.matvec(x, prev=prev, step=True)
+        with op.assembled():
+            op.matvec(x, prev=prev, step=True)
+        assert len(read) == 3
+        for indices, indptr in read:
+            assert indices is op.graph.indices and indptr is op.graph.offsets
 
 
 def test_normalized_step_matrix_shares_the_graph_index_arrays():
-    # at the cap 2 every shifted diagonal entry is 2 * 1 - 2 = 0, so the
-    # matrix is the graph's pattern with new values
+    # at the cap 2 every shifted diagonal entry is 2 * 1 - 2 = 0, and the
+    # operator holds its weights scaled for the step: so every step is one
+    # CSR product over the graph's pattern, and assembled() makes nothing
     g = random_connected_graph(500, seed=1)
     for variant in ("normalized", "random_walk"):
-        R = laplacian(g, variant)._step_matrix()
-        assert R.indices is g.indices and R.indptr is g.offsets
-        assert not np.shares_memory(R.data, g.weights)
+        L = laplacian(g, variant)
+        outside = L._step
+        with L.assembled():
+            assert L._step is outside
+        weights, post = outside
+        assert post is None and L._step_terms.data.size == 0
+        assert weights.indices is g.indices and weights.indptr is g.offsets
+        assert not np.shares_memory(weights.data, g.weights)
 
 
 @pytest.mark.parametrize("variant, make, most", [
-    ("unnormalized", lambda: grid_graph(300, 300), 8.5),
-    ("normalized", lambda: random_connected_graph(10 ** 5, seed=0), 6.0),
+    ("unnormalized", lambda: grid_graph(300, 300), 4.1),
+    ("normalized", lambda: random_connected_graph(10 ** 5, seed=0), 0.05),
 ])
-def test_step_matrix_build_peak_in_signal_vectors(variant, make, most):
-    # the values are scaled in place, and no index array is copied; the
-    # build peaked at 9.5 vectors on both graphs with int64 graph indices
-    # (8.06 and 5.38 measured)
+def test_opening_assembled_peak_in_signal_vectors(variant, make, most):
+    # the unnormalized context makes one scaled copy of the graph's
+    # weights and copies no index (4.0 vectors on a degree-4 grid); the
+    # normalized operator holds its weights so scaled and makes nothing
     g = make()
     L = laplacian(g, variant)
     L._step_terms
     tracemalloc.start()
     try:
-        R = L._step_matrix()
-        peak = tracemalloc.get_traced_memory()[1]
+        with L.assembled():
+            peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert R.shape == (g.n, g.n)
     assert peak <= most * 8 * g.n
 
 
 def test_zero_copy_step_is_the_assembled_step_on_a_unit_weight_grid():
     # both add the same terms in the same order: -prev, then d_i x_i on the
     # boundary rows, the only nonzero shifted diagonal entries at the cap
-    # 8, then each neighbour's w (-c x_j), with w = 1
+    # 8, then each neighbour's w (-c x_j), with w = 1, against (-c w) x_j
+    # inside the context
     L = laplacian(grid_graph(30, 40))
-    assert _held_diagonal(L)[0] == "sparse"
+    assert np.array_equal(L._step_terms.row, np.flatnonzero(L.degrees != 4))
     rng = np.random.default_rng(4)
     x, prev = rng.standard_normal((2, L.n))
     lean = L.matvec(x, prev=prev, step=True)
@@ -355,16 +413,17 @@ def test_zero_copy_step_is_the_assembled_step_on_a_unit_weight_grid():
 
 @pytest.mark.parametrize("variant", ["normalized", "random_walk"])
 def test_zero_copy_step_is_the_assembled_step_at_the_cap_2(variant):
-    # the operator's weights are scaled once, when it is built; at the cap 2
-    # the shifted diagonal is 0 and post is -2, which scales exactly, so the
-    # zero-copy step adds each neighbour's w (-2 x_j) in the step matrix's
-    # order, on a weighted graph too
+    # the operator's weights are scaled for the step once, when it is
+    # built: at the cap 2 they are -2 times the off-diagonal and the shifted
+    # diagonal is 0, so every step is the same one CSR product, in the
+    # context and out of it, on a weighted graph too
     g = random_connected_graph(500, seed=1)
     assert np.unique(g.weights).size > 1
     L = laplacian(g, variant)
-    assert L.lambda_ub == 2.0 and _held_diagonal(L)[1].size == 0
+    assert L.lambda_ub == 2.0 and L._step_terms.data.size == 0
     A = csr_array((L._adjacency.data, g.indices, g.offsets), shape=(g.n, g.n))
-    assert _close(A.toarray(), np.eye(g.n) - _dense_laplacian(g, variant))
+    assert _close(A.toarray(),
+                  -2.0 * (np.eye(g.n) - _dense_laplacian(g, variant)))
     pou = gsdenoise.PartitionOfUnity.for_operator(L)
     rng = np.random.default_rng(8)
     x, prev = rng.standard_normal((2, g.n))
@@ -381,48 +440,32 @@ def test_zero_copy_step_is_the_assembled_step_at_the_cap_2(variant):
             assert got.tobytes() == want.tobytes()
 
 
-def _held_diagonal(L):
-    """The form in which L's step holds its shifted diagonal, and the rows
-    and values of its nonzero entries."""
-    diag = L._step_terms[0]
-    if isinstance(diag, tuple):
-        return ("sparse", *diag)
-    rows = np.flatnonzero(diag)
-    return "dense", rows, diag[rows]
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("slack", [0.0, 0.5])
 def test_product_writes_over_its_own_inputs(variant, slack):
     # the plain product and the step into a new array, one apart from the
-    # inputs, x and prev, for each form of the shifted diagonal: on the
-    # random graph dense under its own bound (unnormalized) or none at the
-    # cap 2; on a unit-weight grid at its Gershgorin cap, its boundary
-    # entries alone (unnormalized); nonzero everywhere above them, for the
-    # normalized variants a view of one scalar. post is a scalar always.
+    # inputs, x and prev, for each count of nonzero shifted diagonal
+    # entries: on the random graph every node's under its own bound
+    # (unnormalized), none at the cap 2; on a unit-weight grid at its
+    # Gershgorin cap, its boundary nodes' alone (unnormalized); every
+    # node's above them
     for g, cap in ((random_connected_graph(73, seed=1), False),
                    (grid_graph(30, 40), True)):
         ub = (spectral_cap(g, variant) if cap
               else laplacian(g, variant).lambda_ub) + slack
         L = laplacian(g, variant, lambda_ub=ub)
-        assert np.ndim(L._terms[1]) == np.ndim(L._step_terms[1]) == 0
-        form, rows, vals = _held_diagonal(L)
-        if variant != "unnormalized" and slack:
-            assert form == "dense" and rows.size == g.n
-            assert L._step_terms[0].strides == (0,)
-        elif variant != "unnormalized":
-            assert form == "sparse" and rows.size == 0
+        # the step holds exactly the nonzero entries of its shifted diagonal
+        diag = L.degrees if variant == "unnormalized" else np.ones(g.n)
+        shifted = 4.0 / ub * diag - 2.0
+        d = L._step_terms
+        assert np.array_equal(d.row, np.flatnonzero(shifted))
+        assert d.data.tobytes() == shifted[d.row].tobytes()
+        if variant != "unnormalized" and not slack:
+            assert d.data.size == 0
         elif cap and not slack:
-            assert form == "sparse"
-            assert 0 < graph.SPARSE_DIAG * rows.size <= g.n
+            assert np.array_equal(d.row, np.flatnonzero(L.degrees != 4))
         else:
-            assert form == "dense" and rows.size == g.n
-        # the step matrix's diagonal entries are exactly those held
-        R = L._step_matrix()
-        at = np.flatnonzero(R.indices == np.repeat(np.arange(g.n),
-                                                   np.diff(R.indptr)))
-        assert np.array_equal(R.indices[at], rows)
-        assert R.data[at].tobytes() == vals.tobytes()
+            assert d.data.size == g.n
         dense = _dense_laplacian(g, variant)
         shifted = 2.0 * ((2.0 / ub) * dense - np.eye(g.n))
         rng = np.random.default_rng(5)

@@ -49,16 +49,26 @@ def test_config_validation_covers_every_field():
         dict(variant="normalized", b=2.5),
         dict(c=0.0),
         dict(K=0),
+        dict(K=True),
+        dict(K=30.0),
+        dict(K=30.5),
         dict(N=0),
+        dict(N=True),
+        dict(N=2.5),
+        dict(N=np.float64(3.0)),
         dict(distribution="uniform"),
         dict(beta=0.5),
         dict(sigma=-1.0),
         dict(sigma=np.inf),
     ]
     for kwargs in bad:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             PipelineConfig(**kwargs).validate()
     PipelineConfig().validate()
+    with pytest.raises(ValueError, match=r"^K must be an integer, got True$"):
+        PipelineConfig(K=True).validate()
+    # numpy integers are integers
+    PipelineConfig(K=np.int64(30), N=np.int32(2)).validate()
 
 
 def test_config_validation_raises_where_its_modules_do():
@@ -72,8 +82,9 @@ def test_config_validation_raises_where_its_modules_do():
         (dict(variant="normalized", b=2.5),
          lambda: PartitionOfUnity.for_operator(L, b=2.5)),
         (dict(c=0.0), lambda: PartitionOfUnity("linear", 2.0, 1.0, c=0.0)),
-        (dict(N=0), lambda: estimate_diagonal_weights(
-            L, PartitionOfUnity.for_operator(L), N=0)),
+        *((dict(N=N), lambda N=N: estimate_diagonal_weights(
+            L, PartitionOfUnity.for_operator(L), N=N))
+          for N in (0, True, 2.5)),
         (dict(distribution="uniform"),
          lambda: draw_probe(9, "uniform", 0, 0)),
         (dict(beta=0.5), lambda: ThresholdPolicy(0.5, [0.0])),
@@ -360,7 +371,7 @@ def test_pipeline_peak_memory_in_signal_vectors():
     # a cold request peaks in apply: coefficients, weights, thresholded
     # values, derivatives and a block's magnitudes and masks (22.3 vectors
     # measured, J = 4; 17.3 with the operator and weights passed in). The
-    # synthesis's step matrix is built after the coefficients and
+    # synthesis's scaled weights are made after the coefficients and
     # derivatives are freed.
     config = PipelineConfig(N=2, sigma=1.0)
     # warms the caches: the 30x30 grid has the same bound, 8, as 300x300

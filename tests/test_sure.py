@@ -112,7 +112,7 @@ def test_assembled_weights_match_zero_copy_steps(variant):
 def test_weights_are_the_mean_of_squared_probe_analyses(variant):
     # the estimate writes each probe's transform over one ring and one set
     # of outputs; the reference runs each probe's analysis afresh, on the
-    # same step matrix
+    # same scaled weights
     _, L, pou = _setup(60, seed=3, variant=variant)
     K, N = 30, 3
     theta = band_coefficients(L, pou, K=K)
@@ -126,13 +126,14 @@ def test_weights_are_the_mean_of_squared_probe_analyses(variant):
 
 
 def test_weights_peak_memory_in_signal_vectors():
-    # N probes on a 6.5-vector step matrix: the sum of squares, a probe's
-    # J + 1 outputs, a ring of 4 and the probe itself (21.7 measured)
+    # N probes on the step's 4-vector scaled weights: the sum of squares, a
+    # probe's J + 1 outputs, a ring of 4 and the probe itself
     small = laplacian(grid_graph(3, 3))  # loads the kernel
     estimate_diagonal_weights(small, PartitionOfUnity.for_operator(small),
                               K=5, N=1)
     g = grid_graph(300, 300)
     L = laplacian(g)  # a fresh operator: nothing assembled, no step cached
+    outside = L._step
     pou = PartitionOfUnity.for_operator(L)
     assert pou.J == 4  # the bound is 8 = 2^3, which four bands cover
     band_coefficients(L, pou, K=100)
@@ -143,8 +144,8 @@ def test_weights_peak_memory_in_signal_vectors():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 8 * g.n
-    # only the estimate is left: the operator dropped its step matrix
-    assert L._assembled is None
+    # only the estimate is left: the operator dropped its scaled weights
+    assert L._step is outside
     assert held <= (pou.J + 1.1) * 8 * g.n and est.N == 2
 
 

@@ -5,14 +5,16 @@ It takes no arguments and writes ``BENCH_steps.json`` beside ``src/``.
 
 For each graph it records, on one BLAS thread:
 
-- ``zero_copy_step_ms``: one ``L.matvec(x, out=..., prev=..., step=True)``
-  over the graph's own arrays, the step of every forward transform;
-- ``assembled_step_ms``: the same step inside ``L.assembled()``, one CSR
-  product over the step matrix, the step of the weights and the synthesis;
-- ``diagonal_form``: how the step holds its shifted diagonal, ``sparse``
-  (by its nonzero entries, none for the normalized variants at the cap 2)
-  or ``dense`` (an n-vector), and ``diagonal_entries``, its nonzero count;
-- ``build_ms``: one build of that step matrix (``L._step_matrix()``);
+- ``zero_copy_step_ms``: one ``L.matvec(x, out=..., prev=..., step=True)``,
+  the step of every forward transform;
+- ``assembled_step_ms``: the same step inside ``L.assembled()``, the step of
+  the weights and the synthesis, where the unnormalized variant reads its
+  weights scaled for the step and no longer scales x;
+- ``diagonal_entries``: the nonzero entries of the step's shifted diagonal,
+  which the COO kernel adds; none for the normalized variants at the cap 2;
+- ``build_ms``: one opening of ``L.assembled()``, which copies the graph's
+  weights scaled for the step for the unnormalized variant and makes
+  nothing for the others;
 - ``forward_ms`` and ``inverse_ms``: one bare ``sgwt_forward_fast`` and
   ``sgwt_inverse_fast`` at K = 100, both on the zero-copy step;
 - ``graph_bytes``: the bytes of the graph's offsets, indices and weights.
@@ -46,8 +48,8 @@ STEPS = 100
 K = 100
 # (name, graph, variant, lambda_ub); a bound of None is estimated. The grid
 # at 8.08, 1% above its Gershgorin cap, has no zero on its shifted diagonal,
-# so its step takes the dense form, where the grids at the cap hold only
-# their boundary nodes' entries.
+# so its step adds every node's entry, where the grids at the cap add only
+# their boundary nodes'.
 GRAPHS = (
     ("grid 300x300", lambda: gd.grid_graph(300, 300), "unnormalized", None),
     ("grid 500x500", lambda: gd.grid_graph(500, 500), "unnormalized", None),
@@ -81,18 +83,15 @@ def steps(L, x, prev, out):
     return run
 
 
-def diagonal_form(L):
-    """How L's step holds its shifted diagonal, and its nonzero count."""
-    diag = L._step_terms[0]
-    if isinstance(diag, tuple):
-        return "sparse", int(diag[0].size)
-    return "dense", int(np.count_nonzero(diag))
+def open_assembled(L):
+    """Open L.assembled() and close it again."""
+    with L.assembled():
+        pass
 
 
 def measure(name, make, variant, lambda_ub):
     g = make()
     L = gd.laplacian(g, variant, lambda_ub)
-    form, entries = diagonal_form(L)
     pou = gd.PartitionOfUnity.for_operator(L)
     rng = np.random.default_rng(0)
     x, prev = rng.standard_normal((2, g.n))
@@ -100,7 +99,7 @@ def measure(name, make, variant, lambda_ub):
     zero_copy = median_ms(steps(L, x, prev, out)) / STEPS
     with L.assembled():
         assembled = median_ms(steps(L, x, prev, out)) / STEPS
-    build = median_ms(L._step_matrix)
+    build = median_ms(lambda: open_assembled(L))
     coeffs = gd.sgwt_forward_fast(L, x, pou, K=K)
     forward = median_ms(lambda: gd.sgwt_forward_fast(L, x, pou, K=K))
     inverse = median_ms(lambda: gd.sgwt_inverse_fast(L, coeffs, pou, K=K))
@@ -108,7 +107,7 @@ def measure(name, make, variant, lambda_ub):
         "graph": name, "variant": variant, "n": g.n,
         "stored_entries": int(g.indices.size),
         "index_dtype": str(g.indices.dtype), "lambda_ub": L.lambda_ub,
-        "J": pou.J, "diagonal_form": form, "diagonal_entries": entries,
+        "J": pou.J, "diagonal_entries": int(L._step_terms.data.size),
         "graph_bytes": int(g.offsets.nbytes + g.indices.nbytes
                            + g.weights.nbytes),
         "zero_copy_step_ms": zero_copy, "assembled_step_ms": assembled,
