@@ -3,9 +3,10 @@
 One call wires the whole chain together: build the Laplacian and frame,
 estimate (or reuse) the Monte-Carlo SURE weights, push the noisy signal
 through the fast forward transform, pick per-scale thresholds minimizing
-SURE, shrink, and synthesize. The noise scale sigma is a required input,
-published by whatever mechanism produced the noise; nothing here tries to
-estimate it.
+SURE (the selection reports the SURE it attained, which is evaluated
+nowhere else), shrink, and synthesize through the frame's canonical dual.
+The noise scale sigma is a required input, published by whatever
+mechanism produced the noise; nothing here tries to estimate it.
 
 Weight reuse is guarded by a fingerprint of everything the estimate
 depends on (graph content hash, Laplacian variant, frame parameters, K,
@@ -19,13 +20,15 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
 from .frame import POU_KINDS, PartitionOfUnity, require_base, require_window
 from .graph import VARIANTS, laplacian
 from .signals import (as_signal, require_choice, require_count,
                       require_finite, require_positive)
 from .sure import (DISTRIBUTIONS, WEIGHT_FINGERPRINT,
-                   estimate_diagonal_weights, require_probes, sure_value)
+                   estimate_diagonal_weights, require_probes, require_seed)
 from .threshold import apply_policy, require_beta, select_thresholds_sure
 
 
@@ -62,12 +65,17 @@ class PipelineConfig:
 
     def validate(self):
         """Check every field up front, by the checks of the modules that
-        own them; K alone is checked here, as the transforms take K = 0."""
+        own them; K and jackson alone are checked here, as the transforms
+        take K = 0 and read jackson as a truth value. A numpy bool is a
+        bool."""
         require_choice("variant", self.variant, VARIANTS)
         require_window(self.kind, self.b, self.c)
         require_base(self.variant, self.b)
         require_count("K", self.K)
+        if not isinstance(self.jackson, (bool, np.bool_)):
+            raise ValueError(f"jackson must be a bool, got {self.jackson!r}")
         require_probes(self.N, self.distribution)
+        require_seed(self.seed)
         require_beta(self.beta)
         if self.sigma is not None:
             require_positive("sigma", self.sigma)
@@ -117,7 +125,8 @@ def timed(timings, stage, matvecs=None, L=None):
 def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
     """Denoise a signal; returns (estimate, report).
 
-    The report carries the per-scale thresholds, the attained SURE value,
+    The report carries the per-scale thresholds, the SURE value they
+    attain (the selection's minimum),
     per-stage wall times in ms, the Laplacian matvecs of the `weights`,
     `forward` and `inverse` stages (`matvecs`: N K, K and K + 1, with 0 for
     reused weights), the cache disposition (`hit`, `miss`, or
@@ -188,19 +197,19 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
         coeffs = sgwt_forward_fast(L, noisy, pou, K=config.K,
                                    jackson=config.jackson)
 
+    # the selection's minimum is the reported SURE: no derivative array
+    # is made
     with timed(timings, "select"):
-        policy = select_thresholds_sure(coeffs, weights.diag, config.sigma,
-                                        beta=config.beta)
+        policy, sure = select_thresholds_sure(coeffs, weights.diag,
+                                              config.sigma, beta=config.beta)
 
     with timed(timings, "apply"):
-        thresholded, derivs = apply_policy(coeffs, policy)
-        sure = sure_value(coeffs, thresholded, derivs, config.sigma,
-                          weights.diag)
+        thresholded = apply_policy(coeffs, policy)
 
     # freed first, so that the scaled weights take their place: the
     # synthesis's K + 1 steps, on the operator's own interval, then run on
     # them below the peak of the stages above
-    del coeffs, derivs
+    del coeffs
     with timed(timings, "inverse", matvecs, L), L.assembled():
         estimate = sgwt_inverse_fast(L, thresholded, pou, K=config.K,
                                      jackson=config.jackson)

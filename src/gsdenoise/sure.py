@@ -10,6 +10,7 @@ probes at every sample size. Exact small-graph oracles for the weights and
 for both closed-form variance expressions live here too.
 """
 
+import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -39,6 +40,14 @@ def require_probes(N, dist):
     require_choice("distribution", dist, DISTRIBUTIONS)
 
 
+def require_seed(seed):
+    """Refuse a probe seed that is not a nonnegative integer. A bool is not
+    a seed; numpy integers are."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def draw_probe(n, dist, seed, k):
     """Probe vector number k, counter-based so draws are order-independent.
 
@@ -46,6 +55,7 @@ def draw_probe(n, dist, seed, k):
     5 or 50 and runs can be extended or parallelized deterministically.
     """
     require_choice("distribution", dist, DISTRIBUTIONS)
+    require_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
     if dist == "rademacher":
         return 2.0 * rng.integers(0, 2, size=n).astype(np.float64) - 1.0
@@ -130,8 +140,12 @@ def sure_value(coeffs, thresholded, derivs, sigma, weights_diag):
 
     -n sigma^2 + ||h(F) - F||^2 + 2 sigma^2 sum_i gamma2_ii d_i h_i(F),
     where n is the node count (not the coefficient count), from the
-    coefficients F and h(F), both FrameCoefficients. The residual is
+    coefficients F and h(F), both FrameCoefficients, and the derivatives
+    d_i h_i(F) (``threshold.js_derivative`` per scale). The residual is
     summed one scale block at a time, into one signal-sized buffer.
+
+    The reference for the SURE that ``select_thresholds_sure`` returns
+    from the objectives it minimised, which a request reports instead.
     """
     require_positive("sigma", sigma)
     vals = coeffs.values

@@ -5,7 +5,9 @@ from soft thresholding (beta = 1) toward hard thresholding as beta grows;
 beta is capped at 100. Thresholds are chosen per scale by minimizing the
 scale's additive SURE contribution over observed magnitudes, where SURE
 restricted to this family has its kinks: the percentiles 0, 1, ..., 100 of
-the absolute coefficients, every magnitude of a block of up to 101.
+the absolute coefficients, every magnitude of a block of up to 101. The
+selection returns the SURE it minimised along with the thresholds, so a
+request evaluates SURE once and never holds the shrinkage's derivatives.
 
 Selection costs one sort per scale plus a few linear passes: with the
 block sorted by magnitude, the percentile candidates are read off at their
@@ -31,11 +33,11 @@ def require_beta(beta):
         raise ValueError(f"beta must lie in [1, {BETA_MAX}], got {beta}")
 
 
-def _shrink(x, t, beta, out, slope):
-    """Write tau(x, t) into out and its derivative (see js_derivative) into
-    slope, from one (t / |x|)^beta held in out: 0 where x = 0, and capped
-    at 2^beta, since ratios above 1 only feed a factor clamped to 0. |x|
-    and the masks are the only temporaries."""
+def _shrink(x, t, beta, out, slope=None):
+    """Write tau(x, t) into out and, given slope, its derivative (see
+    js_derivative) into slope, from one (t / |x|)^beta held in out: 0 where
+    x = 0, and capped at 2^beta, since ratios above 1 only feed a factor
+    clamped to 0. |x| and the masks are the only temporaries."""
     absx = np.abs(x)
     out.fill(0.0)
     if t != 0:
@@ -43,11 +45,12 @@ def _shrink(x, t, beta, out, slope):
             np.divide(t, absx, out=out, where=absx > 0)
             np.minimum(out, 2.0, out=out)
             out **= beta
-    np.multiply(out, beta - 1.0, out=slope)
-    slope += 1.0
-    np.copyto(slope, 0.0, where=~(absx > t))
-    if t > 0:
-        np.copyto(slope, beta, where=absx == t)
+    if slope is not None:
+        np.multiply(out, beta - 1.0, out=slope)
+        slope += 1.0
+        np.copyto(slope, 0.0, where=~(absx > t))
+        if t > 0:
+            np.copyto(slope, beta, where=absx == t)
     np.subtract(1.0, out, out=out)
     np.maximum(out, 0.0, out=out)
     out *= x
@@ -210,11 +213,14 @@ def _scale_objectives(a, w, sigma, t, beta):
 
 def select_thresholds_sure(coeffs, weights, sigma, beta=2.0):
     """Level-dependent thresholds minimizing SURE scale by scale, given the
-    Gram diagonal weights, one per coefficient.
+    Gram diagonal weights, one per coefficient; returns (policy, sure).
 
     Coordinate-wise SURE is additive over coefficients, so each scale's
     threshold decouples and is found on its own candidate grid; ties break
-    toward the smallest candidate.
+    toward the smallest candidate. sure is the SURE attained at the chosen
+    thresholds, -n sigma^2 plus each scale's minimum objective: the value
+    ``sure.sure_value`` gives for the policy's shrinkage, without a second
+    pass over the coefficients.
     """
     require_beta(beta)
     require_positive("sigma", sigma)
@@ -223,29 +229,27 @@ def select_thresholds_sure(coeffs, weights, sigma, beta=2.0):
         raise ValueError("weights length does not match coefficients")
     require_weights(wdiag)
     thresholds = np.empty(coeffs.J + 1)
+    sure = -coeffs.n * sigma ** 2
     for j in range(coeffs.J + 1):
         a, wj = _by_magnitude(coeffs.block(j),
                               wdiag[j * coeffs.n:(j + 1) * coeffs.n])
         grid = _grid(a)
         objs = _scale_objectives(a, wj, sigma, grid, beta)
-        thresholds[j] = grid[int(np.argmin(objs))]
-    return ThresholdPolicy(beta, thresholds)
+        best = int(np.argmin(objs))
+        thresholds[j] = grid[best]
+        sure += float(objs[best])
+    return ThresholdPolicy(beta, thresholds), sure
 
 
 def apply_policy(coeffs, policy):
-    """Threshold every scale; returns the new coefficients and derivatives.
-
-    The derivatives are what the SURE divergence term needs, evaluated at
-    the input coefficients. Both are written into their output slices from
-    one ratio power per scale.
-    """
+    """Threshold every scale; returns the new coefficients, written into
+    their output slices from one ratio power per scale."""
     if policy.thresholds.shape != (coeffs.J + 1,):
         raise ValueError(f"policy has {policy.thresholds.size} thresholds "
                          f"for {coeffs.J + 1} scales")
     out = np.empty_like(coeffs.values)
-    derivs = np.empty_like(coeffs.values)
     for j in range(coeffs.J + 1):
         sl = slice(j * coeffs.n, (j + 1) * coeffs.n)
         _shrink(coeffs.values[sl], policy.thresholds[j], policy.beta,
-                out[sl], derivs[sl])
-    return FrameCoefficients(out, coeffs.n, coeffs.J), derivs
+                out[sl])
+    return FrameCoefficients(out, coeffs.n, coeffs.J)

@@ -6,6 +6,7 @@ import numpy as np
 
 from gsdenoise.frame import exact_eigendecomposition, sgwt_forward_exact
 from gsdenoise.sure import draw_probe
+from gsdenoise.threshold import apply_policy, js_derivative
 
 
 @functools.lru_cache(maxsize=4)
@@ -28,3 +29,14 @@ def exact_probe_weights(L, pou, N=10, dist="rademacher", seed=0):
                                eig=eig).values
         acc += np.square(w, out=w)
     return acc / N
+
+
+def shrink_with_derivatives(coeffs, policy):
+    """(apply_policy(coeffs, policy), the derivative of each coefficient's
+    shrinkage), the inputs of sure_value. The derivatives come from
+    js_derivative scale by scale, through the same shrinkage routine as
+    the thresholded values, so they are bitwise the slopes at those
+    values."""
+    derivs = np.concatenate([js_derivative(coeffs.block(j), t, policy.beta)
+                             for j, t in enumerate(policy.thresholds)])
+    return apply_policy(coeffs, policy), derivs

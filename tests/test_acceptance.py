@@ -24,9 +24,9 @@ from gsdenoise.signals import SignalSpec, snr, synth_signal
 from gsdenoise.sure import (draw_probe, estimate_diagonal_weights,
                             exact_weights, gamma_variance_exact, sure_value,
                             sure_variance_exact)
-from gsdenoise.threshold import (ThresholdPolicy, apply_policy, js_derivative,
-                                 js_threshold, select_thresholds_sure)
-from oracles import exact_probe_weights
+from gsdenoise.threshold import (ThresholdPolicy, js_derivative, js_threshold,
+                                 select_thresholds_sure)
+from oracles import exact_probe_weights, shrink_with_derivatives
 
 
 @pytest.mark.acceptance(1, "privacy noise scale golden values")
@@ -181,13 +181,13 @@ def test_sure_statistics():
 
     # identity map: the risk estimate collapses to n sigma^2 exactly
     ident = ThresholdPolicy(2.0, np.zeros(pou.J + 1))
-    same, derivs = apply_policy(coeffs, ident)
+    same, derivs = shrink_with_derivatives(coeffs, ident)
     val = sure_value(coeffs, same, derivs, sigma, gamma)
     assert val == pytest.approx(L.n * sigma ** 2, rel=1e-12)
 
     # plug-in estimate is conditionally unbiased over the probe seed
-    policy = select_thresholds_sure(coeffs, gamma, sigma)
-    thr, derivs = apply_policy(coeffs, policy)
+    policy, _ = select_thresholds_sure(coeffs, gamma, sigma)
+    thr, derivs = shrink_with_derivatives(coeffs, policy)
     target = sure_value(coeffs, thr, derivs, sigma, gamma)
     vals = np.array([
         sure_value(coeffs, thr, derivs, sigma,
@@ -201,7 +201,8 @@ def test_sure_statistics():
     gam10 = np.diag(exact_weights(W10))
     noisy10 = 2.0 * np.random.default_rng(3).standard_normal(L10.n)
     c10 = sgwt_forward_exact(L10, noisy10, pou10)
-    thr10, der10 = apply_policy(c10, select_thresholds_sure(c10, gam10, sigma))
+    thr10, der10 = shrink_with_derivatives(
+        c10, select_thresholds_sure(c10, gam10, sigma)[0])
     oracle = sure_variance_exact(W10, der10, sigma, "rademacher", 3)
     vals = np.array([
         sure_value(c10, thr10, der10, sigma,
@@ -216,7 +217,7 @@ def test_sure_statistics():
     for r in range(len(diffs)):
         z = np.random.default_rng(50000 + r).standard_normal(L.n)
         fn = sgwt_forward_exact(L, f + sigma * z, pou, eig=eig)
-        h, d = apply_policy(fn, policy)
+        h, d = shrink_with_derivatives(fn, policy)
         loss = float(np.sum((h.values - clean) ** 2))
         diffs[r] = sure_value(fn, h, d, sigma, gamma) - loss
     se = diffs.std(ddof=1) / np.sqrt(len(diffs))
@@ -250,8 +251,8 @@ def test_thresholding_rules():
     coeffs = FrameCoefficients(vals, 5, 2)
     wdiag = rng.random(15) + 0.5
     sigma = 0.8
-    policy = select_thresholds_sure(coeffs, wdiag, sigma)
-    thr, derivs = apply_policy(coeffs, policy)
+    policy, _ = select_thresholds_sure(coeffs, wdiag, sigma)
+    thr, derivs = shrink_with_derivatives(coeffs, policy)
     chosen = sure_value(coeffs, thr, derivs, sigma, wdiag)
     for j in range(3):
         block = np.abs(coeffs.block(j))
@@ -259,7 +260,8 @@ def test_thresholding_rules():
         for tcand in np.concatenate([[0.0], block, [np.inf]]):
             cand = policy.thresholds.copy()
             cand[j] = tcand
-            ht, dt = apply_policy(coeffs, ThresholdPolicy(2.0, cand))
+            ht, dt = shrink_with_derivatives(coeffs,
+                                             ThresholdPolicy(2.0, cand))
             best = min(best, sure_value(coeffs, ht, dt, sigma, wdiag))
         assert chosen == pytest.approx(best, rel=1e-12)
     assert time.perf_counter() - start < 10.0

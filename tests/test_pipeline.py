@@ -30,9 +30,9 @@ from gsdenoise.signals import SignalSpec, read_signal, snr, synth_signal, \
     write_signal
 from gsdenoise.sure import DISTRIBUTIONS, draw_probe, \
     estimate_diagonal_weights, load_weights, save_weights, sure_value
-from gsdenoise.threshold import (ThresholdPolicy, apply_policy,
-                                 js_derivative, js_threshold,
-                                 select_thresholds_sure)
+from gsdenoise.threshold import (ThresholdPolicy, js_derivative,
+                                 js_threshold, select_thresholds_sure)
+from oracles import shrink_with_derivatives
 
 
 def _graph_and_signal(n=120, seed=3):
@@ -60,6 +60,13 @@ def test_config_validation_covers_every_field():
         dict(beta=0.5),
         dict(sigma=-1.0),
         dict(sigma=np.inf),
+        dict(jackson="no"),
+        dict(jackson=2),
+        dict(jackson=1),
+        dict(seed=True),
+        dict(seed=-1),
+        dict(seed=1.5),
+        dict(seed=np.float64(1.0)),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -67,8 +74,16 @@ def test_config_validation_covers_every_field():
     PipelineConfig().validate()
     with pytest.raises(ValueError, match=r"^K must be an integer, got True$"):
         PipelineConfig(K=True).validate()
-    # numpy integers are integers
-    PipelineConfig(K=np.int64(30), N=np.int32(2)).validate()
+    with pytest.raises(ValueError,
+                       match=r"^jackson must be a bool, got 'no'$"):
+        PipelineConfig(jackson="no").validate()
+    with pytest.raises(ValueError, match=r"^seed must be a nonnegative "
+                                         r"integer, got True$"):
+        PipelineConfig(seed=True).validate()
+    # numpy integers are integers, and numpy bools are bools
+    PipelineConfig(K=np.int64(30), N=np.int32(2), seed=np.int64(3),
+                   jackson=np.bool_(False)).validate()
+    PipelineConfig(seed=0, jackson=False).validate()
 
 
 def test_config_validation_raises_where_its_modules_do():
@@ -85,6 +100,9 @@ def test_config_validation_raises_where_its_modules_do():
         *((dict(N=N), lambda N=N: estimate_diagonal_weights(
             L, PartitionOfUnity.for_operator(L), N=N))
           for N in (0, True, 2.5)),
+        *((dict(seed=seed), lambda seed=seed: estimate_diagonal_weights(
+            L, PartitionOfUnity.for_operator(L), seed=seed))
+          for seed in (True, -1, 1.5)),
         (dict(distribution="uniform"),
          lambda: draw_probe(9, "uniform", 0, 0)),
         (dict(beta=0.5), lambda: ThresholdPolicy(0.5, [0.0])),
@@ -321,6 +339,29 @@ def test_denoising_gains_at_matched_noise():
                                          "select", "apply", "inverse"}
 
 
+@pytest.mark.parametrize("target_db", [30.0, 40.0])
+def test_output_snr_not_below_input_at_high_snr(target_db):
+    # criterion 7's graph and recipe at an input SNR above the adjoint's
+    # round trip (28.3 dB): synthesis through the dual does not lose
+    # signal (30.40 and 40.12 dB out), where the adjoint gave 26.10 and
+    # 27.94 dB
+    g = random_geometric_graph(500, seed=0)
+    f = synth_signal(g, SignalSpec(0.01, 4, seed=0))
+    L = laplacian(g)
+    est = estimate_diagonal_weights(L, PartitionOfUnity.for_operator(L),
+                                    N=PipelineConfig.N, seed=0,
+                                    graph_hash=g.content_hash())
+    sigma = np.linalg.norm(f) / (np.sqrt(g.n) * 10 ** (target_db / 20))
+    snr_in, snr_out = [], []
+    for seed in range(5):
+        noisy = f + sigma * np.random.default_rng(seed).standard_normal(g.n)
+        fhat, _ = denoise_pipeline(g, noisy, PipelineConfig(sigma=sigma),
+                                   weights=est, operator=L)
+        snr_in.append(snr(f, noisy))
+        snr_out.append(snr(f, fhat))
+    assert np.mean(snr_out) >= np.mean(snr_in)
+
+
 def test_report_carries_scale_count_and_bound():
     g, f = _graph_and_signal(50)
     _, report = denoise_pipeline(g, f, PipelineConfig(sigma=0.5))
@@ -361,18 +402,20 @@ def test_reported_sure_is_that_of_a_bare_forward_transform(variant):
     coeffs = sgwt_forward_fast(L, noisy, pou, K=config.K)
     weights = estimate_diagonal_weights(L, pou, K=config.K, N=config.N)
     policy = ThresholdPolicy(config.beta, report["thresholds"])
-    thresholded, derivs = apply_policy(coeffs, policy)
+    thresholded, derivs = shrink_with_derivatives(coeffs, policy)
     sure = sure_value(coeffs, thresholded, derivs, config.sigma,
                       weights.diag)
     assert sure == pytest.approx(report["sure"], rel=1e-12, abs=0)
 
 
 def test_pipeline_peak_memory_in_signal_vectors():
-    # a cold request peaks in apply: coefficients, weights, thresholded
-    # values, derivatives and a block's magnitudes and masks (22.3 vectors
-    # measured, J = 4; 17.3 with the operator and weights passed in). The
-    # synthesis's scaled weights are made after the coefficients and
-    # derivatives are freed.
+    # a cold request peaks in the weight estimate, as the probe transforms'
+    # ring, outputs and running sum turn into the mean (21.0 vectors
+    # measured, J = 4). With the operator and weights passed in it peaks in
+    # the synthesis (12.0): thresholded values, the unnormalized step's
+    # scaled weights, the recurrence's two buffers and the estimate. The
+    # selection reports SURE, so no derivative array is made, and the
+    # coefficients are freed before the synthesis.
     config = PipelineConfig(N=2, sigma=1.0)
     # warms the caches: the 30x30 grid has the same bound, 8, as 300x300
     denoise_pipeline(grid_graph(30, 30), np.ones(900), config)
@@ -393,8 +436,8 @@ def test_pipeline_peak_memory_in_signal_vectors():
                                         N=config.N,
                                         graph_hash=g.content_hash())
     reuse = peak(operator=L, weights=weights)
-    assert cold <= 28
-    assert reuse <= 21
+    assert cold <= 23
+    assert reuse <= 13
 
 
 def _status_mb(field):

@@ -13,7 +13,7 @@ from gsdenoise.frame import FrameCoefficients, PartitionOfUnity
 from gsdenoise.graph import grid_graph, laplacian
 from gsdenoise.privacy import PrivacyParams, calibrate_sigma, sanitize
 from gsdenoise.signals import SignalSpec, synth_signal
-from gsdenoise.sure import estimate_diagonal_weights
+from gsdenoise.sure import estimate_diagonal_weights, sure_value
 from gsdenoise.threshold import (
     ThresholdPolicy,
     _by_magnitude,
@@ -24,6 +24,7 @@ from gsdenoise.threshold import (
     js_threshold,
     select_thresholds_sure,
 )
+from oracles import shrink_with_derivatives
 
 
 def test_hand_values():
@@ -112,7 +113,7 @@ def test_selection_matches_bruteforce_over_all_magnitudes():
     coeffs = FrameCoefficients(rng.standard_normal(n * (J + 1)) * 2, n, J)
     wdiag = rng.uniform(0.2, 1.5, n * (J + 1))
     sigma, beta = 0.8, 2.0
-    policy = select_thresholds_sure(coeffs, wdiag, sigma, beta=beta)
+    policy, _ = select_thresholds_sure(coeffs, wdiag, sigma, beta=beta)
 
     def objective(x, w, t):
         h = js_threshold(x, t, beta)
@@ -245,7 +246,7 @@ def test_grid_thresholds_equal_the_reference_path_bitwise():
         sigma = calibrate_sigma(PrivacyParams(epsilon, 1e-6))
         noisy, sigma = sanitize(f, sigma, seed=100 + i)
         coeffs = sgwt_forward_fast(L, noisy, pou)
-        policy = select_thresholds_sure(coeffs, weights.diag, sigma)
+        policy, _ = select_thresholds_sure(coeffs, weights.diag, sigma)
         want = np.empty(coeffs.J + 1)
         for j in range(coeffs.J + 1):
             x = coeffs.block(j)
@@ -281,12 +282,33 @@ def test_selected_thresholds_are_the_bruteforce_argmin_over_the_grid(beta, n):
     coeffs = FrameCoefficients(vals, n, J)
     wdiag = rng.uniform(0.0, 1.5, n * (J + 1))
     sigma = 0.9
-    policy = select_thresholds_sure(coeffs, wdiag, sigma, beta=beta)
+    policy, _ = select_thresholds_sure(coeffs, wdiag, sigma, beta=beta)
     for j in range(J + 1):
         x, w = coeffs.block(j), wdiag[j * n:(j + 1) * n]
         grid = _grid(np.sort(np.abs(x)))
         objs = [_objective_reference(x, w, sigma, t, beta) for t in grid]
         assert policy.thresholds[j] == grid[int(np.argmin(objs))]
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 5.0, 100.0])
+@pytest.mark.parametrize("n", [7, 100, 500])
+def test_selection_reports_the_sure_of_its_thresholds(beta, n):
+    # the minimum objectives the selection sums are the SURE sure_value
+    # gives at the chosen thresholds, exact zeros and an all-zero scale
+    # included
+    rng = np.random.default_rng(12)
+    J = 3
+    vals = rng.standard_normal(n * (J + 1)) * rng.choice([0.3, 3.0],
+                                                         n * (J + 1))
+    vals[::13] = 0.0
+    vals[:n] = 0.0
+    coeffs = FrameCoefficients(vals, n, J)
+    wdiag = rng.uniform(0.0, 1.5, n * (J + 1))
+    sigma = 0.9
+    policy, sure = select_thresholds_sure(coeffs, wdiag, sigma, beta=beta)
+    want = sure_value(coeffs, *shrink_with_derivatives(coeffs, policy),
+                      sigma, wdiag)
+    assert sure == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_selection_peak_memory_stays_below_apply():
@@ -303,7 +325,7 @@ def test_selection_peak_memory_stays_below_apply():
         finally:
             tracemalloc.stop()
 
-    select_peak, policy = peak(
+    select_peak, (policy, _) = peak(
         lambda: select_thresholds_sure(coeffs, wdiag, 1.0))
     apply_peak, _ = peak(lambda: apply_policy(coeffs, policy))
     assert select_peak <= apply_peak
@@ -326,7 +348,7 @@ def test_selected_threshold_beats_sentinels():
     coeffs = FrameCoefficients(rng.standard_normal(n * (J + 1)), n, J)
     wdiag = np.ones(n * (J + 1))
     sigma = 0.5
-    policy = select_thresholds_sure(coeffs, wdiag, sigma)
+    policy, _ = select_thresholds_sure(coeffs, wdiag, sigma)
 
     def objective(x, w, t):
         h = js_threshold(x, t, policy.beta)
@@ -343,20 +365,22 @@ def test_selected_threshold_beats_sentinels():
 
 def test_all_zero_scale_selects_zero_threshold():
     coeffs = FrameCoefficients(np.zeros(12), 4, 2)
-    policy = select_thresholds_sure(coeffs, np.ones(12), 1.0)
+    policy, _ = select_thresholds_sure(coeffs, np.ones(12), 1.0)
     assert np.array_equal(policy.thresholds, np.zeros(3))
 
 
-def test_apply_policy_returns_coefficients_and_derivatives():
+def test_apply_policy_returns_the_thresholded_coefficients():
     rng = np.random.default_rng(3)
     coeffs = FrameCoefficients(rng.standard_normal(20), 5, 3)
     policy = ThresholdPolicy(2.0, np.array([0.0, 0.5, 1.0, np.inf]))
-    out, derivs = apply_policy(coeffs, policy)
+    out, derivs = shrink_with_derivatives(coeffs, policy)
     assert np.array_equal(out.block(0), coeffs.block(0))  # t=0 passes through
     assert np.array_equal(out.block(3), np.zeros(5))      # t=inf kills all
     assert np.array_equal(derivs[:5], np.ones(5))
     assert np.array_equal(derivs[15:], np.zeros(5))
     assert out.values.shape == coeffs.values.shape
+    for j, t in enumerate(policy.thresholds):
+        assert np.array_equal(out.block(j), js_threshold(coeffs.block(j), t))
 
 
 def test_apply_policy_checks_scale_count():

@@ -102,10 +102,9 @@ def denoise_each(L, pou, config, weights, f, noisy, sigma):
     gain, gap = {}, {}
     with L.assembled():
         for N, est in weights.items():
-            policy = gd.select_thresholds_sure(coeffs, est.diag, sigma,
-                                               beta=config.beta)
-            shrunk, derivs = gd.apply_policy(coeffs, policy)
-            sure = gd.sure_value(coeffs, shrunk, derivs, sigma, est.diag)
+            policy, sure = gd.select_thresholds_sure(coeffs, est.diag, sigma,
+                                                     beta=config.beta)
+            shrunk = gd.apply_policy(coeffs, policy)
             err = shrunk.values - clean
             gap[N] = float(sure / (err @ err) - 1.0)
             fhat = gd.sgwt_inverse_fast(L, shrunk, pou, K=config.K,
