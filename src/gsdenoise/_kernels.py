@@ -1,4 +1,5 @@
-"""The sparse kernels: scipy's compiled CSR and COO matrix-vector products.
+"""The sparse kernels: scipy's compiled CSR and COO matrix-vector products,
+and its in-place CSR row and column scalings.
 
 Every adjacency and Laplacian application ends in the CSR product, so a
 trace of :func:`csr_matvec` times that kernel alone; a Chebyshev step
@@ -123,3 +124,24 @@ def coo_matvec(A, x, out=None):
     _sparsetools_module().coo_matvec(A.data.size, A.row, A.col, A.data, x,
                                      out)
     return out
+
+
+def _scale(kernel, A, v, size):
+    """Multiply A's entries in place by v, checked as x of _checked is,
+    and return A. A's entries must be writeable float64."""
+    _check("the scale", v, size)
+    if A.data.dtype != np.float64 or not A.data.flags.writeable:
+        raise ValueError("A's entries must be writeable float64")
+    getattr(_sparsetools_module(), kernel)(*A.shape, A.indptr, A.indices,
+                                           A.data, v)
+    return A
+
+
+def csr_scale_rows(A, v):
+    """Scale row i of the CSR matrix A by v[i], in place; returns A."""
+    return _scale("csr_scale_rows", A, v, A.shape[0])
+
+
+def csr_scale_columns(A, v):
+    """Scale column j of the CSR matrix A by v[j], in place; returns A."""
+    return _scale("csr_scale_columns", A, v, A.shape[1])

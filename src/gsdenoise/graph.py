@@ -32,14 +32,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import COO, CSR, coo_matvec, csr_matvec
+from ._kernels import (COO, CSR, coo_matvec, csr_matvec, csr_scale_columns,
+                       csr_scale_rows)
 from .signals import as_signal, dot, require_choice, require_positive
 
 VARIANTS = ("unnormalized", "normalized", "random_walk")
 DENSE_CAP = 5000  # the most nodes a dense n x n copy is made for
 BOUND_MARGIN = 0.01  # Lanczos's bound is its top Ritz value times 1.01
 INT32_BOUND = 2 ** 31  # index arrays are int32 while n + nnz stays below
-ROW_SLAB = 4096  # rows scaled at a time while an operator's weights are made
 
 
 @dataclass(eq=False)
@@ -574,15 +574,12 @@ class LaplacianOperator:
         post = -4.0 / self.lambda_ub
         if self.variant != "unnormalized":
             inv = 1.0 / (np.sqrt(deg) if self.variant == "normalized" else deg)
-            weights, ptr = g.weights.copy(), g.offsets
-            for r in range(0, g.n, ROW_SLAB):  # no temporary is signal-sized
-                part = slice(ptr[r], ptr[min(r + ROW_SLAB, g.n)])
-                weights[part] *= np.repeat(inv[r:r + ROW_SLAB],
-                                           np.diff(ptr[r:r + ROW_SLAB + 1]))
-                if self.variant == "normalized":
-                    weights[part] *= inv[g.indices[part]]
+            weights = g.weights.copy()  # scaled in place from here on
+            self._adjacency = csr_scale_rows(
+                self._adjacency._replace(data=weights), inv)
+            if self.variant == "normalized":
+                csr_scale_columns(self._adjacency, inv)
             weights *= post
-            self._adjacency = self._adjacency._replace(data=weights)
             # the plain product undoes the step's scale, the step takes none
             self._post, post = self.lambda_ub / 4.0, None
         # the step's weights, and the scale of x it takes, None for none
@@ -604,10 +601,19 @@ class LaplacianOperator:
         node's under a Lanczos bound on an irregular graph. The rows take
         the graph's index dtype, and where every entry is nonzero the
         diagonal is held as made: with int32 indices the record then holds
-        1.5 signal vectors, and its making peaks at 2.5."""
+        1.5 signal vectors, and its making peaks at 2.5. An entry above 2,
+        a bound below the largest diagonal entry of L, is refused here, at
+        the first step; the plain product never reads the bound."""
         n = self.n
-        diag = self.degrees if self.variant == "unnormalized" else 1.0
-        diag = np.broadcast_to(4.0 / self.lambda_ub * diag - 2.0, (n,))
+        top = self.degrees if self.variant == "unnormalized" else 1.0
+        diag = np.broadcast_to(4.0 / self.lambda_ub * top - 2.0, (n,))
+        if diag.max() > 2.0:
+            # each L_ii = e_i' L e_i is a Rayleigh quotient, so the bound is
+            # below lambda_max and the recurrence would grow geometrically
+            raise ValueError(f"lambda_ub {self.lambda_ub!r} is below the "
+                             "largest diagonal entry of L, "
+                             f"{float(np.max(top))!r}, so below its largest "
+                             "eigenvalue")
         rows = np.flatnonzero(diag).astype(self.graph.indices.dtype)
         diag = diag[rows] if rows.size < n else np.ascontiguousarray(diag)
         return COO(diag, rows, rows, (n, n))

@@ -20,13 +20,11 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .chebyshev import sgwt_forward_fast, sgwt_inverse_fast
 from .frame import POU_KINDS, PartitionOfUnity, require_base, require_window
 from .graph import VARIANTS, laplacian
 from .signals import (as_signal, require_choice, require_count,
-                      require_finite, require_positive)
+                      require_finite, require_flag, require_positive)
 from .sure import (DISTRIBUTIONS, WEIGHT_FINGERPRINT,
                    estimate_diagonal_weights, require_probes, require_seed)
 from .threshold import apply_policy, require_beta, select_thresholds_sure
@@ -65,15 +63,14 @@ class PipelineConfig:
 
     def validate(self):
         """Check every field up front, by the checks of the modules that
-        own them; K and jackson alone are checked here, as the transforms
-        take K = 0 and read jackson as a truth value. A numpy bool is a
-        bool."""
+        own them; K alone is checked here, as the transforms take K = 0.
+        jackson goes through the weight estimate's check, as the transforms
+        read it as a truth value."""
         require_choice("variant", self.variant, VARIANTS)
         require_window(self.kind, self.b, self.c)
         require_base(self.variant, self.b)
         require_count("K", self.K)
-        if not isinstance(self.jackson, (bool, np.bool_)):
-            raise ValueError(f"jackson must be a bool, got {self.jackson!r}")
+        require_flag("jackson", self.jackson)
         require_probes(self.N, self.distribution)
         require_seed(self.seed)
         require_beta(self.beta)

@@ -113,6 +113,13 @@ def require_count(name, value):
         raise ValueError(f"{name} must be at least 1")
 
 
+def require_flag(name, value):
+    """Refuse a switch, such as Jackson damping, that is not a bool, naming
+    it. A numpy bool is a bool; 0, 1 and 2 are not."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 def require_choice(name, value, choices):
     """Refuse a value that is not one of choices, naming it."""
     if value not in choices:

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import chebyshev
 from .signals import (dot, read_signal, require_choice, require_count,
-                      require_positive, require_weights, write_signal)
+                      require_flag, require_positive, require_weights,
+                      write_signal)
 
 DISTRIBUTIONS = ("rademacher", "gaussian")
 # everything a weight estimate depends on, by WeightEstimate's field names
@@ -113,9 +114,11 @@ def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=5,
     made once here and dropped on return, for the others the operator's
     own. Each probe's transform is that of
     ``chebyshev.sgwt_forward_fast``, written over one ring and one set of
-    J + 1 outputs, allocated once here.
+    J + 1 outputs, allocated once here. jackson must be a bool, as the
+    estimate's fingerprint and cache record it as one.
     """
     require_probes(N, dist)
+    require_flag("jackson", jackson)
     theta = chebyshev.band_coefficients(L, pou, K, jackson)
     with L.assembled():
         ring = np.empty((min(chebyshev.RING, K + 1), L.n))

@@ -12,9 +12,10 @@ request evaluates SURE once and never holds the shrinkage's derivatives.
 Selection costs one sort per scale plus a few linear passes: with the
 block sorted by magnitude, the percentile candidates are read off at their
 ranks and cut the block into at most 205 segments, every term of the
-objective is reduced once per segment, and running sums over the segments
-give the objective at every candidate, instead of a pass over the block
-per candidate.
+objective is summed once per segment, and the objectives at every
+candidate are one weighted sum of those segment sums, instead of a pass
+over the block per candidate. The weights are 0/1 masks and powers of
+ratios no greater than 1, so beta up to 100 overflows nothing.
 """
 
 from dataclasses import dataclass
@@ -141,32 +142,10 @@ def _segment_sums(x, edges):
     return out
 
 
-def _segment_logsumexp(v, edges):
-    """log of the sums of exp(v) over the segments of v (see _segment_sums),
-    -inf where a segment is empty or all -inf. Each segment is shifted by
-    its own maximum, so no exp overflows. v is used as scratch."""
-    full = edges[:-1] < edges[1:]
-    starts = edges[:-1][full]
-    top = np.maximum.reduceat(v, starts)
-    top[top == -np.inf] = 0.0  # all -inf: exp(v - 0) sums to 0
-    v -= np.repeat(top, np.diff(edges)[full])
-    np.exp(v, out=v)
-    out = np.full(edges.size - 1, -np.inf)
-    with np.errstate(divide="ignore"):
-        out[full] = top + np.log(np.add.reduceat(v, starts))
-    return out
-
-
-def _after_kinks(ufunc, seg):
-    """The suffix reductions of segment values seg by ufunc, read at the
-    start of the gap after each kink (see _scale_objectives)."""
-    return np.append(ufunc.accumulate(seg[::-1])[::-1], ufunc.identity)[1::2]
-
-
 def _scale_objectives(a, w, sigma, t, beta):
-    """SURE contribution of one scale at each sorted threshold t, up to the
-    -n sigma^2, from the block's magnitudes a sorted ascending with their
-    weights w (see _by_magnitude).
+    """SURE contribution of one scale at each sorted threshold t, from 0 to
+    +inf, up to the -n sigma^2, from the block's magnitudes a sorted
+    ascending with their weights w (see _by_magnitude).
 
     Entries with |x| < t are dead and contribute x^2. Entries at the kink
     |x| = t > 0 are dead too and add the slope beta: x^2 + 2 sigma^2 beta w.
@@ -175,40 +154,37 @@ def _scale_objectives(a, w, sigma, t, beta):
     and exact zeros contribute nothing.
 
     The thresholds cut the sorted block into segments, alternately the
-    kink of a threshold (the entries equal to it) and the gap up to the
-    next one. Every term is reduced once per segment, in a few linear
-    passes, and the objectives come from running sums over the segments.
-    The two power sums over the live entries are taken in the log domain,
-    each segment shifted by its own maximum, so that beta up to BETA_MAX
-    cannot overflow.
+    kink of a threshold t_s (the entries equal to it) and the gap up to
+    the next one, and each entry takes r = (t_s / |x|)^beta <= 1 of its
+    segment's t_s, 0 at the zeros. With rho = (t / t_s)^beta <= 1 over the
+    segments live at t, the power terms are rho^2 x^2 r^2 and rho r, so no
+    power exceeds 1 for beta up to BETA_MAX. The segment sums of x^2, w,
+    x^2 r^2 and w r are taken once, and every objective is one weighted
+    sum of them: 0/1 masks of the dead, live and kink segments for the
+    first two, rho and rho^2 for the power sums.
     """
     lo = np.searchsorted(a, t, side="left")
     hi = np.searchsorted(a, t, side="right")
     edges = np.column_stack([lo, hi]).ravel()  # kink k is segment 2k
+    owner = t[np.arange(edges.size - 1) // 2]  # t_s of each segment
+    r = np.repeat(owner, np.diff(edges))
+    np.divide(r, a, out=r, where=a > 0)
+    r **= beta
     s2 = 2.0 * sigma ** 2
-    ws = _segment_sums(w, edges)
-    obj = np.cumsum(_segment_sums(a * a, edges))[::2]  # dead: [0, hi)
-    obj += s2 * _after_kinks(np.add, ws)
-    obj += np.where(t > 0, s2 * beta * ws[::2], 0.0)
+    sums = [_segment_sums(a * a, edges), s2 * _segment_sums(w, edges),
+            s2 * (beta - 1.0) * _segment_sums(w * r, edges)]
+    r *= a
+    sums.append(_segment_sums(np.square(r, out=r), edges))
 
-    # every live entry is nonzero, so the power sums skip the zeros
-    zeros = int(np.searchsorted(a, 0.0, side="right"))
-    edges = np.maximum(edges - zeros, 0)
-    loga = np.log(a[zeros:])
-    v = (2.0 - 2.0 * beta) * loga
-    sum_sq = _after_kinks(np.logaddexp, _segment_logsumexp(v, edges))
-    with np.errstate(divide="ignore"):  # log 0 = -inf for t = 0 and w = 0
-        np.log(w[zeros:], out=v)
-        logt = np.log(t)
-    loga *= beta
-    v -= loga
-    del loga
-    sum_w = _after_kinks(np.logaddexp, _segment_logsumexp(v, edges))
-    live = hi < a.size  # t = inf, or t at the top magnitude, has none
-    obj[live] += (np.exp(2.0 * beta * logt[live] + sum_sq[live])
-                  + s2 * (beta - 1.0) * np.exp(beta * logt[live]
-                                               + sum_w[live]))
-    return obj
+    seg, k = np.arange(owner.size), np.arange(t.size)[:, None]
+    live = seg > 2 * k  # gap k and every later segment
+    kink = (seg == 2 * k) & (t[:, None] > 0)
+    rho = np.zeros(live.shape)
+    np.divide(t[:, None], owner, out=rho, where=live & (owner > 0))
+    rho **= beta
+    masks = np.stack([~live, live + beta * kink, rho, rho * rho])
+    # einsum's own loop, as in signals.dot: no BLAS
+    return np.einsum("mks,ms->k", masks, np.stack(sums))
 
 
 def select_thresholds_sure(coeffs, weights, sigma, beta=2.0):

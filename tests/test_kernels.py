@@ -16,7 +16,8 @@ from scipy.sparse import csr_array
 
 import gsdenoise
 from gsdenoise import _kernels, graph
-from gsdenoise._kernels import COO, CSR, coo_matvec, csr_matvec
+from gsdenoise._kernels import (COO, CSR, coo_matvec, csr_matvec,
+                                csr_scale_columns, csr_scale_rows)
 from gsdenoise.cli import main
 from gsdenoise.graph import (
     VARIANTS,
@@ -273,6 +274,59 @@ def test_refused_matvec_is_not_counted():
         with pytest.raises(ValueError, match="length 20"):
             L.matvec(np.ones(3), step=True)
     assert L.matvec_count == 0
+
+
+def test_step_refuses_a_bound_below_the_largest_diagonal_entry():
+    # the grid's top degree is 4, and each L_ii is a Rayleigh quotient, so
+    # a bound of 3 is below lambda_max: the recurrence would grow without
+    # limit (coefficients of order 1e77 at K = 100)
+    g = grid_graph(4, 5)
+    L = laplacian(g, lambda_ub=3.0)
+    x = np.random.default_rng(4).standard_normal(g.n)
+    refused = (r"^lambda_ub 3\.0 is below the largest diagonal entry of L, "
+               r"4\.0, so below its largest eigenvalue$")
+    with pytest.raises(ValueError, match=refused):
+        gsdenoise.sgwt_forward_fast(L, x, gsdenoise.PartitionOfUnity(
+            "smooth", 2.0, 3.0))
+    with pytest.raises(ValueError, match=refused):
+        L.matvec(x, step=True)
+    assert L.matvec_count == 0
+    # the plain product never reads the bound
+    assert _close(L.matvec(x), _dense_laplacian(g, "unnormalized") @ x)
+    # at the bound itself every shifted diagonal entry is at most 2
+    assert laplacian(g, lambda_ub=4.0)._step_terms.data.max() == 2.0
+
+
+def _record_dense(A):
+    return csr_array((A.data, A.indices, A.indptr), shape=A.shape).toarray()
+
+
+@pytest.mark.parametrize("itype", [np.int32, np.int64])
+def test_csr_scalings_match_diagonal_products(itype):
+    g = random_connected_graph(40, seed=3)
+    A = CSR(g.weights.copy(), g.indices.astype(itype),
+            g.offsets.astype(itype), (g.n, g.n))
+    v = np.random.default_rng(8).uniform(0.5, 2.0, g.n)
+    dense = g.to_dense_adjacency()
+    assert csr_scale_rows(A, v) is A
+    assert np.array_equal(_record_dense(A), v[:, None] * dense)
+    csr_scale_columns(A, v)
+    assert np.array_equal(_record_dense(A), v[:, None] * dense * v[None, :])
+
+
+@pytest.mark.parametrize("scale", [csr_scale_rows, csr_scale_columns])
+@pytest.mark.parametrize("case", ["short x", "float32 x", "strided x",
+                                  "list x", "read-only entries"])
+def test_csr_scalings_reject_a_bad_scale_or_matrix(scale, case):
+    g = random_connected_graph(30, seed=2)
+    A = _record(g)._replace(data=g.weights.copy())
+    v, _ = _bad_vectors(case)
+    if case == "read-only entries":
+        A.data.flags.writeable = False
+    before = A.data.copy()
+    with pytest.raises(ValueError):
+        scale(A, v)
+    assert np.array_equal(A.data, before)
 
 
 def test_empty_rows_contribute_zero():

@@ -103,6 +103,8 @@ def test_config_validation_raises_where_its_modules_do():
         *((dict(seed=seed), lambda seed=seed: estimate_diagonal_weights(
             L, PartitionOfUnity.for_operator(L), seed=seed))
           for seed in (True, -1, 1.5)),
+        (dict(jackson=2), lambda: estimate_diagonal_weights(
+            L, PartitionOfUnity.for_operator(L), jackson=2)),
         (dict(distribution="uniform"),
          lambda: draw_probe(9, "uniform", 0, 0)),
         (dict(beta=0.5), lambda: ThresholdPolicy(0.5, [0.0])),

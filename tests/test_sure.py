@@ -297,6 +297,24 @@ def test_weight_cache_round_trip(tmp_path):
     assert "lambda_ub =" not in path.read_text()
 
 
+def test_weight_cache_of_a_numpy_bool_matches_its_fingerprint(tmp_path):
+    # the estimate refuses jackson=2, which it would fingerprint as 2 and
+    # the cache would read back as 1; a numpy bool round-trips as a bool
+    g = grid_graph(5, 5)
+    L = laplacian(g)
+    pou = PartitionOfUnity.for_operator(L)
+    with pytest.raises(ValueError, match=r"^jackson must be a bool, got 2$"):
+        estimate_diagonal_weights(L, pou, K=10, jackson=2, N=1)
+    est = estimate_diagonal_weights(L, pou, K=10, jackson=np.bool_(True),
+                                    N=1, graph_hash=g.content_hash())
+    path = tmp_path / "w.txt"
+    save_weights(path, est)
+    back = load_weights(path)
+    assert back.fingerprint() == est.fingerprint()
+    assert ",jackson=1," in back.fingerprint()
+    assert back.diag.tobytes() == est.diag.tobytes()
+
+
 _HEADER = ("# n = 2\n# J = 0\n# K = 10\n# jackson = 1\n# N = 1\n"
            "# distribution = rademacher\n# seed = 0\n")
 

@@ -220,13 +220,15 @@ def test_segment_objectives_match_the_per_magnitude_scans(block, beta, sigma,
     a, ws = _by_magnitude(x, w)
     got = _scale_objectives(a, ws, sigma, cands, beta)
     want = _scale_objectives_reference(a, ws, sigma, cands, beta)
-    # Both sides exponentiate log-domain sums of the same terms, added in
-    # a different order, and each of up to n + 2 roundings errs by up to
-    # eps times the largest term, M. So the power terms, at most
+    # The reference exponentiates log-domain sums, and each of its up to
+    # n + 2 roundings errs by up to eps times the largest term, M. So its
+    # power terms, at most
     # U = sum over the live entries of a^2 + 2 sigma^2 (beta - 1) w, may
-    # differ by (n + 2) eps M U: at beta = 100, near-tied magnitudes
-    # around 1e150 and M about 7e4, both sides are 1e-11 off an mpmath
-    # objective. Elsewhere this is well below rel 1e-12.
+    # be off by (n + 2) eps M U: at beta = 100, near-tied magnitudes
+    # around 1e150 and M about 7e4, it is 1e-11 off an mpmath objective.
+    # The one-pass side takes powers of ratios no greater than 1 and
+    # stays within 1e-14 of mpmath there. Elsewhere the slack is well
+    # below rel 1e-12.
     nz, pos = a > 0, ws > 0
     M = (2.0 * beta * np.max(np.abs(np.log(a[nz])), initial=0.0)
          + np.max(np.abs(np.log(ws[pos])), initial=0.0) + 1.0)
@@ -234,6 +236,23 @@ def test_segment_objectives_match_the_per_magnitude_scans(block, beta, sigma,
     U = live @ (a * a + 2.0 * sigma ** 2 * (beta - 1.0) * ws)
     slack = (a.size + 2) * np.finfo(float).eps * M * U
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + slack)
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 5.0, 100.0])
+def test_objectives_stay_finite_from_1e_300_to_3e150(beta):
+    # every power is taken of a ratio no greater than 1, so neither the
+    # ratios nor the power sums overflow or underflow to a wrong minimum
+    x = np.array([0.0, 1e-300, -1e-160, 1.0, -3e150, 1e-160, 0.0, 3e150,
+                  -1.0, 1e-300])
+    w = np.array([0.5, 1.0, 0.0, 2.0, 0.7, 1.3, 0.0, 0.2, 1.1, 0.9])
+    a, ws = _by_magnitude(x, w)
+    cands = _grid(a)
+    for sigma in (1e-3, 1.0, 1e3):
+        got = _scale_objectives(a, ws, sigma, cands, beta)
+        want = _scale_objectives_reference(a, ws, sigma, cands, beta)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.argmin(got) == np.argmin(want)
 
 
 def test_grid_thresholds_equal_the_reference_path_bitwise():
