@@ -54,7 +54,8 @@ class SparseGraph:
     offsets and indices are int32 when n plus the stored-entry count is
     below 2^31 (``INT32_BOUND``), so that every offset and every node
     number fits them; int64 otherwise. A product then reads 12 bytes per
-    stored entry, not 16.
+    stored entry, not 16. Contiguous arrays given in the stored dtypes
+    are kept, not copied.
     """
 
     n: int
@@ -64,15 +65,19 @@ class SparseGraph:
     labels: list = None
 
     def __post_init__(self):
-        # checked as int64, so that no value wraps when narrowed
-        offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
+        # checked as int64, so that no value wraps when narrowed; a pair
+        # that arrives as int32, where none can, is checked as it is
+        given = np.int32 if all(getattr(a, "dtype", None) == np.int32 for a
+                                in (self.offsets, self.indices)) else np.int64
+        offsets = np.ascontiguousarray(self.offsets, dtype=given)
+        indices = np.ascontiguousarray(self.indices, dtype=given)
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         if offsets.shape != (self.n + 1,):
             raise ValueError("offsets must have length n + 1")
         if offsets[0] != 0 or offsets[-1] != indices.size:
             raise ValueError("offsets must start at 0 and end at nnz")
-        if np.any(np.diff(offsets) < 0):
+        # compared, not differenced: a difference could wrap
+        if np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("offsets must be monotone")
         if indices.size != self.weights.size:
             raise ValueError("indices and weights length mismatch")
@@ -428,19 +433,40 @@ def write_edgelist(g, path):
 # synthetic graph generators
 
 def grid_graph(rows, cols):
-    """4-neighbor lattice with unit weights, rows*cols nodes."""
-    idx = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
-    u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
-    v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
-    r = np.concatenate([u, v])
-    c = np.concatenate([v, u])
-    w = np.ones(r.size)
-    order = np.lexsort((c, r))
-    r, c, w = r[order], c[order], w[order]
+    """4-neighbor lattice with unit weights, rows*cols nodes.
+
+    Its CSR arrays are written directly: node i's neighbours, in increasing
+    index, are i - cols, i - 1, i + 1 and i + cols where they exist. So the
+    offsets are a running sum of the degrees, and the indices one take of
+    the four candidates masked by their existence flags, made in the index
+    dtype the graph stores, with no edge list, sort or int64 copy. On
+    300x300 to 1000x1000 the build peaks at 6.6 signal vectors under
+    tracemalloc, of which the graph it returns holds 6.5.
+    """
     n = rows * cols
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r, minlength=n), out=offsets[1:])
-    return SparseGraph(n, offsets, c, w)
+    exists = np.zeros((rows, cols, 4), dtype=bool)
+    exists[1:, :, 0] = exists[:, 1:, 1] = True
+    exists[:, :-1, 2] = exists[:-1, :, 3] = True
+    nnz = np.count_nonzero(exists)
+    itype = np.int32 if n + nnz < INT32_BOUND else np.int64
+    # 4, less one for each side of the grid that a node lies on: the count
+    # of its flags, without a sum over them, which took 30% of the build
+    degree = np.full((rows, cols), 4, dtype=itype)
+    degree[:1] -= 1
+    degree[-1:] -= 1
+    degree[:, :1] -= 1
+    degree[:, -1:] -= 1
+    offsets = np.empty(n + 1, dtype=itype)
+    offsets[0] = 0
+    np.cumsum(degree, dtype=itype, out=offsets[1:])
+    del degree
+    node = np.arange(n, dtype=itype).reshape(rows, cols)
+    near = np.empty((rows, cols, 4), dtype=itype)
+    for k, step in enumerate((-cols, -1, 1, cols)):
+        np.add(node, step, out=near[:, :, k])
+    indices = near[exists]
+    del exists, node, near
+    return SparseGraph(n, offsets, indices, np.ones(nnz))
 
 
 def is_connected(g):
@@ -601,19 +627,32 @@ class LaplacianOperator:
         node's under a Lanczos bound on an irregular graph. The rows take
         the graph's index dtype, and where every entry is nonzero the
         diagonal is held as made: with int32 indices the record then holds
-        1.5 signal vectors, and its making peaks at 2.5. An entry above 2,
-        a bound below the largest diagonal entry of L, is refused here, at
-        the first step; the plain product never reads the bound."""
+        1.5 signal vectors, and its making peaks at 2.5.
+
+        A bound that some Rayleigh quotient of L exceeds is below lambda_max,
+        and the recurrence would grow geometrically, so it is refused here,
+        at the first step: one below the largest diagonal entry of L, an
+        entry above 2, and then, for a bound below the proven cap of
+        :func:`spectral_cap`, one below the largest quotient at an edge
+        (:func:`_top_edge_quotient`). The plain product never reads the
+        bound."""
         n = self.n
         top = self.degrees if self.variant == "unnormalized" else 1.0
         diag = np.broadcast_to(4.0 / self.lambda_ub * top - 2.0, (n,))
         if diag.max() > 2.0:
-            # each L_ii = e_i' L e_i is a Rayleigh quotient, so the bound is
-            # below lambda_max and the recurrence would grow geometrically
+            # each L_ii = e_i' L e_i is a Rayleigh quotient
             raise ValueError(f"lambda_ub {self.lambda_ub!r} is below the "
                              "largest diagonal entry of L, "
                              f"{float(np.max(top))!r}, so below its largest "
                              "eigenvalue")
+        if self.lambda_ub < spectral_cap(self.graph, self.variant):
+            edge = _top_edge_quotient(self.graph, self.variant)
+            if edge > self.lambda_ub:
+                raise ValueError(
+                    f"lambda_ub {self.lambda_ub!r} is below {edge!r}, the "
+                    "largest Rayleigh quotient of (e_i +- e_j) / sqrt(2) "
+                    "over the edges (i, j), so below the largest eigenvalue "
+                    "of L")
         rows = np.flatnonzero(diag).astype(self.graph.indices.dtype)
         diag = diag[rows] if rows.size < n else np.ascontiguousarray(diag)
         return COO(diag, rows, rows, (n, n))
@@ -666,6 +705,26 @@ class LaplacianOperator:
         out = csr_matvec(weights, x if post is None else x * post, out)
         self.matvec_count += 1
         return out
+
+
+def _top_edge_quotient(g, variant):
+    """The largest Rayleigh quotient of (e_i + e_j) / sqrt(2) and
+    (e_i - e_j) / sqrt(2) over the stored entries (i, j) of g's Laplacian,
+    (L_ii + L_jj) / 2 + |L_ij|: (deg_i + deg_j) / 2 + w_ij for the
+    unnormalized variant; 1 + w_ij / sqrt(deg_i deg_j) for the normalized
+    one, and for the random-walk one, whose symmetric similar matrix it is.
+    The terms in j come from one gather over the stored entries, and each
+    row's largest from one reduction."""
+    rows = g.offsets[:-1]  # every row holds an entry: no degree is 0
+    if variant == "unnormalized":
+        half = 0.5 * g.degrees
+        near = half[g.indices]
+        near += g.weights
+        return float(np.max(half + np.maximum.reduceat(near, rows)))
+    isd = 1.0 / np.sqrt(g.degrees)
+    near = isd[g.indices]
+    near *= g.weights
+    return float(np.max(1.0 + isd * np.maximum.reduceat(near, rows)))
 
 
 def _negated(prev, out, n):

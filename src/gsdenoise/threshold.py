@@ -102,13 +102,16 @@ def _grid(a):
 
     The percentile q is the order statistic at rank floor((n - 1) q / 100),
     with q / 100 rounded first: the rank np.percentile(method="lower")
-    takes, so the grid is the same without a second selection pass.
+    takes, so the grid is the same without a second selection pass. The
+    candidates come sorted, so each run of equal ones is cut to its first
+    by one comparison of neighbours; np.unique would also import numpy.ma.
     """
     if a.size == 0:
         raise ValueError("empty coefficient block")
     q = PERCENTILES / 100
     qs = a[np.floor((a.size - 1) * q).astype(np.intp)]
-    return np.unique(np.concatenate([[0.0], qs, [np.inf]]))
+    grid = np.concatenate([[0.0], qs, [np.inf]])
+    return grid[np.append(True, grid[1:] != grid[:-1])]
 
 
 @dataclass

@@ -1,10 +1,12 @@
-"""Exact-transform references shared by the statistical tests."""
+"""References shared by the tests: exact-transform ones for the statistical
+tests, and an edge-list construction of the grid graph."""
 
 import functools
 
 import numpy as np
 
 from gsdenoise.frame import exact_eigendecomposition, sgwt_forward_exact
+from gsdenoise.graph import SparseGraph
 from gsdenoise.sure import draw_probe
 from gsdenoise.threshold import apply_policy, js_derivative
 
@@ -40,3 +42,19 @@ def shrink_with_derivatives(coeffs, policy):
     derivs = np.concatenate([js_derivative(coeffs.block(j), t, policy.beta)
                              for j, t in enumerate(policy.thresholds)])
     return apply_policy(coeffs, policy), derivs
+
+
+def grid_graph_reference(rows, cols):
+    """The 4-neighbor lattice built from its int64 edge list: both
+    directions of every edge, sorted by (row, column) with np.lexsort, the
+    offsets from a count of the rows, then narrowed by SparseGraph."""
+    idx = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    r = np.concatenate([u, v])
+    c = np.concatenate([v, u])
+    order = np.lexsort((c, r))
+    n = rows * cols
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=n), out=offsets[1:])
+    return SparseGraph(n, offsets, c[order], np.ones(r.size))

@@ -93,6 +93,51 @@ def test_column_indices_outside_the_graph_are_refused(bad):
         SparseGraph(2, [0, 1, 2], [1, bad], [1.0, 1.0])
 
 
+# a path 0 - 1 - 2 as (n, offsets, indices, weights), and malformed
+# versions of it with the message each is refused with
+_PATH = (3, [0, 1, 3, 4], [1, 0, 2, 1], [1.0, 1.0, 1.0, 1.0])
+_MALFORMED = [
+    ({"offsets": [0, 1, 3]}, "offsets must have length n \\+ 1"),
+    ({"offsets": [1, 1, 3, 4]}, "offsets must start at 0 and end at nnz"),
+    ({"offsets": [0, 1, 3, 3]}, "offsets must start at 0 and end at nnz"),
+    ({"offsets": [0, 3, 1, 4]}, "offsets must be monotone"),
+    ({"weights": [1.0, 1.0, 1.0]}, "indices and weights length mismatch"),
+    ({"indices": [1, 0, 2, -1]}, r"column indices must lie in \[0, n\)"),
+    ({"indices": [1, 0, 3, 1]}, r"column indices must lie in \[0, n\)"),
+]
+
+
+@pytest.mark.parametrize("itype", [np.int32, np.int64])
+@pytest.mark.parametrize("change, message", _MALFORMED)
+def test_malformed_arrays_refused_alike_in_either_index_dtype(itype, change,
+                                                              message):
+    n, offsets, indices, weights = _PATH
+    arrays = {"offsets": offsets, "indices": indices, "weights": weights,
+              **change}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SparseGraph(n, np.array(arrays["offsets"], dtype=itype),
+                    np.array(arrays["indices"], dtype=itype),
+                    np.array(arrays["weights"]))
+
+
+@pytest.mark.parametrize("itype", [np.int32, np.int64])
+def test_index_arrays_of_either_dtype_are_stored_as_int32(itype):
+    n, offsets, indices, weights = _PATH
+    g = SparseGraph(n, np.array(offsets, dtype=itype),
+                    np.array(indices, dtype=itype), np.array(weights))
+    assert g.offsets.dtype == g.indices.dtype == np.int32
+    assert g.offsets.tolist() == offsets and g.indices.tolist() == indices
+
+
+def test_monotone_check_sees_offsets_a_difference_would_wrap():
+    # int32 offsets 0, 2^31 - 1, -2^31, -1, 0: the one decrease wraps to
+    # a difference of 1, and every difference would pass as an increase
+    top = np.iinfo(np.int32)
+    offsets = np.array([0, top.max, top.min, -1, 0], dtype=np.int32)
+    with pytest.raises(ValueError, match="^offsets must be monotone$"):
+        SparseGraph(4, offsets, np.empty(0, np.int32), np.empty(0))
+
+
 def test_edgelist_round_trip(tmp_path):
     g = random_connected_graph(40, seed=9)
     path = tmp_path / "g.txt"

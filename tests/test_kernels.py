@@ -30,6 +30,7 @@ from gsdenoise.graph import (
     write_edgelist,
 )
 from gsdenoise.signals import write_signal
+from oracles import grid_graph_reference
 
 
 def _dense_laplacian(g, variant):
@@ -293,8 +294,72 @@ def test_step_refuses_a_bound_below_the_largest_diagonal_entry():
     assert L.matvec_count == 0
     # the plain product never reads the bound
     assert _close(L.matvec(x), _dense_laplacian(g, "unnormalized") @ x)
-    # at the bound itself every shifted diagonal entry is at most 2
-    assert laplacian(g, lambda_ub=4.0)._step_terms.data.max() == 2.0
+    # at the bound itself every shifted diagonal entry is at most 2: on a
+    # star of 5 leaves, whose top edge quotient, (5 + 1) / 2 + 1 = 4, is
+    # below its top diagonal entry (on the grid, 5 is above 4)
+    star = graph.build_graph([(0, leaf) for leaf in range(1, 6)])
+    assert laplacian(star, lambda_ub=5.0)._step_terms.data.max() == 2.0
+
+
+def test_step_refuses_a_bound_below_an_edge_rayleigh_quotient():
+    # every L_ii of the normalized grid is 1, so a bound of 1 passes the
+    # diagonal check; the quotient of (e_i + e_j) / sqrt(2) at a corner's
+    # edge is 1 + 1 / sqrt(6), and the forward reached 1e68 at this bound
+    g = grid_graph(4, 5)
+    x = np.random.default_rng(4).standard_normal(g.n)
+    for variant in ("normalized", "random_walk"):
+        L = laplacian(g, variant, lambda_ub=1.0)
+        refused = (r"^lambda_ub 1\.0 is below 1\.408248290463863\d*, the "
+                   r"largest Rayleigh quotient of \(e_i \+- e_j\) / "
+                   r"sqrt\(2\) over the edges \(i, j\), so below the "
+                   r"largest eigenvalue of L$")
+        with pytest.raises(ValueError, match=refused):
+            gsdenoise.sgwt_forward_fast(
+                L, x, gsdenoise.PartitionOfUnity.for_operator(L))
+        with pytest.raises(ValueError, match=refused):
+            L.matvec(x, step=True)
+        assert L.matvec_count == 0
+        # the plain product never reads the bound
+        assert _close(L.matvec(x), _dense_laplacian(g, variant) @ x)
+    # the unnormalized grid's top quotient is 4 + 1 at two adjacent
+    # interior nodes, above its largest diagonal entry 4
+    L = laplacian(g, lambda_ub=4.5)
+    with pytest.raises(ValueError, match=r"^lambda_ub 4\.5 is below 5\.0, "):
+        L.matvec(x, step=True)
+
+
+@pytest.mark.parametrize("make", [lambda: grid_graph(6, 7),
+                                  lambda: random_connected_graph(120, seed=6)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_edge_quotient_is_the_dense_maximum(make, variant):
+    g = make()
+    L = _dense_laplacian(g, "normalized" if variant == "random_walk"
+                         else variant)
+    i, j = np.nonzero(g.to_dense_adjacency())
+    want = np.max((L[i, i] + L[j, j]) / 2 + np.abs(L[i, j]))
+    assert graph._top_edge_quotient(g, variant) == pytest.approx(want,
+                                                                 rel=1e-14)
+    # a bound just above both checks' values passes, one just below the
+    # larger is refused
+    top = max(want, np.max(np.diag(L)))
+    laplacian(g, variant, lambda_ub=top * (1 + 1e-12))._step_terms
+    with pytest.raises(ValueError, match="so below"):
+        laplacian(g, variant, lambda_ub=top * (1 - 1e-12))._step_terms
+
+
+@pytest.mark.parametrize("make, lanczos", [
+    (lambda: grid_graph(30, 40), False),
+    (lambda: random_connected_graph(10 ** 4, seed=0), True)])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_estimated_and_capped_bounds_pass_the_step_checks(make, lanczos,
+                                                          variant):
+    # the grid at its cap 8, every variant at the cap 2, and Lanczos's
+    # bound on the unnormalized random graph, below its cap, where the
+    # edge quotient is taken
+    L = laplacian(make(), variant)
+    below_cap = L.lambda_ub < spectral_cap(L.graph, variant)
+    assert below_cap == (lanczos and variant == "unnormalized")
+    assert L._step_terms.data.max(initial=-2.0) <= 2.0
 
 
 def _record_dense(A):
@@ -373,6 +438,34 @@ def test_grid_graph_holds_at_most_six_and_a_half_vectors():
         tracemalloc.stop()
     assert g.indices.dtype == g.offsets.dtype == np.int32
     assert held <= 6.5 * 8 * g.n
+
+
+def test_grid_graph_build_peaks_at_most_seven_and_a_half_vectors():
+    # the boundary flags, the offsets, the node numbers, the four int32
+    # candidates per node and the taken indices, then the weights: 6.6
+    # vectors measured, against 32.9 for an int64 edge list sorted by
+    # np.lexsort
+    grid_graph(3, 3)
+    tracemalloc.start()
+    try:
+        g = grid_graph(300, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 8 * g.n
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 7), (7, 1), (2, 2),
+                                   (3, 5), (30, 40), (300, 300)])
+def test_grid_graph_is_the_edge_list_construction(shape):
+    g, want = grid_graph(*shape), grid_graph_reference(*shape)
+    for got, ref in ((g.offsets, want.offsets), (g.indices, want.indices),
+                     (g.weights, want.weights)):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert g.content_hash() == want.content_hash()
+    if shape == (300, 300):
+        assert g.content_hash() == "eeafbcab8f855b95"
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -586,7 +679,9 @@ def test_denoise_imports_neither_scipy_sparse_nor_f2py(grid_files, tmp_path):
                           "--weights", wpath, "--N", "2"])
     assert "cache=hit" in out.splitlines()
     assert "gsdenoise.cli" in imported
-    assert not imported & {"scipy.sparse", "numpy.f2py"}
+    # numpy.ma, 10 ms of import, came with np.unique's dedupe of the
+    # candidate thresholds
+    assert not imported & {"scipy.sparse", "numpy.f2py", "numpy.ma"}
 
 
 def test_weights_and_fast_transforms_import_neither_scipy_sparse_nor_f2py():

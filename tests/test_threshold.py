@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -107,6 +107,18 @@ def test_candidate_grid_contents():
         np.random.default_rng(0).standard_normal(40))))) > 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 300),
+                  elements=st.sampled_from([0.0, 0.25, 1.0, 1.5, 7.0, 1e300])))
+def test_candidate_grid_is_the_unique_sorted_candidates(x):
+    # the neighbour comparison keeps what np.unique keeps, ties and zeros
+    # included
+    a = np.sort(np.abs(x))
+    q = np.floor((a.size - 1) * np.linspace(0.0, 100.0, 101) / 100)
+    want = np.unique(np.concatenate([[0.0], a[q.astype(np.intp)], [np.inf]]))
+    assert _grid(a).tobytes() == want.tobytes()
+
+
 def test_selection_matches_bruteforce_over_all_magnitudes():
     rng = np.random.default_rng(7)
     n, J = 15, 3
@@ -191,19 +203,34 @@ def _blocks_with_ties(draw, magnitudes=st.floats(0.125, 8.0)):
 
 @settings(max_examples=300, deadline=None)
 @given(_blocks_with_ties(), st.sampled_from([1.0, 1.5, 2.0, 5.0, 100.0]),
-       st.floats(0.1, 3.0), st.data())
+       st.floats(0.1, 3.0), hnp.arrays(bool, 7), st.booleans())
+# subnormal weights: at t = 0 the objective is 2 sigma^2 (w_1 + w_2), which
+# the one-pass sums give as 4e-323 and the reference as 4.4e-323, one
+# subnormal unit apart
+@example(block=(np.array([-1.0, -2.0]), np.array([5e-324, 5e-324])),
+         beta=1.0, sigma=1.5, keep=np.zeros(7, bool), every=True)
 def test_one_pass_objectives_match_per_candidate_reference(block, beta,
-                                                           sigma, data):
-    # any sorted candidate set: every magnitude, or a random subset of
-    # them, with 0 and inf
+                                                           sigma, keep,
+                                                           every):
+    # any sorted candidate set: every magnitude, or a subset of them (the
+    # pool holds at most 7), with 0 and inf
     x, w = block
     mags = np.unique(np.abs(x))
-    keep = data.draw(hnp.arrays(bool, mags.size)) | data.draw(st.booleans())
-    cands = np.unique(np.concatenate([[0.0], mags[keep], [np.inf]]))
+    chosen = keep[:mags.size] | every
+    cands = np.unique(np.concatenate([[0.0], mags[chosen], [np.inf]]))
     want = [_objective_reference(x, w, sigma, t, beta) for t in cands]
     a, ws = _by_magnitude(x, w)
+    # One subnormal unit u, 4.9e-324, is more than rel 1e-12 of every value
+    # under about 5e-312, where no float64 sum can meet rel 1e-12. Each
+    # side sums at most 3 terms per entry and rounds each at most twice,
+    # by at most u / 2 each time below the normal range: so each is within
+    # 3 n u of the exact sum there, and the two within 6 n u. For blocks
+    # of up to 700 entries (these hold at most 40) 6 n u is below rel
+    # 1e-12 of every normal float, so the floor loosens nothing above the
+    # subnormal range.
+    floor = 6 * x.size * np.finfo(float).smallest_subnormal
     np.testing.assert_allclose(_scale_objectives(a, ws, sigma, cands, beta),
-                               want, rtol=1e-12, atol=0.0)
+                               want, rtol=1e-12, atol=floor)
 
 
 @settings(max_examples=300, deadline=None)

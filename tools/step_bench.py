@@ -17,9 +17,12 @@ For each graph it records, on one BLAS thread:
   nothing for the others;
 - ``forward_ms`` and ``inverse_ms``: one bare ``sgwt_forward_fast`` and
   ``sgwt_inverse_fast`` at K = 100, both on the zero-copy step;
-- ``graph_bytes``: the bytes of the graph's offsets, indices and weights.
+- ``graph_bytes``: the bytes of the graph's offsets, indices and weights;
+- ``graph_build_ms``: one build of the graph by its generator;
+- ``graph_build_peak_vectors``: the tracemalloc peak of one build, over
+  the 8 n bytes of a signal vector.
 
-Each figure is the median of 7 samples. A step sample times STEPS steps
+Each time is the median of 7 samples. A step sample times STEPS steps
 and divides; the other samples time one call. The operator's spectral
 bound is estimated, and the partition built, before any timing.
 """
@@ -29,6 +32,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 # one BLAS thread, as the benchmark runs; set before numpy is imported
@@ -89,8 +93,19 @@ def open_assembled(L):
         pass
 
 
+def build_peak(make):
+    """The tracemalloc peak of one make(), in bytes, and what it made."""
+    tracemalloc.start()
+    try:
+        made = make()
+        return tracemalloc.get_traced_memory()[1], made
+    finally:
+        tracemalloc.stop()
+
+
 def measure(name, make, variant, lambda_ub):
-    g = make()
+    graph_build = median_ms(make)
+    peak, g = build_peak(make)
     L = gd.laplacian(g, variant, lambda_ub)
     pou = gd.PartitionOfUnity.for_operator(L)
     rng = np.random.default_rng(0)
@@ -110,6 +125,8 @@ def measure(name, make, variant, lambda_ub):
         "J": pou.J, "diagonal_entries": int(L._step_terms.data.size),
         "graph_bytes": int(g.offsets.nbytes + g.indices.nbytes
                            + g.weights.nbytes),
+        "graph_build_ms": graph_build,
+        "graph_build_peak_vectors": peak / (8 * g.n),
         "zero_copy_step_ms": zero_copy, "assembled_step_ms": assembled,
         "build_ms": build, "forward_ms": forward, "inverse_ms": inverse,
     }
