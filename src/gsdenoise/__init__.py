@@ -71,6 +71,7 @@ from .signals import (
     synth_signal,
     write_signal,
 )
-from .pipeline import PipelineConfig, denoise_pipeline, weight_fingerprint
+from .pipeline import (PipelineConfig, denoise_pipeline, frame_and_weights,
+                       weight_fingerprint)
 
 __version__ = "0.1.0"

@@ -15,11 +15,12 @@ import sys
 import numpy as np
 
 from .graph import laplacian, read_edgelist
-from .frame import PartitionOfUnity
-from .pipeline import PipelineConfig, denoise_pipeline, timed
+from .pipeline import (PipelineConfig, denoise_pipeline, frame_and_weights,
+                       timed)
 from .privacy import MECHANISMS, PrivacyParams, calibrate_sigma, sanitize
-from .signals import SignalSpec, mse, read_signal, snr, synth_signal, write_signal
-from .sure import estimate_diagonal_weights, load_weights, save_weights
+from .signals import (SignalSpec, mse, read_signal, require_count, snr,
+                      synth_signal, write_signal)
+from .sure import load_weights, save_weights
 from . import __version__
 
 BENCH_COLUMNS = ("run", "epsilon", "sigma", "snr_in", "snr_out", "sure",
@@ -52,6 +53,20 @@ def _config_from(args, sigma=None):
 def _build_parser():
     cfg = argparse.ArgumentParser(add_help=False)  # every config flag
     _add_config_flags(cfg.add_argument_group("pipeline configuration"))
+    # flags two subcommands share: mechanism, test signal, label graph
+    privacy = argparse.ArgumentParser(add_help=False)
+    privacy.add_argument("--delta", type=float, default=1e-6,
+                         help="privacy slack")
+    privacy.add_argument("--sensitivity", type=float, default=1.0,
+                         help="l2-sensitivity of the signal")
+    privacy.add_argument("--mechanism", default="analytic", choices=MECHANISMS)
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--p", type=float, default=0.01,
+                      help="Bernoulli source density")
+    spec.add_argument("--k", type=int, default=4, help="diffusion power")
+    labels = argparse.ArgumentParser(add_help=False)
+    labels.add_argument("--graph", help="edge-list file, only needed for "
+                                        "label,value signal files")
     top = argparse.ArgumentParser(
         prog="gsdenoise",
         description="Graph-signal denoising by wavelet thresholding with "
@@ -64,29 +79,20 @@ def _build_parser():
     p.add_argument("graph", help="edge-list file")
     _add_config_flags(p, ["variant"])
 
-    p = sub.add_parser("synth",
+    p = sub.add_parser("synth", parents=[spec],
                        help="synthesize a Bernoulli-diffusion signal")
     p.add_argument("graph")
     _add_config_flags(p, ["seed"])
     p.add_argument("-o", "--output", required=True, help="signal file to write")
-    p.add_argument("--p", type=float, default=0.01,
-                   help="Bernoulli source density")
-    p.add_argument("--k", type=int, default=4, help="diffusion power")
 
-    p = sub.add_parser("sanitize",
+    p = sub.add_parser("sanitize", parents=[labels, privacy],
                        help="add calibrated Gaussian noise to a signal")
     p.add_argument("signal", help="signal file to sanitize")
     _add_config_flags(p, ["seed"])
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--graph", help="edge-list file, only needed for "
-                                   "label,value signal files")
     p.add_argument("--sigma", type=float,
                    help="noise scale; overrides mechanism calibration")
     p.add_argument("--epsilon", type=float, help="privacy budget")
-    p.add_argument("--delta", type=float, default=1e-6, help="privacy slack")
-    p.add_argument("--sensitivity", type=float, default=1.0,
-                   help="l2-sensitivity of the signal")
-    p.add_argument("--mechanism", default="analytic", choices=MECHANISMS)
 
     p = sub.add_parser("weights", parents=[cfg],
                        help="precompute the SURE weight cache for a graph")
@@ -102,14 +108,12 @@ def _build_parser():
                    help="noise scale published with the signal")
     p.add_argument("--weights", help="weight cache file to reuse")
 
-    p = sub.add_parser("eval",
+    p = sub.add_parser("eval", parents=[labels],
                        help="print SNR and MSE of an estimate vs a reference")
     p.add_argument("reference")
     p.add_argument("estimate")
-    p.add_argument("--graph", help="edge-list file, only needed for "
-                                   "label,value signal files")
 
-    p = sub.add_parser("bench", parents=[cfg],
+    p = sub.add_parser("bench", parents=[cfg, privacy, spec],
                        help="sweep noise levels x repetitions, write a CSV")
     p.add_argument("graph")
     p.add_argument("-o", "--output", required=True, help="CSV file to write")
@@ -118,11 +122,6 @@ def _build_parser():
                    help="privacy budget; repeat for a sweep")
     p.add_argument("--sigma", type=float, action="append", default=None,
                    help="noise scale; repeat for a sweep")
-    p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--sensitivity", type=float, default=1.0)
-    p.add_argument("--mechanism", default="analytic", choices=MECHANISMS)
-    p.add_argument("--p", type=float, default=0.01)
-    p.add_argument("--k", type=int, default=4)
     p.add_argument("--signal-seed", type=int, default=0,
                    help="seed of the clean test signal")
     return top
@@ -144,18 +143,21 @@ def _cmd_synth(args):
     return 0
 
 
+def _calibrated_sigma(args, epsilon):
+    """The noise scale of the privacy flags' mechanism at budget epsilon."""
+    return calibrate_sigma(PrivacyParams(epsilon, args.delta,
+                                         args.sensitivity, args.mechanism))
+
+
 def _cmd_sanitize(args):
     graph = read_edgelist(args.graph) if args.graph else None
     f, _ = read_signal(args.signal, graph=graph)
     header = {"seed": args.seed}
-    if args.sigma is not None:
-        sigma = args.sigma
-    else:
+    sigma = args.sigma
+    if sigma is None:
         if args.epsilon is None:
             raise ValueError("sanitize needs either --sigma or --epsilon")
-        params = PrivacyParams(args.epsilon, args.delta, args.sensitivity,
-                               args.mechanism)
-        sigma = calibrate_sigma(params)
+        sigma = _calibrated_sigma(args, args.epsilon)
         header.update(mechanism=args.mechanism, epsilon=args.epsilon,
                       delta=args.delta, sensitivity=args.sensitivity)
     noisy, sigma = sanitize(f, sigma, seed=args.seed)
@@ -165,22 +167,12 @@ def _cmd_sanitize(args):
     return 0
 
 
-def _estimate_weights(config, g, L):
-    """The weight estimate that denoise_pipeline makes for config on g and
-    its operator L."""
-    pou = PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
-                                        c=config.c)
-    return estimate_diagonal_weights(
-        L, pou, K=config.K, jackson=config.jackson, N=config.N,
-        dist=config.distribution, seed=config.seed,
-        graph_hash=g.content_hash())
-
-
 def _cmd_weights(args):
     config = _config_from(args)
     config.validate()
     g = read_edgelist(args.graph)
-    est = _estimate_weights(config, g, laplacian(g, config.variant))
+    _, est = frame_and_weights(laplacian(g, config.variant), config,
+                               g.content_hash())
     save_weights(args.output, est)
     print(f"n={est.n} J={est.J} N={est.N} file={args.output}")
     return 0
@@ -225,20 +217,19 @@ def _cmd_eval(args):
 def _cmd_bench(args):
     if (args.epsilon is None) == (args.sigma is None):
         raise ValueError("bench sweeps exactly one of --epsilon or --sigma")
+    require_count("reps", args.reps)
     config = _config_from(args)
     config.validate()
     g = read_edgelist(args.graph)
     f = synth_signal(g, SignalSpec(args.p, args.k, seed=args.signal_seed))
     if args.epsilon is not None:
-        levels = [(eps, calibrate_sigma(PrivacyParams(
-            eps, args.delta, args.sensitivity, args.mechanism)))
-            for eps in args.epsilon]
+        levels = [(eps, _calibrated_sigma(args, eps)) for eps in args.epsilon]
     else:
         levels = [("", sig) for sig in args.sigma]
     L = laplacian(g, config.variant)
     # deterministic in (graph, config), so one estimate serves every noise
     # level and repetition
-    weights = _estimate_weights(config, g, L)
+    _, weights = frame_and_weights(L, config, g.content_hash())
     with open(args.output, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(BENCH_COLUMNS)
@@ -251,13 +242,12 @@ def _cmd_bench(args):
                 fhat, report = denoise_pipeline(
                     g, noisy, dataclasses.replace(config, sigma=sigma),
                     weights=weights, operator=L)
+                row = [run, eps, repr(sigma), f"{snr(f, noisy):.6f}",
+                       f"{snr(f, fhat):.6f}", repr(report["sure"])]
+                # the remaining columns are wall_ms_<stage>
                 t = report["timings_ms"]
-                out.writerow([run, eps, repr(sigma),
-                              f"{snr(f, noisy):.6f}", f"{snr(f, fhat):.6f}",
-                              repr(report["sure"])]
-                             + [f"{t[s]:.3f}" for s in
-                                ("setup", "forward", "weights", "select",
-                                 "apply", "inverse")])
+                out.writerow(row + [f"{t[c.removeprefix('wall_ms_')]:.3f}"
+                                    for c in BENCH_COLUMNS[len(row):]])
     return 0
 
 

@@ -84,6 +84,20 @@ def weight_fingerprint(graph_hash, pou, config):
                                      pou=pou.fingerprint(), **vars(config))
 
 
+def frame_and_weights(L, config, graph_hash, cached=None):
+    """(pou, estimate): the partition of unity config asks for on L, and
+    its weight estimate on the graph of graph_hash, cached where it
+    matches."""
+    pou = PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
+                                        c=config.c)
+    if (cached is not None and cached.fingerprint()
+            == weight_fingerprint(graph_hash, pou, config)):
+        return pou, cached
+    return pou, estimate_diagonal_weights(
+        L, pou, K=config.K, jackson=config.jackson, N=config.N,
+        dist=config.distribution, seed=config.seed, graph_hash=graph_hash)
+
+
 # where Linux reports a process's memory, VmHWM among it
 PROC_STATUS = "/proc/self/status"
 
@@ -164,26 +178,19 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
             source = "operator"
         report["bound"] = {"source": source, "matvecs": L.bound_matvecs,
                            "ms": L.bound_ms}
-        pou = PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
-                                            c=config.c)
 
     with timed(timings, "weights", matvecs, L):
-        expected = weight_fingerprint(graph_hash, pou, config)
-        if weights is not None and weights.fingerprint() == expected:
-            report["cache"] = "hit"
+        pou, estimate = frame_and_weights(L, config, graph_hash, weights)
+        # a new estimate's fingerprint is the one the cache had to match
+        if weights is None or estimate is weights:
+            report["cache"] = "miss" if weights is None else "hit"
         else:
-            if weights is not None:
-                report["warnings"].append(
-                    "cached weights do not match the current configuration; "
-                    f"recomputed (cache {weights.fingerprint()!r} vs "
-                    f"expected {expected!r})")
-                report["cache"] = "mismatch-recomputed"
-            else:
-                report["cache"] = "miss"
-            weights = estimate_diagonal_weights(
-                L, pou, K=config.K, jackson=config.jackson, N=config.N,
-                dist=config.distribution, seed=config.seed,
-                graph_hash=graph_hash)
+            report["warnings"].append(
+                "cached weights do not match the current configuration; "
+                f"recomputed (cache {weights.fingerprint()!r} vs "
+                f"expected {estimate.fingerprint()!r})")
+            report["cache"] = "mismatch-recomputed"
+        weights = estimate
 
     # after the weights, so that the scaled weights their estimate makes
     # are never held beside the J + 1 coefficient blocks. The step outside
@@ -218,7 +225,7 @@ def denoise_pipeline(graph, noisy, config, weights=None, operator=None):
         n=graph.n,
         J=pou.J,
         lambda_ub=float(L.lambda_ub),
-        fingerprint=expected,
+        fingerprint=weights.fingerprint(),
         timings_ms=timings,
         matvecs=matvecs,
         peak_rss_mb=_peak_rss_mb(),

@@ -29,8 +29,7 @@ class SignalSpec:
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if self.k < 0 or self.k != int(self.k):
-            raise ValueError(f"k must be a nonnegative integer, got {self.k}")
+        require_count("k", self.k, least=0)
 
 
 def synth_signal(g, spec):
@@ -103,14 +102,14 @@ def require_positive(name, value):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def require_count(name, value):
+def require_count(name, value, least=1):
     """Refuse a count, such as a polynomial degree or a probe count, that
-    is not an integer of at least 1, naming it. A bool is not a count;
-    numpy integers are."""
+    is not an integer of at least `least`, naming it. A bool is not a
+    count; numpy integers are."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
 
 
 def require_flag(name, value):

@@ -234,8 +234,10 @@ def load_weights(path):
     meta = {}
     for key, field in _FIELDS.items():
         if key in header:
-            # bool("0") is True, so a flag goes through int
-            meta[key] = bool(int(header[key])) if field.type is bool \
+            if field.type is bool and header[key] not in ("0", "1"):
+                raise ValueError(f"weight cache {path}: {key} must be 0 or "
+                                 f"1, got {header[key]!r}")
+            meta[key] = header[key] == "1" if field.type is bool \
                 else field.type(header[key])
         elif field.default is MISSING:
             raise ValueError(f"weight cache {path} missing header field "

@@ -316,9 +316,12 @@ def test_million_node_smoke():
     # forward cost linear in K: doubling K doubles wall time within 30%
     for K in (25, 50, 100):
         sgwt_forward_fast(L, noisy, pou, K=K)  # warm the caches
-    best = {}
-    for K in (25, 50, 100):
-        best[K] = min(_timed_forward(L, noisy, pou, K) for _ in range(3))
+    # three rounds of K = 25, 50, 100 in turn, so that one busy spell of
+    # the machine cannot cover every run of one K
+    best = dict.fromkeys((25, 50, 100), np.inf)
+    for _ in range(3):
+        for K in best:
+            best[K] = min(best[K], _timed_forward(L, noisy, pou, K))
     assert 1.4 <= best[50] / best[25] <= 2.6
     assert 1.4 <= best[100] / best[50] <= 2.6
 

@@ -25,7 +25,8 @@ from gsdenoise.graph import (
     write_edgelist,
 )
 from gsdenoise import pipeline
-from gsdenoise.pipeline import PipelineConfig, denoise_pipeline
+from gsdenoise.pipeline import (PipelineConfig, denoise_pipeline,
+                                frame_and_weights, weight_fingerprint)
 from gsdenoise.signals import SignalSpec, read_signal, snr, synth_signal, \
     write_signal
 from gsdenoise.sure import DISTRIBUTIONS, draw_probe, \
@@ -207,6 +208,40 @@ def test_weight_cache_hit_miss_and_mismatch():
     assert any("recomputed" in w for w in mm["warnings"])
     fhat_miss, _ = denoise_pipeline(g, noisy, cfg)
     assert np.array_equal(fhat_stale, fhat_miss)  # stale cache never used
+
+
+def test_frame_and_weights_is_what_the_config_asks_for():
+    # the partition of the config's kind, b and c, and the estimate of its
+    # K, jackson, N, distribution and seed; a matching cache is returned
+    # as it is, and a pipeline run takes the estimate as a hit
+    g, f = _graph_and_signal(60)
+    cfg = PipelineConfig(sigma=1.0, kind="smooth", b=1.7, c=0.8, K=30,
+                         jackson=False, N=2, distribution="gaussian", seed=3)
+    L = laplacian(g, cfg.variant)
+    graph_hash = g.content_hash()
+    pou, est = frame_and_weights(L, cfg, graph_hash)
+    want = PartitionOfUnity.for_operator(L, kind="smooth", b=1.7, c=0.8)
+    assert pou.fingerprint() == want.fingerprint()
+    ref = estimate_diagonal_weights(L, want, K=30, jackson=False, N=2,
+                                    dist="gaussian", seed=3,
+                                    graph_hash=graph_hash)
+    expected = weight_fingerprint(graph_hash, pou, cfg)
+    assert est.fingerprint() == ref.fingerprint() == expected
+    assert est.diag.tobytes() == ref.diag.tobytes()
+    assert frame_and_weights(L, cfg, graph_hash, cached=est)[1] is est
+    other = dataclasses.replace(cfg, seed=4)
+    fresh = frame_and_weights(L, other, graph_hash, cached=est)[1]
+    assert fresh is not est and fresh.seed == 4
+
+    _, hit = denoise_pipeline(g, f, cfg, weights=est)
+    assert hit["cache"] == "hit" and hit["fingerprint"] == expected
+    _, mm = denoise_pipeline(g, f, other, weights=est)
+    assert mm["cache"] == "mismatch-recomputed"
+    assert mm["fingerprint"] == fresh.fingerprint()
+    assert mm["warnings"] == [
+        "cached weights do not match the current configuration; "
+        f"recomputed (cache {expected!r} vs expected "
+        f"{weight_fingerprint(graph_hash, pou, other)!r})"]
 
 
 def _weights_for(g, cfg, variant=None, graph_hash=None):
@@ -699,7 +734,6 @@ def test_cli_bench_estimates_the_weights_once(workspace, monkeypatch):
         calls.append(args)
         return estimate_diagonal_weights(*args, **kwargs)
 
-    monkeypatch.setattr("gsdenoise.cli.estimate_diagonal_weights", counted)
     monkeypatch.setattr("gsdenoise.pipeline.estimate_diagonal_weights",
                         counted)
     assert main(["bench", gpath, "-o", out, "--reps", "2", "--sigma", "0.5",
@@ -742,6 +776,37 @@ def test_cli_bench_noise_is_not_a_weight_probe(workspace, monkeypatch):
     assert len(noisy) == 2
     for run, x in enumerate(noisy):
         assert not np.allclose(x - f, draw_probe(g.n, "gaussian", 3, run))
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_cli_bench_refuses_fewer_than_one_rep(workspace, capsys, reps):
+    # refused before the CSV is opened, so no header-only file is left
+    tmp, g, gpath = workspace
+    out = tmp / "bench.csv"
+    assert main(["bench", gpath, "-o", str(out), "--sigma", "1",
+                 "--reps", reps]) == 1
+    assert "reps must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_shared_flags_are_declared_alike():
+    # each flag two subcommands share has one declaration: the same
+    # spelling, type, default, choices and help wherever it is taken
+    (action,) = [a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    shared = {"--delta": ("sanitize", "bench"),
+              "--sensitivity": ("sanitize", "bench"),
+              "--mechanism": ("sanitize", "bench"),
+              "--p": ("synth", "bench"), "--k": ("synth", "bench"),
+              "--graph": ("sanitize", "eval")}
+    for flag, commands in shared.items():
+        declared = set()
+        for command in commands:
+            (a,) = [a for a in action.choices[command]._actions
+                    if flag in a.option_strings]
+            declared.add((tuple(a.option_strings), a.type, a.default,
+                          a.choices, a.help))
+        assert len(declared) == 1, flag
 
 
 def test_cli_bench_requires_exactly_one_sweep(workspace, capsys):

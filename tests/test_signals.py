@@ -38,6 +38,21 @@ def test_spec_validation():
         SignalSpec(0.5, -1)
 
 
+@pytest.mark.parametrize("k", [2.0, np.float64(3.0), True, False, "2", None])
+def test_spec_refuses_a_k_that_is_not_an_integer(k):
+    # k is a count of diffusion steps: a float is no count even when
+    # integral, and a bool is not one either
+    with pytest.raises(ValueError, match=r"^k must be an integer, got "):
+        SignalSpec(0.3, k)
+
+
+def test_spec_takes_an_integer_k_from_zero():
+    assert SignalSpec(0.3, 0).k == 0
+    assert SignalSpec(0.3, np.int64(3)).k == 3
+    with pytest.raises(ValueError, match=r"^k must be at least 0$"):
+        SignalSpec(0.3, -1)
+
+
 def test_zero_diffusion_returns_the_bernoulli_draw():
     g = random_connected_graph(80, seed=0)
     f = synth_signal(g, SignalSpec(0.3, 0, seed=5))

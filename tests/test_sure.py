@@ -319,6 +319,22 @@ _HEADER = ("# n = 2\n# J = 0\n# K = 10\n# jackson = 1\n# N = 1\n"
            "# distribution = rademacher\n# seed = 0\n")
 
 
+@pytest.mark.parametrize("value", ["2", "-7", "true", "1.0", ""])
+def test_weight_cache_refuses_a_jackson_header_other_than_0_or_1(tmp_path,
+                                                                 value):
+    # read as True, such a header would match a jackson=1 fingerprint
+    path = tmp_path / "w.txt"
+    path.write_text(_HEADER.replace("# jackson = 1",
+                                    f"# jackson = {value}") + "1.0\n0.5\n")
+    with pytest.raises(ValueError, match=rf"w\.txt: jackson must be 0 or 1, "
+                                         rf"got '{value}'$"):
+        load_weights(path)
+    for flag in (0, 1):
+        path.write_text(_HEADER.replace("# jackson = 1",
+                                        f"# jackson = {flag}") + "1.0\n0.5\n")
+        assert load_weights(path).jackson is bool(flag)
+
+
 def test_weight_cache_malformed_value_names_its_line(tmp_path):
     path = tmp_path / "w.txt"
     path.write_text(_HEADER + "1.0\n0.5x\n")

@@ -31,6 +31,26 @@ def _load_tool(name, monkeypatch):
     return module
 
 
+def test_probe_sweep_estimates_are_the_pipelines(monkeypatch):
+    # each N's estimate is the one a pipeline run with that N takes as a
+    # hit, made on the configuration's partition
+    sweep = _load_tool("probe_sweep", monkeypatch)
+    monkeypatch.setattr(sweep, "PROBE_COUNTS", (1, 3))
+    g = grid_graph(20, 20)
+    config = PipelineConfig(K=30, kind="smooth", c=0.7, seed=2)
+    L = laplacian(g)
+    pou, weights, seconds = sweep.estimate_weights(L, config,
+                                                   g.content_hash())
+    assert pou.fingerprint() == PartitionOfUnity.for_operator(
+        L, kind="smooth", c=0.7).fingerprint()
+    assert sorted(weights) == sorted(seconds) == [1, 3]
+    _, noisy, sigma = sweep.draw_input(g, 1000, 1500, 1.0)
+    for N, est in weights.items():
+        run = dataclasses.replace(config, N=N, sigma=sigma)
+        _, report = denoise_pipeline(g, noisy, run, weights=est, operator=L)
+        assert report["cache"] == "hit", N
+
+
 def test_probe_sweep_denoises_as_the_pipeline_does(monkeypatch):
     # each N's gain is that of a pipeline run on the same weights, and its
     # gap is the reported SURE against the coefficient loss

@@ -22,6 +22,7 @@ and the largest-magnitude gap; and the inputs beyond 6%, both all of them
 and those within 6% at the reference.
 """
 
+import dataclasses
 import json
 import os
 import platform
@@ -79,17 +80,16 @@ def draw_input(g, signal_seed, noise_seed, epsilon):
     return f, noisy, sigma
 
 
-def estimate_weights(L, pou, config, graph_hash):
-    """The estimate for each N, with its wall time in s."""
+def estimate_weights(L, config, graph_hash):
+    """The partition of unity, and the estimate for each N with its wall
+    time in s, each made as the pipeline makes it."""
     weights, seconds = {}, {}
     for N in PROBE_COUNTS:
         start = time.perf_counter()
-        weights[N] = gd.estimate_diagonal_weights(
-            L, pou, K=config.K, jackson=config.jackson, N=N,
-            dist=config.distribution, seed=config.seed,
-            graph_hash=graph_hash)
+        pou, weights[N] = gd.frame_and_weights(
+            L, dataclasses.replace(config, N=N), graph_hash)
         seconds[N] = time.perf_counter() - start
-    return weights, seconds
+    return pou, weights, seconds
 
 
 def denoise_each(L, pou, config, weights, f, noisy, sigma):
@@ -144,9 +144,7 @@ def sweep_configuration(name, graph, variant, epsilons, levels, pinned):
     g = GRAPHS[graph]()
     config = gd.PipelineConfig(variant=variant)
     L = gd.laplacian(g, variant)
-    pou = gd.PartitionOfUnity.for_operator(L, kind=config.kind, b=config.b,
-                                           c=config.c)
-    weights, seconds = estimate_weights(L, pou, config, g.content_hash())
+    pou, weights, seconds = estimate_weights(L, config, g.content_hash())
     inputs = []
     for seed in SEEDS:
         for level in levels:
