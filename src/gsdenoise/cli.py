@@ -59,7 +59,9 @@ def _build_parser():
                          help="privacy slack")
     privacy.add_argument("--sensitivity", type=float, default=1.0,
                          help="l2-sensitivity of the signal")
-    privacy.add_argument("--mechanism", default="analytic", choices=MECHANISMS)
+    privacy.add_argument("--mechanism", default="analytic", choices=MECHANISMS,
+                         help="Gaussian mechanism that calibrates sigma "
+                              "from the privacy budget")
     spec = argparse.ArgumentParser(add_help=False)
     spec.add_argument("--p", type=float, default=0.01,
                       help="Bernoulli source density")
@@ -81,7 +83,7 @@ def _build_parser():
 
     p = sub.add_parser("synth", parents=[spec],
                        help="synthesize a Bernoulli-diffusion signal")
-    p.add_argument("graph")
+    p.add_argument("graph", help="edge-list file")
     _add_config_flags(p, ["seed"])
     p.add_argument("-o", "--output", required=True, help="signal file to write")
 
@@ -89,35 +91,38 @@ def _build_parser():
                        help="add calibrated Gaussian noise to a signal")
     p.add_argument("signal", help="signal file to sanitize")
     _add_config_flags(p, ["seed"])
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True,
+                   help="signal file to write")
     p.add_argument("--sigma", type=float,
                    help="noise scale; overrides mechanism calibration")
     p.add_argument("--epsilon", type=float, help="privacy budget")
 
     p = sub.add_parser("weights", parents=[cfg],
                        help="precompute the SURE weight cache for a graph")
-    p.add_argument("graph")
+    p.add_argument("graph", help="edge-list file")
     p.add_argument("-o", "--output", required=True, help="cache file to write")
 
     p = sub.add_parser("denoise", parents=[cfg],
                        help="denoise a signal file")
-    p.add_argument("graph")
-    p.add_argument("signal")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("graph", help="edge-list file")
+    p.add_argument("signal", help="signal file to denoise")
+    p.add_argument("-o", "--output", required=True,
+                   help="signal file to write the estimate to")
     p.add_argument("--sigma", type=float, required=True,
                    help="noise scale published with the signal")
     p.add_argument("--weights", help="weight cache file to reuse")
 
     p = sub.add_parser("eval", parents=[labels],
                        help="print SNR and MSE of an estimate vs a reference")
-    p.add_argument("reference")
-    p.add_argument("estimate")
+    p.add_argument("reference", help="clean signal file")
+    p.add_argument("estimate", help="signal file to score")
 
     p = sub.add_parser("bench", parents=[cfg, privacy, spec],
                        help="sweep noise levels x repetitions, write a CSV")
-    p.add_argument("graph")
+    p.add_argument("graph", help="edge-list file")
     p.add_argument("-o", "--output", required=True, help="CSV file to write")
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=int, default=5,
+                   help="noise draws per level, at least 1")
     p.add_argument("--epsilon", type=float, action="append", default=None,
                    help="privacy budget; repeat for a sweep")
     p.add_argument("--sigma", type=float, action="append", default=None,

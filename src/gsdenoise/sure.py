@@ -10,7 +10,6 @@ probes at every sample size. Exact small-graph oracles for the weights and
 for both closed-form variance expressions live here too.
 """
 
-import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -41,14 +40,6 @@ def require_probes(N, dist):
     require_choice("distribution", dist, DISTRIBUTIONS)
 
 
-def require_seed(seed):
-    """Refuse a probe seed that is not a nonnegative integer. A bool is not
-    a seed; numpy integers are."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or seed < 0):
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
 def draw_probe(n, dist, seed, k):
     """Probe vector number k, counter-based so draws are order-independent.
 
@@ -56,7 +47,7 @@ def draw_probe(n, dist, seed, k):
     5 or 50 and runs can be extended or parallelized deterministically.
     """
     require_choice("distribution", dist, DISTRIBUTIONS)
-    require_seed(seed)
+    require_count("seed", seed, least=0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
     if dist == "rademacher":
         return 2.0 * rng.integers(0, 2, size=n).astype(np.float64) - 1.0
@@ -104,7 +95,7 @@ _FIELDS = {field.name: field for field in fields(WeightEstimate)
            if field.name != "diag"}
 
 
-def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=5,
+def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=2,
                               dist="rademacher", seed=0, graph_hash=""):
     """Monte-Carlo Gram diagonal, O(N (mK + n(J+1)K)) with the fast transform.
 

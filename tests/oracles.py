@@ -1,10 +1,12 @@
 """References shared by the tests: exact-transform ones for the statistical
-tests, and an edge-list construction of the grid graph."""
+tests, the exact SURE weights of a grid, and an edge-list construction of
+the grid graph."""
 
 import functools
 
 import numpy as np
 
+from gsdenoise.chebyshev import band_coefficients
 from gsdenoise.frame import exact_eigendecomposition, sgwt_forward_exact
 from gsdenoise.graph import SparseGraph
 from gsdenoise.sure import draw_probe
@@ -31,6 +33,34 @@ def exact_probe_weights(L, pou, N=10, dist="rademacher", seed=0):
                                eig=eig).values
         acc += np.square(w, out=w)
     return acc / N
+
+
+def _path_spectrum(m):
+    """Eigenvalues of the m-node path's Laplacian, 4 sin^2(pi a / 2m), and
+    its orthonormal DCT-II eigenvectors squared entrywise, one column per
+    eigenvalue."""
+    a = np.arange(m)
+    basis = np.cos(np.pi * np.outer(a + 0.5, a) / m) * np.sqrt(2.0 / m)
+    basis[:, 0] = np.sqrt(1.0 / m)
+    return 4.0 * np.sin(np.pi * a / (2 * m)) ** 2, basis ** 2
+
+
+def exact_grid_weights(L, pou, rows, cols, K, jackson):
+    """The Gram diagonal (W W*)_ii of the fast transform's frame on the
+    rows x cols grid's unnormalized Laplacian L, without an n x n matrix.
+
+    The grid's Laplacian is the Kronecker sum of two path Laplacians, so
+    its eigenvectors are products u_a (x) v_b with eigenvalues lam_a + mu_b.
+    Scale j applies the band polynomial p_j of band_coefficients, and its
+    diagonal is U2 P_j V2^T with P_j[a, b] = p_j(lam_a + mu_b)^2 and U2, V2
+    the paths' eigenvectors squared, in the grid's row-major node order.
+    """
+    lam, U2 = _path_spectrum(rows)
+    mu, V2 = _path_spectrum(cols)
+    x = 2.0 * np.add.outer(lam, mu) / L.lambda_ub - 1.0
+    return np.concatenate([
+        (U2 @ np.polynomial.chebyshev.chebval(x, theta) ** 2 @ V2.T).ravel()
+        for theta in band_coefficients(L, pou, K, jackson)])
 
 
 def shrink_with_derivatives(coeffs, policy):

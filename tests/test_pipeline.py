@@ -78,8 +78,8 @@ def test_config_validation_covers_every_field():
     with pytest.raises(ValueError,
                        match=r"^jackson must be a bool, got 'no'$"):
         PipelineConfig(jackson="no").validate()
-    with pytest.raises(ValueError, match=r"^seed must be a nonnegative "
-                                         r"integer, got True$"):
+    with pytest.raises(ValueError, match=r"^seed must be an integer, "
+                                         r"got True$"):
         PipelineConfig(seed=True).validate()
     # numpy integers are integers, and numpy bools are bools
     PipelineConfig(K=np.int64(30), N=np.int32(2), seed=np.int64(3),
@@ -807,6 +807,17 @@ def test_cli_shared_flags_are_declared_alike():
             declared.add((tuple(a.option_strings), a.type, a.default,
                           a.choices, a.help))
         assert len(declared) == 1, flag
+
+
+def test_cli_every_argument_has_help():
+    # every option and positional of every subcommand says what it is in
+    # --help
+    (action,) = [a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    assert len(action.choices) == 7
+    for command, parser in action.choices.items():
+        for a in parser._actions:
+            assert a.help, (command, a.option_strings or a.dest)
 
 
 def test_cli_bench_requires_exactly_one_sweep(workspace, capsys):

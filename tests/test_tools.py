@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -77,3 +78,18 @@ def test_probe_sweep_denoises_as_the_pipeline_does(monkeypatch):
                                                       report["thresholds"]))
         err = shrunk.values - clean
         assert gap[N] == report["sure"] / (err @ err) - 1.0
+
+
+def test_default_probe_count_holds_in_the_committed_sweep():
+    # a default probe count keeps every input within the SURE-against-loss
+    # tolerance, and loses no more gain against the reference N than the
+    # sweep's own seed-to-seed sd, on each workload
+    sweep = json.loads((TOOLS.parent / "BENCH_probes.json").read_text())
+    configurations = {c["name"]: c for c in sweep["configurations"]}
+    assert sorted(configurations) == ["grid-oneshot", "grid-stream",
+                                      "random-cli"]
+    assert sweep["probe_seed"] == PipelineConfig.seed
+    for name, c in configurations.items():
+        summary = c["summary"][str(PipelineConfig.N)]
+        assert summary["beyond_gap_tol"] == 0, name
+        assert summary["dsnr_mean_db"] >= -summary["dsnr_sd_db"], name
