@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .graph import laplacian, read_edgelist
+from .graph import file_sha256, graph_edges, laplacian, read_edgelist
 from .pipeline import (PipelineConfig, denoise_pipeline, frame_and_weights,
                        timed)
 from .privacy import MECHANISMS, PrivacyParams, calibrate_sigma, sanitize
@@ -175,22 +175,27 @@ def _cmd_sanitize(args):
 def _cmd_weights(args):
     config = _config_from(args)
     config.validate()
+    digest = file_sha256(args.graph)
     g = read_edgelist(args.graph)
     _, est = frame_and_weights(laplacian(g, config.variant), config,
                                g.content_hash())
-    save_weights(args.output, est)
+    save_weights(args.output, est, graph=(digest, graph_edges(g)))
     print(f"n={est.n} J={est.J} N={est.N} file={args.output}")
     return 0
 
 
 def _cmd_denoise(args):
     io_ms = {}
+    with timed(io_ms, "load_weights"):
+        cached, graph = (load_weights(args.weights, return_graph=True)
+                         if args.weights else (None, None))
     with timed(io_ms, "read_graph"):
-        g = read_edgelist(args.graph)
+        # the cache's own edges where it was written from these very bytes
+        edges = (graph[1] if graph and graph[0] == file_sha256(args.graph)
+                 else None)
+        g = read_edgelist(args.graph, edges)
     with timed(io_ms, "read_signal"):
         f, _ = read_signal(args.signal, graph=g)
-    with timed(io_ms, "load_weights"):
-        cached = load_weights(args.weights) if args.weights else None
     config = _config_from(args, sigma=args.sigma)
     fhat, report = denoise_pipeline(g, f, config, weights=cached)
     with timed(io_ms, "write"):
@@ -200,6 +205,7 @@ def _cmd_denoise(args):
     for w in report["warnings"]:
         print(f"warning: {w}", file=sys.stderr)
     print(f"cache={report['cache']}")
+    print(f"graph_source={'edgelist' if edges is None else 'cache'}")
     print(f"bound_source={report['bound']['source']}")
     print(f"sure={report['sure']!r}")
     print("thresholds=" + ",".join(repr(t) for t in report["thresholds"]))

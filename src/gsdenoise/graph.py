@@ -20,7 +20,8 @@ estimate reaches it: 12 matvecs on the 300x300 grid.
 Graphs come from records (``build_graph``), from CSR arrays (``from_csr``),
 from the generators, or from text edge lists (``read_edgelist``), which
 are parsed by numpy passes over the file's bytes with no Python object per
-token, into the graph ``build_graph`` makes of the same records.
+token, into the graph ``build_graph`` makes of the same records, or else
+rebuilt from the edges a weight cache keeps of the file's graph.
 """
 
 import hashlib
@@ -155,9 +156,16 @@ def _entry_rows(g):
 
 
 def _assemble(rows, cols, w, n, labels):
-    """Symmetrize, collapse duplicate edges by summing, build CSR."""
-    r2 = np.concatenate([rows, cols])
-    c2 = np.concatenate([cols, rows])
+    """Symmetrize, collapse duplicate edges by summing, build CSR.
+
+    Each edge enters as (min, max) and as its mirror, so that both entries
+    of an edge sum its duplicates in the same order, and the adjacency is
+    exactly symmetric whatever directions the duplicates were given in.
+    """
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    r2 = np.concatenate([lo, hi])
+    c2 = np.concatenate([hi, lo])
+    del lo, hi
     w2 = np.concatenate([w, w])
     # collapse duplicates: unique (row, col) keys, bincount the weights
     keys = r2.astype(np.int64) * n + c2
@@ -322,7 +330,7 @@ def _number_labels(buf, starts, lens):
     return rank[inverse], [labels[i] for i in order.tolist()]
 
 
-def read_edgelist(path):
+def read_edgelist(path, edges=None):
     """Read the text edge-list format: one ``u v [w]`` per line.
 
     A line's tokens are those of ``str.split()``. Blank lines, and lines
@@ -338,7 +346,26 @@ def read_edgelist(path):
     object per token, and each pass's arrays are freed before the final
     assembly, which then sets the peak: about 7.5 times the file's size
     under tracemalloc on the files :func:`write_edgelist` writes.
+
+    With edges, the ``(u, v, w, labels)`` that :func:`graph_edges` gives
+    of the graph of this file, as a weight cache keeps them, the file is
+    not read: the edges go through the same self-loop and weight checks
+    and the same assembly as parsed ones, so the graph is bitwise the one
+    the file gives.
     """
+    us, vs, w, labels = _parse_edgelist(path) if edges is None else edges
+    bad = (us == vs) | ~((w > 0) & (w < math.inf))
+    if bad.any():
+        r = int(np.argmax(bad))
+        u, v, wr = labels[us[r]], labels[vs[r]], float(w[r])
+        _check_record((u, v, wr), u, v, wr)
+    del bad
+    return _assemble(us, vs, w, len(labels), labels)
+
+
+def _parse_edgelist(path):
+    """The edge lines of a text edge list as ``(u, v, w, labels)``: the
+    node indices and weight of each line, in line order, and the labels."""
     with open(path) as fh:
         text = fh.read()
     if not text.isascii():
@@ -387,17 +414,25 @@ def read_edgelist(path):
     del wstart, wlen, malformed, linenos
     ids, labels = _number_labels(buf, lstart, llen)
     del buf, data, lstart, llen
-    us, vs = ids[0::2], ids[1::2]
-    w = np.ones(us.size)
+    w = np.ones(ids.size // 2)
     w[weighted] = values
-    del values, weighted
-    bad = (us == vs) | ~((w > 0) & (w < math.inf))
-    if bad.any():
-        r = int(np.argmax(bad))
-        u, v, wr = labels[us[r]], labels[vs[r]], float(w[r])
-        _check_record((u, v, wr), u, v, wr)
-    del bad
-    return _assemble(us, vs, w, len(labels), labels)
+    return ids[0::2], ids[1::2], w, labels
+
+
+def graph_edges(g):
+    """Each undirected edge of g once, as ``(u, v, w, labels)``: u < v in
+    the graph's index dtype and in CSR order, w their weights, and g's own
+    labels. :func:`read_edgelist` rebuilds g from them bitwise."""
+    rows = _entry_rows(g).astype(g.indices.dtype)
+    keep = rows < g.indices
+    return rows[keep], g.indices[keep], g.weights[keep], g.labels
+
+
+def file_sha256(path):
+    """The hex SHA-256 of a file's bytes, which ties the graph a weight
+    cache keeps to the edge-list file it was read from."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_edgelist(g, path):
@@ -421,11 +456,10 @@ def write_edgelist(g, path):
                              f"as {s!r}")
         seen[s] = label
     labels = g.labels if g.labels is not None else list(range(g.n))
-    rows = _entry_rows(g)
+    us, vs, ws, _ = graph_edges(g)
     with open(path, "w") as fh:
         fh.write(f"# n={g.n} m={g.m}\n")
-        keep = rows < g.indices  # each undirected edge once
-        for i, j, w in zip(rows[keep], g.indices[keep], g.weights[keep]):
+        for i, j, w in zip(us, vs, ws):
             fh.write(f"{labels[i]} {labels[j]} {float(w)!r}\n")
 
 

@@ -10,14 +10,14 @@ probes at every sample size. Exact small-graph oracles for the weights and
 for both closed-form variance expressions live here too.
 """
 
-from dataclasses import MISSING, dataclass, fields
+import zipfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import chebyshev
-from .signals import (dot, read_signal, require_choice, require_count,
-                      require_flag, require_positive, require_weights,
-                      write_signal)
+from .signals import (dot, require_choice, require_count, require_flag,
+                      require_positive, require_weights)
 
 DISTRIBUTIONS = ("rademacher", "gaussian")
 # everything a weight estimate depends on, by WeightEstimate's field names
@@ -87,12 +87,11 @@ class WeightEstimate:
         return WEIGHT_FINGERPRINT.format_map(vars(self))
 
 
-# a weight cache's header keys, in file order; each key's type, and whether
-# it is required, is its WeightEstimate field's
+# a weight cache's provenance keys; each key's type is its WeightEstimate
+# field's
 CACHE_KEYS = ("n", "J", "K", "jackson", "N", "distribution", "seed", "pou",
               "variant", "graph_hash")
-_FIELDS = {field.name: field for field in fields(WeightEstimate)
-           if field.name != "diag"}
+_TYPES = {field.name: field.type for field in fields(WeightEstimate)}
 
 
 def estimate_diagonal_weights(L, pou, K=100, jackson=True, N=2,
@@ -205,32 +204,125 @@ def sure_variance_exact(frame_matrix, derivs, sigma, dist, N):
 # ---------------------------------------------------------------------------
 # weight cache files
 
-def save_weights(path, est):
-    """Write the weight estimate as a signal file with its provenance
-    header."""
-    header = {key: getattr(est, key) for key in CACHE_KEYS}
-    header["jackson"] = int(est.jackson)  # read back through int
-    write_signal(path, est.diag, header=header)
+# the keys of a weight cache's graph section: the SHA-256 of the edge-list
+# file's bytes, then graph_edges' (u, v, w, labels), the labels as one
+# newline-joined UTF-8 byte blob
+GRAPH_KEYS = ("graph_sha256", "edge_u", "edge_v", "edge_w", "labels")
+_EXPECTED = {int: "an integer", str: "a string", bool: "0 or 1"}
 
 
-def load_weights(path):
+def save_weights(path, est, graph=None):
+    """Write the weight estimate to path as one uncompressed npz: diag and
+    each provenance field of ``CACHE_KEYS``, jackson as 0 or 1.
+
+    With graph, a ``(sha256, edges)`` pair, the cache also keeps the graph
+    the estimate was made on: the hex SHA-256 of its edge-list file's bytes
+    and the ``graph.graph_edges`` of the graph read from that file, whose
+    labels are strings with no newline, as ``read_edgelist`` gives them.
+    """
+    arrays = {key: np.asarray(getattr(est, key)) for key in CACHE_KEYS}
+    arrays.update(diag=est.diag, jackson=np.asarray(int(est.jackson)))
+    if graph is not None:
+        sha256, (u, v, w, labels) = graph
+        arrays.update(zip(GRAPH_KEYS, (
+            np.asarray(sha256), u, v, w,
+            np.frombuffer("\n".join(labels).encode(), dtype=np.uint8))))
+    # through the open file: np.savez adds .npz to a path that lacks it
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _read_cache(path, keys):
+    """The arrays of the npz weight cache at path under those of keys that
+    it holds, by key."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise ValueError(
+                f"weight cache {path} is not an npz file; caches of the "
+                "earlier text format are no longer read: rerun "
+                "`gsdenoise weights`")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as z:
+                return {key: z[key] for key in keys if key in z.files}
+        except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+            raise ValueError(f"weight cache {path} is damaged: {exc}") \
+                from None
+
+
+def _array(path, arrays, key):
+    if key not in arrays:
+        raise ValueError(f"weight cache {path} missing field {key!r}")
+    return arrays[key]
+
+
+def _scalar(path, arrays, key, kind):
+    """The value of a cache's 0-d array under key, refused unless it is of
+    kind: int, str, or bool for an integer 0 or 1."""
+    a = _array(path, arrays, key)
+    value = a.item() if a.ndim == 0 else a
+    if not (type(value) is int and value in (0, 1) if kind is bool
+            else type(value) is kind):
+        raise ValueError(f"weight cache {path}: {key} must be "
+                         f"{_EXPECTED[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _graph_section(path, arrays, n):
+    """A cache's (sha256, (u, v, w, labels)), each edge checked for
+    u < v < n and a positive finite weight, and the labels counted."""
+    sha256 = _scalar(path, arrays, "graph_sha256", str)
+    u, v, w, blob = (_array(path, arrays, key) for key in GRAPH_KEYS[1:])
+    if not (u.dtype == v.dtype and u.dtype in (np.int32, np.int64)
+            and w.dtype == np.float64 and blob.dtype == np.uint8
+            and u.ndim == v.ndim == w.ndim == blob.ndim == 1
+            and u.size == v.size == w.size):
+        raise ValueError(f"weight cache {path}: edge_u and edge_v must be "
+                         "int32 or int64 and edge_w float64 vectors of one "
+                         "length, and labels a uint8 vector")
+    bad = (u >= v) | (u < 0) | (v >= n) | ~((w > 0) & (w < np.inf))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise ValueError(f"weight cache {path}: edge {e} ({int(u[e])}, "
+                         f"{int(v[e])}, {float(w[e])!r}) does not have "
+                         f"0 <= u < v < n = {n} and a positive finite "
+                         "weight")
+    try:
+        labels = blob.tobytes().decode().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"weight cache {path}: labels: {exc}") from None
+    if len(labels) != n:
+        raise ValueError(f"weight cache {path}: {len(labels)} labels for "
+                         f"n = {n} nodes")
+    return sha256, (u, v, w, labels)
+
+
+def load_weights(path, return_graph=False):
     """Read a weight cache written by :func:`save_weights`.
 
-    The cache is a signal file; each header value is converted to its
-    ``WeightEstimate`` field's type. Other header keys, such as the
-    ``lambda_ub`` line of caches written when the estimate carried its
-    bound, are ignored.
+    Every key must be there, each provenance field a 0-d array of its
+    ``WeightEstimate`` field's type (jackson 0 or 1) and diag a float64
+    vector of n(J+1) finite nonnegative entries; the file is named in each
+    refusal. A file that is no npz, such as a cache of the earlier text
+    format, is refused with a message to rerun ``gsdenoise weights``.
+
+    With return_graph, returns ``(estimate, graph)``: graph the cache's
+    ``(sha256, (u, v, w, labels))``, checked, or None for a cache with no
+    graph section. Otherwise the graph section is not read.
     """
-    values, header = read_signal(path)
-    meta = {}
-    for key, field in _FIELDS.items():
-        if key in header:
-            if field.type is bool and header[key] not in ("0", "1"):
-                raise ValueError(f"weight cache {path}: {key} must be 0 or "
-                                 f"1, got {header[key]!r}")
-            meta[key] = header[key] == "1" if field.type is bool \
-                else field.type(header[key])
-        elif field.default is MISSING:
-            raise ValueError(f"weight cache {path} missing header field "
-                             f"{key!r}")
-    return WeightEstimate(values, **meta)
+    arrays = _read_cache(path, ("diag", *CACHE_KEYS)
+                         + (GRAPH_KEYS if return_graph else ()))
+    meta = {key: _scalar(path, arrays, key, _TYPES[key])
+            for key in CACHE_KEYS}
+    diag = _array(path, arrays, "diag")
+    if diag.dtype != np.float64 or diag.ndim != 1:
+        raise ValueError(f"weight cache {path}: diag must be a float64 "
+                         "vector")
+    try:
+        est = WeightEstimate(diag, **meta)
+    except ValueError as exc:
+        raise ValueError(f"weight cache {path}: {exc}") from None
+    if not return_graph:
+        return est
+    return est, (_graph_section(path, arrays, est.n)
+                 if GRAPH_KEYS[0] in arrays else None)

@@ -1,6 +1,6 @@
 """The two text parsers (edge list, signal file), fuzzed against
-line-by-line reference readers kept here, and the weight cache, which is
-read as a signal file.
+line-by-line reference readers kept here, and the weight cache's npz
+fields against a field-by-field reader, with the graph it keeps.
 
 Each reference is the line loop the module's parser replaced, so a
 vectorised parser must return the same result bitwise or raise the same
@@ -10,7 +10,6 @@ exception with the same message on every drawn file.
 import re
 import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,14 +20,17 @@ from gsdenoise.graph import (
     _TOKEN,
     _WIDE_SPACES,
     build_graph,
+    file_sha256,
+    from_csr,
+    graph_edges,
     grid_graph,
     random_connected_graph,
     read_edgelist,
     write_edgelist,
 )
 from gsdenoise.signals import read_signal
-from gsdenoise import sure
-from gsdenoise.sure import load_weights
+from gsdenoise.sure import CACHE_KEYS, WeightEstimate, load_weights, \
+    save_weights
 
 
 def reference_read_edgelist(path):
@@ -125,6 +127,17 @@ def same_graph(g, h):
             and g.content_hash() == h.content_hash())
 
 
+def through_cache(path, g):
+    """The graph read from path with the edges a weight cache written for
+    g keeps, after a round trip through the cache file."""
+    cache = path.with_name("w.npz")
+    est = WeightEstimate(np.ones(g.n), g.n, 0, 1, "rademacher", 0, 10, True)
+    save_weights(cache, est, graph=(file_sha256(path), graph_edges(g)))
+    _, (sha256, edges) = load_weights(cache, return_graph=True)
+    assert sha256 == file_sha256(path)
+    return read_edgelist(path, edges)
+
+
 def write_raw(path, text):
     """Write text as UTF-8 with its line endings untranslated."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -185,6 +198,7 @@ def test_edgelist_matches_line_reader(tmp_path_factory, text):
     if want[0] == "ok":
         assert got[0] == "ok", got
         assert same_graph(got[1], want[1])
+        assert same_graph(through_cache(path, got[1]), got[1])
     else:
         assert got == want
 
@@ -331,42 +345,138 @@ def test_signal_matches_line_reader(tmp_path_factory, text, graph):
 # ---------------------------------------------------------------------------
 # weight caches
 
-HEADER = ["n = 3", "J = 1", "K = 4", "jackson = 1", "N = 2",
-          "distribution = rademacher", "seed = 0", "pou = p", "variant = v",
-          "graph_hash = h", "lambda_ub = 2.5"]
+FIELDS = {"n": 3, "J": 1, "K": 4, "jackson": 1, "N": 2,
+          "distribution": "rademacher", "seed": 0, "pou": "p",
+          "variant": "v", "graph_hash": "h"}
+# values of each kind a field may take, right or wrong for it
+SCALARS = st.sampled_from([0, 1, 2, -1, 1.0, True, "1", "", "rademacher",
+                           b"h"])
 
 
 @st.composite
-def cache_files(draw):
-    header = [f"# {field}" for field in draw(st.permutations(HEADER))]
-    header = header[:len(header) - draw(st.sampled_from([0, 0, 0, 1]))]
-    # n (J + 1) = 6 values, give or take one
+def cache_arrays(draw):
+    """The arrays of an npz weight cache: its fields, one of them another
+    value in half the files and one left out in a quarter, and n (J + 1)
+    weights, give or take one, in one of three dtypes, plus a key the
+    reader ignores in some files."""
+    arrays = dict(FIELDS)
+    if draw(st.booleans()):
+        arrays[draw(st.sampled_from(sorted(FIELDS)))] = draw(SCALARS)
     size = draw(st.sampled_from([6, 6, 6, 5, 7]))
-    body = draw(st.lists(st.sampled_from([0.5, 1.25, 0.0]).map(repr)
-                         | values.filter(lambda v: "," not in v),
-                         min_size=size, max_size=size))
-    # some header lines after the body, in half the files
-    split = len(header) - draw(st.integers(0, len(header))) * draw(
-        st.integers(0, 1))
-    lines = header[:split]
-    lines += [draw(st.sampled_from(["", "#", "# x = 1"]))] * draw(
-        st.integers(0, 1))
-    lines += body + header[split:]
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    arrays["diag"] = np.array(
+        draw(st.lists(st.sampled_from([0.5, 1.25, 0.0, -0.5, np.nan, np.inf]),
+                      min_size=size, max_size=size)),
+        dtype=draw(st.sampled_from([np.float64, np.float64, np.float32,
+                                    np.float16])))
+    if not draw(st.integers(0, 3)):
+        del arrays[draw(st.sampled_from(sorted(arrays)))]
+    if draw(st.booleans()):
+        arrays["lambda_ub"] = 2.5
+    return {key: np.asarray(value) for key, value in arrays.items()}
+
+
+def reference_load_weights(path, arrays):
+    """The estimate the arrays hold, field by field, or the refusal."""
+    for key in CACHE_KEYS:
+        if key not in arrays:
+            raise ValueError(f"weight cache {path} missing field {key!r}")
+        value = arrays[key].item()
+        kind = type(FIELDS[key])
+        flag = key == "jackson"
+        if type(value) is not kind or flag and value not in (0, 1):
+            want = ("0 or 1" if flag else "a string" if kind is str
+                    else "an integer")
+            raise ValueError(f"weight cache {path}: {key} must be {want}, "
+                             f"got {value!r}")
+    if "diag" not in arrays:
+        raise ValueError(f"weight cache {path} missing field 'diag'")
+    if arrays["diag"].dtype != np.float64:
+        raise ValueError(f"weight cache {path}: diag must be a float64 "
+                         "vector")
+    meta = {key: arrays[key].item() for key in CACHE_KEYS}
+    meta["jackson"] = bool(meta["jackson"])
+    try:
+        return WeightEstimate(arrays["diag"], **meta)
+    except ValueError as exc:
+        raise ValueError(f"weight cache {path}: {exc}") from None
 
 
 @settings(max_examples=300, deadline=None)
-@given(cache_files())
-def test_weight_cache_matches_line_reader(tmp_path_factory, text):
+@given(cache_arrays())
+def test_weight_cache_matches_field_reader(tmp_path_factory, arrays):
     path = tmp_path_factory.mktemp("fuzz") / "w.txt"
-    write_raw(path, text)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
     got = outcome(load_weights, path)
-    # the same header conversion, on what the reference reader gives
-    with mock.patch.object(sure, "read_signal", reference_read_signal):
-        want = outcome(load_weights, path)
+    want = outcome(reference_load_weights, path, arrays)
     if want[0] == "ok":
         assert got[0] == "ok", got
         assert got[1].diag.tobytes() == want[1].diag.tobytes()
         assert got[1].fingerprint() == want[1].fingerprint()
+        assert got[1].jackson is want[1].jackson
     else:
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the graph a weight cache keeps
+
+def _cached_case(tmp_path, name):
+    path = tmp_path / "g.txt"
+    if name == "random":
+        write_edgelist(random_connected_graph(2000, seed=6), path)
+    elif name == "hand-written":
+        # string labels, a repeated edge, comment and blank lines, and
+        # lines of 2 tokens
+        path.write_text("# a hand-written graph\n\nparis lyon 2.5\n"
+                        "lyon nice\n  # inland\nnice paris 0.5\n\n"
+                        "lyon paris 1.25\ngenève lyon\n")
+    else:
+        # one edge three times in mixed directions: summed in one order for
+        # both of its entries, the adjacency is exactly symmetric
+        path.write_text("a b 0.1\nb a 0.3\na b 0.7\nb c\n")
+    return path
+
+
+@pytest.mark.parametrize("case", ["random", "hand-written", "triple-edge"])
+def test_cached_graph_is_bitwise_the_parsed_one(tmp_path, case):
+    path = _cached_case(tmp_path, case)
+    parsed = read_edgelist(path)
+    cached = through_cache(path, parsed)
+    assert same_graph(cached, parsed)
+    for name in ("offsets", "indices", "weights"):
+        assert getattr(cached, name).dtype == getattr(parsed, name).dtype
+    assert parsed.offsets.dtype == np.int32
+    assert all(type(label) is str for label in cached.labels)
+    # symmetric by construction, as from_csr checks it
+    from_csr(parsed.n, parsed.offsets, parsed.indices, parsed.weights)
+
+
+def test_parsed_triple_edge_sums_in_one_order():
+    # b a 0.3 between two a b lines: the entry (b, a) once summed
+    # 0.3 + 0.1 + 0.7 = 1.1 and (a, b) 0.1 + 0.7 + 0.3 = 1.0999999999999999
+    g = build_graph([("a", "b", 0.1), ("b", "a", 0.3), ("a", "b", 0.7)])
+    assert g.weights.tolist() == [(0.1 + 0.3) + 0.7] * 2
+
+
+def test_cached_graph_load_peaks_no_higher_than_the_parse(tmp_path):
+    path = tmp_path / "g.txt"
+    write_edgelist(random_connected_graph(2 * 10 ** 4, seed=1), path)
+    g = read_edgelist(path)
+    cache = tmp_path / "w.npz"
+    est = WeightEstimate(np.ones(g.n), g.n, 0, 1, "rademacher", 0, 10, True)
+    save_weights(cache, est, graph=(file_sha256(path), graph_edges(g)))
+    del g, est
+
+    def peak(load):
+        tracemalloc.start()
+        try:
+            load()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    parsed = peak(lambda: read_edgelist(path))
+    cached = peak(lambda: read_edgelist(
+        path, load_weights(cache, return_graph=True)[1][1]))
+    assert cached <= parsed, (cached, parsed)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import inspect
 import math
 import os
@@ -301,7 +302,8 @@ def test_bound_from_weights_matches_passed_operator(variant):
 def _through_file(est, tmp_path):
     path = tmp_path / "w.txt"
     save_weights(path, est)
-    assert "# lambda_ub" not in path.read_text()
+    with np.load(path) as z:
+        assert "lambda_ub" not in z.files
     return load_weights(path)
 
 
@@ -339,24 +341,21 @@ def test_bound_falls_back_to_lanczos(case, variant, cache, warned, tmp_path):
     ("unnormalized", "hit"), ("normalized", "mismatch-recomputed")])
 def test_cache_with_a_bound_line_is_matched_by_its_partition(variant, cache,
                                                              tmp_path):
-    # caches written when the estimate carried its bound have a
-    # "# lambda_ub" line, now ignored; their partition holds the bound by
-    # repr. The unnormalized one came from Lanczos then as now and hits;
-    # the normalized one holds a Lanczos value under 2 where the bound is
-    # now the cap 2, so it is recomputed
+    # a cache's one record of its bound is the lambda_ub field of its
+    # partition's fingerprint, by repr. Weights made when the bound came
+    # from Lanczos for every variant hit for the unnormalized one, whose
+    # bound Lanczos gives now as then; the normalized one holds a Lanczos
+    # value under 2 where the bound is now the cap 2, so it is recomputed
     g, f = _graph_and_signal(60)
     noisy = f + np.random.default_rng(2).standard_normal(g.n)
     cfg = PipelineConfig(variant=variant, sigma=1.0)
     est = _weights_for(g, cfg)
-    path = tmp_path / "w.txt"
-    save_weights(path, est)
     ub = laplacian(g, variant).lambda_ub
     old = ub if variant == "unnormalized" else 1.9471808144609681
-    head = f"# graph_hash = {g.content_hash()}\n"
-    text = path.read_text().replace(f"lambda_ub={ub!r},",
-                                    f"lambda_ub={old!r},")
-    path.write_text(text.replace(head, head + f"# lambda_ub = {old!r}\n"))
-    assert f"# lambda_ub = {old!r}\n" in path.read_text()
+    path = tmp_path / "w.txt"
+    save_weights(path, dataclasses.replace(
+        est, pou=est.pou.replace(f"lambda_ub={ub!r},", f"lambda_ub={old!r},")))
+    assert f",lambda_ub={old!r}," in load_weights(path).pou
     fhat, report = denoise_pipeline(g, noisy, cfg, weights=load_weights(path))
     assert report["cache"] == cache
     assert any("do not match" in w
@@ -579,6 +578,7 @@ def test_cli_weights_then_denoise_hits_cache(workspace, capsys):
                  "--weights", wpath]) == 0
     out = capsys.readouterr().out
     assert "cache=hit" in out and "bound_source=lanczos" in out
+    assert "graph_source=cache" in out.splitlines()
     # the cached weights give the file a cold run writes
     cold = str(tmp / "cold.txt")
     assert main(["denoise", gpath, fpath, "-o", cold, "--sigma", "1.0"]) == 0
@@ -593,6 +593,73 @@ def test_cli_weights_then_denoise_hits_cache(workspace, capsys):
     assert "cache=mismatch-recomputed" in captured.out
     assert "bound_source=lanczos" in captured.out
     assert "warning" in captured.err
+
+
+def _denoise_lines(argv, capsys):
+    """The lines a denoise run prints, by key, and the estimate's bytes."""
+    assert main(argv) == 0
+    lines = dict(line.split("=", 1)
+                 for line in capsys.readouterr().out.splitlines())
+    with open(argv[argv.index("-o") + 1], "rb") as fh:
+        return lines, fh.read()
+
+
+def test_cli_denoise_through_the_cached_graph_writes_the_parsed_bytes(
+        workspace, capsys):
+    tmp, g, gpath = workspace
+    fpath, wpath, bare = (str(tmp / x) for x in ("f.txt", "w.txt", "b.txt"))
+    main(["synth", gpath, "-o", fpath])
+    assert main(["weights", gpath, "-o", wpath]) == 0
+    # the same estimate with no graph section, as saved in process
+    save_weights(bare, load_weights(wpath))
+    base = ["denoise", gpath, fpath, "--sigma", "1.0", "--weights"]
+    capsys.readouterr()
+    cached, cached_bytes = _denoise_lines(
+        base + [wpath, "-o", str(tmp / "c.txt")], capsys)
+    parsed, parsed_bytes = _denoise_lines(
+        base + [bare, "-o", str(tmp / "p.txt")], capsys)
+    assert cached["graph_source"] == "cache"
+    assert parsed["graph_source"] == "edgelist"
+    assert cached["cache"] == parsed["cache"] == "hit"
+    assert cached["sure"] == parsed["sure"]
+    assert cached["thresholds"] == parsed["thresholds"]
+    assert cached_bytes == parsed_bytes
+    # an edge list whose bytes change is parsed, and its graph still hits
+    with open(gpath, "a") as fh:
+        fh.write("# a note\n")
+    edited, edited_bytes = _denoise_lines(
+        base + [wpath, "-o", str(tmp / "e.txt")], capsys)
+    assert edited["graph_source"] == "edgelist"
+    assert edited["cache"] == "hit"
+    assert edited["sure"] == cached["sure"]
+    assert edited["thresholds"] == cached["thresholds"]
+    assert edited_bytes == cached_bytes
+
+
+def test_cli_weights_writes_the_output_path_itself(workspace, capsys):
+    tmp, g, gpath = workspace
+    assert main(["weights", gpath, "-o", str(tmp / "w.txt")]) == 0
+    assert sorted(p.name for p in tmp.iterdir()) == ["graph.txt", "w.txt"]
+    est, (sha256, (u, v, w, labels)) = load_weights(tmp / "w.txt",
+                                                    return_graph=True)
+    with open(gpath, "rb") as fh:
+        assert sha256 == hashlib.sha256(fh.read()).hexdigest()
+    assert labels == read_edgelist(gpath).labels
+    assert est.n == g.n and u.size == g.m
+
+
+def test_cli_denoise_refuses_a_text_cache(workspace, capsys):
+    tmp, g, gpath = workspace
+    fpath, wpath = str(tmp / "f.txt"), str(tmp / "w.txt")
+    main(["synth", gpath, "-o", fpath])
+    write_signal(wpath, np.ones(g.n), header={"n": g.n, "J": 0})
+    capsys.readouterr()
+    assert main(["denoise", gpath, fpath, "-o", str(tmp / "o.txt"),
+                 "--sigma", "1.0", "--weights", wpath]) == 1
+    assert capsys.readouterr().err == (
+        f"gsdenoise: error: weight cache {wpath} is not an npz file; caches "
+        "of the earlier text format are no longer read: rerun `gsdenoise "
+        "weights`\n")
 
 
 def test_cli_denoise_prints_io_stage_times(workspace, capsys):

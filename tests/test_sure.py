@@ -5,6 +5,7 @@ quadruple-sum implementations written independently here, so a shared
 algebra mistake cannot hide.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from gsdenoise.pipeline import PipelineConfig
 from gsdenoise.privacy import PrivacyParams, calibrate_sigma, sanitize
 from gsdenoise.signals import SignalSpec, snr, synth_signal
 from gsdenoise.sure import (
+    CACHE_KEYS,
     WeightEstimate,
     draw_probe,
     estimate_diagonal_weights,
@@ -362,9 +364,11 @@ def test_weight_cache_round_trip(tmp_path):
     assert np.array_equal(back.diag, est.diag)
     assert back.fingerprint() == est.fingerprint()
     # the bound the estimate was made with is in its partition, by repr,
-    # and nowhere else
+    # and nowhere else; a cache saved in process has no graph section
     assert f",lambda_ub={L.lambda_ub!r}," in back.pou
-    assert "lambda_ub =" not in path.read_text()
+    with np.load(path) as z:
+        assert sorted(z.files) == sorted(["diag", *CACHE_KEYS])
+    assert load_weights(path, return_graph=True)[1] is None
 
 
 def test_weight_cache_of_a_numpy_bool_matches_its_fingerprint(tmp_path):
@@ -385,65 +389,153 @@ def test_weight_cache_of_a_numpy_bool_matches_its_fingerprint(tmp_path):
     assert back.diag.tobytes() == est.diag.tobytes()
 
 
-_HEADER = ("# n = 2\n# J = 0\n# K = 10\n# jackson = 1\n# N = 1\n"
-           "# distribution = rademacher\n# seed = 0\n")
+_FIELDS = {"n": 2, "J": 0, "K": 10, "jackson": 1, "N": 1,
+           "distribution": "rademacher", "seed": 0, "pou": "p",
+           "variant": "v", "graph_hash": "h"}
 
 
-@pytest.mark.parametrize("value", ["2", "-7", "true", "1.0", ""])
+def _write_cache(path, diag=(1.0, 0.5), **changes):
+    """An npz cache of n = 2, J = 0 with the changed fields; a field
+    changed to None is left out."""
+    arrays = {key: np.asarray(value) for key, value in
+              {**_FIELDS, "diag": diag, **changes}.items()
+              if value is not None}
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("value", [2, -7, "true", 1.0, ""])
 def test_weight_cache_refuses_a_jackson_header_other_than_0_or_1(tmp_path,
                                                                  value):
-    # read as True, such a header would match a jackson=1 fingerprint
+    # read as True, such a value would match a jackson=1 fingerprint
     path = tmp_path / "w.txt"
-    path.write_text(_HEADER.replace("# jackson = 1",
-                                    f"# jackson = {value}") + "1.0\n0.5\n")
+    _write_cache(path, jackson=value)
     with pytest.raises(ValueError, match=rf"w\.txt: jackson must be 0 or 1, "
-                                         rf"got '{value}'$"):
+                                         rf"got {re.escape(repr(value))}$"):
         load_weights(path)
     for flag in (0, 1):
-        path.write_text(_HEADER.replace("# jackson = 1",
-                                        f"# jackson = {flag}") + "1.0\n0.5\n")
+        _write_cache(path, jackson=flag)
         assert load_weights(path).jackson is bool(flag)
 
 
-def test_weight_cache_malformed_value_names_its_line(tmp_path):
+@pytest.mark.parametrize("key, value, kind", [
+    ("n", 2.0, "an integer"), ("seed", "0", "an integer"),
+    ("K", np.array([10]), "an integer"), ("pou", 3, "a string"),
+    ("graph_hash", b"h", "a string")])
+def test_weight_cache_refuses_a_field_of_another_type(tmp_path, key, value,
+                                                      kind):
     path = tmp_path / "w.txt"
-    path.write_text(_HEADER + "1.0\n0.5x\n")
-    with pytest.raises(ValueError, match=r"w\.txt:9: bad value in '0\.5x'"):
+    _write_cache(path, **{key: value})
+    with pytest.raises(ValueError, match=rf"w\.txt: {key} must be {kind}, "):
         load_weights(path)
 
 
-def test_weight_cache_reads_as_a_signal_file(tmp_path):
-    # a cache is a signal file: comments and blank lines may sit inside its
-    # body, and a header line may follow it
-    clean = tmp_path / "clean.txt"
-    clean.write_text(_HEADER + "# graph_hash = h\n1.0\n0.5\n")
-    loose = tmp_path / "loose.txt"
-    loose.write_text(_HEADER + "1.0\n# note\n\n0.5\n# graph_hash = h\n")
-    want, got = load_weights(clean), load_weights(loose)
-    assert got.diag.tobytes() == want.diag.tobytes()
-    assert got.graph_hash == want.graph_hash == "h"
-    assert got.fingerprint() == want.fingerprint()
+@pytest.mark.parametrize("diag", [
+    np.array([1.0, 0.5], dtype=np.float32), np.array([1, 0]),
+    np.array([[1.0, 0.5]]), np.array(["1.0", "0.5"]),
+    np.array([1.0, 0.5, 0.25]), np.array([1.0])],
+    ids=["float32", "int64", "2-d", "strings", "too-long", "too-short"])
+def test_weight_cache_refuses_a_diag_of_the_wrong_dtype_or_length(tmp_path,
+                                                                  diag):
+    path = tmp_path / "w.txt"
+    _write_cache(path, diag=diag)
+    with pytest.raises(ValueError, match=r"^weight cache .*w\.txt: "):
+        load_weights(path)
 
 
-@pytest.mark.parametrize("bound", ["1.9471808144609681", "nan"])
-def test_weight_cache_with_a_bound_line_still_loads(tmp_path, bound):
-    # caches once carried the bound on a line of its own; that key is now
-    # ignored, whatever its value, as the bound is part of pou
-    old = tmp_path / "old.txt"
-    old.write_text(_HEADER + f"# lambda_ub = {bound}\n1.0\n0.5\n")
-    new = tmp_path / "new.txt"
-    new.write_text(_HEADER + "1.0\n0.5\n")
-    got, want = load_weights(old), load_weights(new)
-    assert got.diag.tobytes() == want.diag.tobytes()
-    assert got.fingerprint() == want.fingerprint()
-    assert not hasattr(got, "lambda_ub")
+def test_weight_cache_refuses_the_earlier_text_format(tmp_path):
+    # a cache was once a signal file with '# key = value' header lines
+    path = tmp_path / "w.txt"
+    path.write_text("# n = 2\n# J = 0\n# K = 10\n# jackson = 1\n# N = 1\n"
+                    "# distribution = rademacher\n# seed = 0\n1.0\n0.5\n")
+    with pytest.raises(ValueError, match=r"w\.txt is not an npz file; "
+                                         r".*rerun `gsdenoise weights`$"):
+        load_weights(path)
 
 
 def test_weight_cache_missing_field(tmp_path):
     path = tmp_path / "w.txt"
-    path.write_text("# n = 2\n# J = 0\n1.0\n0.5\n")
-    with pytest.raises(ValueError, match="'N'"):
-        load_weights(path)
+    for key in ("diag", *CACHE_KEYS):
+        _write_cache(path, **{key: None})
+        with pytest.raises(ValueError,
+                           match=rf"w\.txt missing field '{key}'$"):
+            load_weights(path)
+
+
+def test_weight_cache_refuses_a_truncated_file(tmp_path):
+    _, L, pou = _setup(9, seed=5)
+    est = estimate_diagonal_weights(L, pou, K=30, N=1)
+    whole = tmp_path / "whole.npz"
+    save_weights(whole, est)
+    data = whole.read_bytes()
+    path = tmp_path / "w.txt"
+    for size in (0, 3, 30, len(data) // 2, len(data) - 1):
+        path.write_bytes(data[:size])
+        with pytest.raises(ValueError, match=r"^weight cache .*w\.txt "):
+            load_weights(path)
+
+
+def _graph_cache(path, **changes):
+    """A cache of n = 3, J = 0 with the graph section of the path a - b - c,
+    the section's arrays changed as given; None leaves one out."""
+    section = {"graph_sha256": np.asarray("0" * 64),
+               "edge_u": np.array([0, 1], dtype=np.int32),
+               "edge_v": np.array([1, 2], dtype=np.int32),
+               "edge_w": np.array([1.0, 2.5]),
+               "labels": np.frombuffer(b"a\nb\nc", dtype=np.uint8)}
+    section.update(changes)
+    _write_cache(path, diag=(1.0, 0.5, 0.25), n=3, **section)
+
+
+def test_weight_cache_graph_section_reads_back(tmp_path):
+    path = tmp_path / "w.txt"
+    _graph_cache(path)
+    est, (sha256, (u, v, w, labels)) = load_weights(path, return_graph=True)
+    assert est.n == 3 and sha256 == "0" * 64
+    assert u.dtype == v.dtype == np.int32
+    assert u.tolist() == [0, 1] and v.tolist() == [1, 2]
+    assert w.tolist() == [1.0, 2.5] and labels == ["a", "b", "c"]
+
+
+def _i32(*values):
+    return np.array(values, dtype=np.int32)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"edge_u": _i32(0, 2)}, r"edge 1 \(2, 2, 2\.5\)"),
+    ({"edge_v": _i32(1, 0)}, r"edge 1 \(1, 0, 2\.5\)"),
+    ({"edge_v": _i32(1, 3)}, r"edge 1 \(1, 3, 2\.5\) .* n = 3"),
+    ({"edge_u": _i32(-1, 1)}, r"edge 0 \(-1, 1, 1\.0\)"),
+    ({"edge_w": np.array([0.0, 2.5])}, r"edge 0 \(0, 1, 0\.0\)"),
+    ({"edge_w": np.array([1.0, -2.5])}, r"edge 1 \(1, 2, -2\.5\)"),
+    ({"edge_w": np.array([np.nan, 2.5])}, r"edge 0 \(0, 1, nan\)"),
+    ({"edge_w": np.array([1.0, np.inf])}, r"edge 1 \(1, 2, inf\)"),
+    ({"labels": np.frombuffer(b"a\nb", dtype=np.uint8)}, "2 labels for n = 3"),
+    ({"labels": np.frombuffer(b"a\nb\nc\nd", dtype=np.uint8)},
+     "4 labels for n = 3"),
+    ({"labels": np.frombuffer(b"a\n\xff\nc", dtype=np.uint8)}, "labels: "),
+    ({"edge_w": None}, "missing field 'edge_w'"),
+    ({"labels": None}, "missing field 'labels'"),
+    ({"graph_sha256": np.asarray(7)}, "graph_sha256 must be a string"),
+    ({"edge_u": np.array([0, 1])}, "must be int32 or int64"),
+    ({"edge_w": np.array([1.0, 2.5], dtype=np.float32)},
+     "must be int32 or int64"),
+    ({"edge_v": _i32(1)}, "must be int32 or int64"),
+], ids=["u-equals-v", "u-above-v", "v-at-n", "u-negative", "weight-zero",
+        "weight-negative", "weight-nan", "weight-inf", "labels-too-few",
+        "labels-too-many", "labels-not-utf8", "no-edge_w", "no-labels",
+        "sha256-not-a-string", "u-and-v-dtypes-differ", "weights-float32",
+        "lengths-differ"])
+def test_weight_cache_refuses_a_malformed_graph_section(tmp_path, changes,
+                                                        message):
+    path = tmp_path / "w.txt"
+    _graph_cache(path, **changes)
+    with pytest.raises(ValueError, match=r"^weight cache .*w\.txt"):
+        load_weights(path, return_graph=True)
+    with pytest.raises(ValueError, match=message):
+        load_weights(path, return_graph=True)
+    # the section is read only where it is asked for
+    assert load_weights(path).n == 3
 
 
 def test_weight_estimate_length_validation():
@@ -461,6 +553,6 @@ def test_weight_estimate_rejects_nan_negative_and_infinite_entries(bad):
 
 def test_weight_cache_with_nan_entry_is_rejected(tmp_path):
     path = tmp_path / "w.txt"
-    path.write_text(_HEADER + "1.0\nnan\n")
-    with pytest.raises(ValueError, match="entry 1"):
+    _write_cache(path, diag=(1.0, np.nan))
+    with pytest.raises(ValueError, match=r"w\.txt: .*entry 1"):
         load_weights(path)
